@@ -96,6 +96,12 @@ class ExperimentConfig:
     dark_count_rate: float = 0.0
     seed: int = 20100
 
+    def __post_init__(self):
+        if not self.mod_frequency > 0:
+            raise ValidationError(f"mod_frequency must be positive, got {self.mod_frequency}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+
     def sweep_shifts(self):
         return np.linspace(self.sweep_min, self.sweep_max, self.sweep_points)
 
@@ -161,10 +167,6 @@ class ResolvedPhysics:
     material: dispersion.SellmeierModel
     prism: dispersion.Prism
     state: interferometer.InterferometerState
-
-    @property
-    def background_fraction(self):
-        return self.config.background_fraction
 
     def kick_of_shift(self, frequency_shift):
         """Transverse momentum kick (rad/m) for a carrier frequency shift."""

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import trapezoid
+from scipy.special import dawsn
 
 from .dispersion import OpticalCarrier
 from .errors import (
@@ -154,47 +155,73 @@ def dark_port_grid(state, n_points=DEFAULT_GRID_POINTS, half_width=DEFAULT_GRID_
     return np.linspace(-span, span, n_points)
 
 
-def _dark_port_intensity_rows(k_values, state, x_grid, background_fraction=0.0):
-    """Normalized dark-port profiles, one row per kick value.
+def dark_port_profile(k, state, x_grid, background_fraction=0.0):
+    """Normalized dark-port intensity samples on ``x_grid`` (unit trapezoid
+    integral).
 
     A nonzero ``background_fraction`` beta mixes in a uniform floor carrying
     beta of the input light (relative to the sin^2(phi/2) dark-port share),
     standing in for stray light from imperfect optics.
     """
-    if background_fraction < 0:
-        raise ValidationError("background fraction must be >= 0")
-    sigma = state.beam.sigma
-    k_col = np.atleast_1d(np.asarray(k_values, dtype=float))[:, None]
-    envelope = np.exp(-(x_grid**2) / (2.0 * sigma**2))
-    intensity = np.sin(k_col * x_grid + state.phi / 2.0) ** 2 * envelope
-    norm = trapezoid(intensity, x_grid, axis=1)
-    if np.any(norm <= 0.0):
-        raise DarkPortEmptyError("dark-port intensity vanished on the grid")
-    intensity /= norm[:, None]
-    if background_fraction > 0.0:
-        p_ps = postselection_probability(state.phi)
-        uniform = 1.0 / (x_grid[-1] - x_grid[0])
-        w_dark = p_ps / (p_ps + background_fraction)
-        intensity = w_dark * intensity + (1.0 - w_dark) * uniform
-    return intensity
-
-
-def dark_port_profile(k, state, x_grid, background_fraction=0.0):
-    """Normalized dark-port intensity samples on ``x_grid`` (unit trapezoid
-    integral)."""
     x_grid = np.asarray(x_grid, dtype=float)
     if x_grid.ndim != 1 or x_grid.size < 2 or np.any(np.diff(x_grid) <= 0):
         raise ValidationError("x_grid must be a strictly increasing 1-D array")
-    return _dark_port_intensity_rows(k, state, x_grid, background_fraction)[0]
+    w_dark = _dark_weight(state.phi, background_fraction)
+    envelope = np.exp(-(x_grid**2) / (2.0 * state.beam.sigma**2))
+    intensity = np.sin(k * x_grid + state.phi / 2.0) ** 2 * envelope
+    norm = trapezoid(intensity, x_grid)
+    if norm <= 0.0:
+        raise DarkPortEmptyError("dark-port intensity vanished on the grid")
+    uniform = 1.0 / (x_grid[-1] - x_grid[0])
+    return w_dark * intensity / norm + (1.0 - w_dark) * uniform
 
 
-def exact_dark_port_mean(
-    k,
-    state,
-    n_points=DEFAULT_GRID_POINTS,
-    half_width=DEFAULT_GRID_HALF_WIDTH,
-    empty_floor=1e-14,
-):
+def dark_port_split_probability(k, state, background_fraction=0.0):
+    """Closed-form probability that a detected photon lands at x >= 0.
+
+    With E = exp(-2 k^2 sigma^2) and D the Dawson function, the half-line
+    integral of sin^2(k x + phi/2) * exp(-x^2 / (2 sigma^2)) gives
+    p_right = 1/2 + sin(phi) D(sqrt(2) k sigma) / (sqrt(pi) (1 - cos(phi) E));
+    1 - cos(phi) E is evaluated as 2 E sin^2(phi/2) - expm1(-2 k^2 sigma^2),
+    free of cancellation at small phi. The symmetric stray-light floor adds
+    (1 - w_dark)/2. Vectorized over ``k``; its test oracle is the trapezoid
+    integral of ``dark_port_profile`` over x >= 0.
+    """
+    w_dark = _dark_weight(state.phi, background_fraction)
+    ks = np.asarray(k, dtype=float) * state.beam.sigma
+    damping = np.exp(-2.0 * ks**2)
+    occupancy = 2.0 * damping * np.sin(state.phi / 2.0) ** 2 - np.expm1(-2.0 * ks**2)
+    if np.any(occupancy <= 0.0):
+        raise DarkPortEmptyError("dark-port intensity vanished")
+    p_dark = 0.5 + np.sin(state.phi) * dawsn(np.sqrt(2.0) * ks) / (
+        np.sqrt(np.pi) * occupancy
+    )
+    return w_dark * p_dark + (1.0 - w_dark) * 0.5
+
+
+def dark_port_split_calibration(state, background_fraction=0.0):
+    """Meters per unit difference-over-sum, 1 / (2 I(0)), at zero kick: the
+    dark-port density at the split is 1 / (sqrt(2 pi) sigma), the floor's is
+    uniform over the +-DEFAULT_GRID_HALF_WIDTH sigma detector."""
+    w_dark = _dark_weight(state.phi, background_fraction)
+    sigma = state.beam.sigma
+    center = w_dark / (np.sqrt(2.0 * np.pi) * sigma) + (1.0 - w_dark) / (
+        2.0 * DEFAULT_GRID_HALF_WIDTH * sigma
+    )
+    return 1.0 / (2.0 * center)
+
+
+def _dark_weight(phi, background_fraction):
+    """Share w_dark of the detected light that is dark-port light, not floor."""
+    if background_fraction < 0:
+        raise ValidationError("background fraction must be >= 0")
+    if background_fraction == 0.0:
+        return 1.0  # also when sin^2(phi/2) underflows to 0
+    p_ps = postselection_probability(phi)
+    return p_ps / (p_ps + background_fraction)
+
+
+def exact_dark_port_mean(k, state):
     """First moment of the exact dark-port intensity, by trapezoid quadrature.
 
     Valid beyond k*sigma << 1; this is the oracle against which the
@@ -202,15 +229,13 @@ def exact_dark_port_mean(
     when essentially no light reaches the dark port (phi ~ 0 and k ~ 0).
     """
     sigma = state.beam.sigma
-    x = dark_port_grid(state, n_points, half_width)
+    x = dark_port_grid(state)
     intensity = np.sin(k * x + state.phi / 2.0) ** 2 * np.exp(
         -(x**2) / (2.0 * sigma**2)
     )
     norm = trapezoid(intensity, x)
     # Compare against the bright-beam normalization sqrt(2*pi)*sigma.
-    if norm / (np.sqrt(2.0 * np.pi) * sigma) < empty_floor:
-        raise DarkPortEmptyError(
-            f"dark-port occupancy {norm / (np.sqrt(2 * np.pi) * sigma):.3e} below "
-            f"floor {empty_floor:.3e}"
-        )
+    occupancy = norm / (np.sqrt(2.0 * np.pi) * sigma)
+    if occupancy < 1e-14:
+        raise DarkPortEmptyError(f"dark-port occupancy {occupancy:.3e} below floor 1e-14")
     return trapezoid(x * intensity, x) / norm

@@ -16,28 +16,24 @@ output carries the prototype's phase response: zero at the center
 frequency, approaching +90 deg per stage below and -90 deg per stage above.
 
 Determinism: all randomness flows through one generator seeded by the run
-seed, consumed in sample order, so outputs are byte-reproducible and
-independent of any internal chunking.
+seed and is drawn as whole-series calls in a fixed order, so a fixed seed
+reproduces the output byte for byte in the same software environment.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 from scipy.signal import bilinear, get_window, lfilter
 
 from .errors import AliasingError, ValidationError, WeakValueValidityError
 from .interferometer import (
     KICK_SIGMA_LIMIT,
-    _dark_port_intensity_rows,
-    dark_port_grid,
+    dark_port_split_calibration,
+    dark_port_split_probability,
     postselection_probability,
 )
-from .noise import split_calibration_constant
 
 STAGE_Q = 1.0  # first-order prototype: bandwidth = center frequency
-
-_PROFILE_CHUNK = 2048
 
 
 @dataclass
@@ -166,17 +162,17 @@ def synthesize_run(
     seed,
     modulation=None,
     extensions=None,
-    n_grid=None,
-    chunk_size=_PROFILE_CHUNK,
 ):
     """Simulate the raw split-detector record for a modulated run.
 
     For every sample time, the instantaneous frequency offset maps through
-    the prism deflection to a dark-port profile, and the split detector
-    sees round((P_ps + beta) * n_per_sample) photons of it. ``dnu_peak``
-    overrides the amplitude in ``modulation`` (default: 10 Hz sine). Output
-    samples are calibrated position estimates in meters (unfiltered).
-    Deterministic for a fixed seed.
+    the prism deflection to a momentum kick, and the split detector sees
+    round((P_ps + beta) * n_per_sample) photons of the kicked dark-port
+    profile, split by the closed-form ``dark_port_split_probability`` (the
+    grid quadrature is only its test oracle), so a record costs O(samples)
+    at any sample rate. ``dnu_peak`` overrides the amplitude in
+    ``modulation`` (default: 10 Hz sine). Output samples are calibrated
+    position estimates in meters (unfiltered). Deterministic for a fixed seed.
     """
     modulation = modulation or ModulationConfig()
     mod_frequency = modulation.mod_frequency
@@ -188,7 +184,7 @@ def synthesize_run(
         )
     state = physics.state
     p_ps = postselection_probability(state.phi)
-    beta = physics.background_fraction
+    beta = physics.config.background_fraction
     n_detected = int(round((p_ps + beta) * n_per_sample))
     if p_ps * n_per_sample < 10:
         raise ValidationError(
@@ -197,20 +193,8 @@ def synthesize_run(
         )
 
     n_samples = int(round(duration * sample_rate))
-    x = dark_port_grid(state) if n_grid is None else dark_port_grid(state, n_grid)
-    reference = _dark_port_intensity_rows(0.0, state, x, beta)[0]
-    calibration = split_calibration_constant(x, reference)
-
-    samples_per_cycle = sample_rate / mod_frequency
-    if abs(samples_per_cycle - round(samples_per_cycle)) < 1e-9:
-        # Commensurate sampling: the modulation repeats exactly every cycle,
-        # so only one cycle of profiles is ever computed.
-        m = int(round(samples_per_cycle))
-        t_unique = np.arange(m) / sample_rate
-    else:
-        m = n_samples
-        t_unique = np.arange(n_samples) / sample_rate
-    dnu = dnu_peak * np.sin(2.0 * np.pi * mod_frequency * t_unique)
+    t = np.arange(n_samples) / sample_rate
+    dnu = dnu_peak * np.sin(2.0 * np.pi * mod_frequency * t)
     kick = physics.kick_of_shift(dnu)
     ks_max = np.max(np.abs(kick)) * state.beam.sigma
     if ks_max > KICK_SIGMA_LIMIT:
@@ -219,21 +203,8 @@ def synthesize_run(
             f"weak value condition violated at frequency offset {worst:.6g} Hz "
             f"(k*sigma = {ks_max:.3g})"
         )
-
-    # Split probability per unique sample, chunked to bound the matrix size.
-    p_unique = np.empty(m)
-    right = x >= 0.0
-    for start in range(0, m, chunk_size):
-        rows = _dark_port_intensity_rows(
-            kick[start : start + chunk_size], state, x, beta
-        )
-        p_unique[start : start + chunk_size] = trapezoid(
-            rows[:, right], x[right], axis=1
-        )
-    if m == n_samples:
-        p_right = p_unique
-    else:
-        p_right = np.tile(p_unique, -(-n_samples // m))[:n_samples]
+    p_right = dark_port_split_probability(kick, state, beta)
+    calibration = dark_port_split_calibration(state, beta)
 
     # All draws from one stream, whole-series calls in a fixed order.
     rng = np.random.default_rng(seed)

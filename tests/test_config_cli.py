@@ -146,6 +146,20 @@ class TestCli:
         assert cli.main(["slope", "--sweep-points", "1"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        code = cli.main(
+            ["simulate", "--seed", "-1", "--duration", "0.1s",
+             "-o", str(tmp_path / "x.csv")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: seed must be >= 0, got -1\n"
+
+    def test_zero_mod_frequency_exit_code(self, capsys):
+        assert cli.main(["slope", "--mod-frequency", "0Hz"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: mod_frequency must be positive, got 0.0\n"
+
     def test_zero_power_exit_codes(self, tmp_path, capsys):
         assert cli.main(["sensitivity", "--power", "0W"]) == 2
         assert "unreachable" in capsys.readouterr().err

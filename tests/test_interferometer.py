@@ -22,12 +22,15 @@ from wvfreq.interferometer import (
     amplified_deflection_closed_form,
     dark_port_grid,
     dark_port_profile,
+    dark_port_split_calibration,
+    dark_port_split_probability,
     exact_dark_port_mean,
     phi_for_postselection,
     postselection_probability,
     unamplified_deflection,
     weak_value_magnitude,
 )
+from wvfreq.noise import split_calibration_constant, split_probability
 
 SIGMA = 388e-6
 PHI_13PCT = 0.22853207394762412  # phase giving 1.3% postselection
@@ -244,6 +247,86 @@ class TestExactDarkPortMean:
                 exact = exact_dark_port_mean(k, state)
                 linear = amplified_deflection(k, state)
                 assert abs(exact - linear) <= 0.05 * abs(linear)
+
+    @settings(max_examples=60)
+    @given(
+        k_sigma=st.floats(min_value=-0.5, max_value=0.5),
+        phi=st.floats(min_value=0.05, max_value=np.pi),
+    )
+    def test_matches_centroid_closed_form(self, k_sigma, phi):
+        # Second, independent evaluation: the grid quadrature against the
+        # Gaussian-integral closed form (phi >= 0.05 keeps the oracle's
+        # 1 - cos(phi) E free of cancellation at the 1e-12 level).
+        k = k_sigma / SIGMA
+        exact = exact_dark_port_mean(k, make_state(phi=phi))
+        assert exact == pytest.approx(closed_form_mean(k, phi, SIGMA), rel=1e-12)
+
+    @pytest.mark.parametrize("phi", [0.1, PHI_13PCT, 1.0, 2.5])
+    def test_tends_to_linearized_deflection(self, phi):
+        # exact / linear = 1 - (k sigma)^2 / sin^2(phi/2) + O((k sigma)^4),
+        # above the quadrature's roundoff floor of about 1e-10.
+        state = make_state(phi=phi)
+        for k_sigma in (1e-2, 3e-3, 1e-3, 3e-4, 1e-4):
+            k = k_sigma / SIGMA
+            ratio = exact_dark_port_mean(k, state) / amplified_deflection(k, state)
+            bound = 1.01 * k_sigma**2 / np.sin(phi / 2) ** 2 + 1e-9
+            assert abs(ratio - 1) <= bound
+
+
+class TestSplitProbabilityKernel:
+    @staticmethod
+    def grid_split_probability(k, state, beta, n_points):
+        x = dark_port_grid(state, n_points)
+        return split_probability(x, dark_port_profile(k, state, x, beta))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k_sigma=st.floats(min_value=-0.5, max_value=0.5),
+        phi=st.floats(min_value=1e-3, max_value=np.pi, exclude_max=True),
+        beta=st.sampled_from([0.0, 0.02]),
+    )
+    def test_matches_grid_quadrature(self, k_sigma, phi, beta):
+        # The trapezoid rule on the half line carries an O(h^2) endpoint
+        # bias at x = 0, so the gap to the closed form shrinks ~16x for 4x
+        # the points (down to a roundoff floor).
+        state = make_state(phi=phi)
+        k = k_sigma / SIGMA
+        closed = dark_port_split_probability(k, state, beta)
+        coarse = abs(self.grid_split_probability(k, state, beta, 4097) - closed)
+        fine = abs(self.grid_split_probability(k, state, beta, 16385) - closed)
+        assert coarse <= 2e-6
+        assert fine <= max(coarse / 10, 1e-12)
+
+    def test_vectorized_and_odd_about_half(self):
+        state = make_state()
+        k = np.linspace(-0.5, 0.5, 11) / SIGMA
+        p = dark_port_split_probability(k, state)
+        assert p.shape == k.shape
+        assert p[5] == 0.5
+        np.testing.assert_allclose(p + p[::-1], 1.0, rtol=0, atol=1e-15)
+        assert np.all((p > 0) & (p < 1))
+
+    @settings(max_examples=40)
+    @given(
+        phi=st.floats(min_value=1e-3, max_value=np.pi),
+        beta=st.sampled_from([0.0, 0.02]),
+    )
+    def test_calibration_matches_grid_profile(self, phi, beta):
+        state = make_state(phi=phi)
+        x = dark_port_grid(state)
+        reference = dark_port_profile(0.0, state, x, beta)
+        assert dark_port_split_calibration(state, beta) == pytest.approx(
+            split_calibration_constant(x, reference), rel=1e-12
+        )
+
+    def test_validation(self):
+        state = make_state()
+        with pytest.raises(ValidationError):
+            dark_port_split_probability(0.0, state, background_fraction=-0.1)
+        with pytest.raises(ValidationError):
+            dark_port_split_calibration(state, background_fraction=-0.1)
+        with pytest.raises(DarkPortEmptyError):
+            dark_port_split_probability(0.0, make_state(phi=1e-300))
 
 
 class TestDarkPortProfile:

@@ -252,13 +252,14 @@ class TestSynthesizeRun:
                 6e12, 1.0, FS, physics, physics.n_photons_per_sample(), 0
             )
 
-    def test_deterministic_and_chunk_independent(self, physics):
+    @pytest.mark.parametrize("sample_rate", [FS, 1000.5])
+    def test_deterministic(self, physics, sample_rate):
+        # Same seed, same record, at a commensurate and an incommensurate rate.
         n_per_sample = physics.n_photons_per_sample()
-        a = synthesize_run(7.4e6, 2.0, FS, physics, n_per_sample, seed=8)
-        b = synthesize_run(7.4e6, 2.0, FS, physics, n_per_sample, seed=8)
-        c = synthesize_run(7.4e6, 2.0, FS, physics, n_per_sample, seed=8, chunk_size=97)
+        a = synthesize_run(7.4e6, 2.0, sample_rate, physics, n_per_sample, seed=8)
+        b = synthesize_run(7.4e6, 2.0, sample_rate, physics, n_per_sample, seed=8)
+        assert a.samples.size == round(2.0 * sample_rate)
         assert np.array_equal(a.samples, b.samples)
-        assert np.array_equal(a.samples, c.samples)
 
     def test_noise_extensions_change_variance(self, physics):
         n_per_sample = physics.n_photons_per_sample()

@@ -40,7 +40,6 @@ from .noise import (
     measured_sensitivity,
     photon_number,
     shot_noise_snr,
-    simulate_split_detection,
     usable_range,
 )
 from .signal_chain import (

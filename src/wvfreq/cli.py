@@ -16,7 +16,7 @@ from .errors import (
     SimulationError,
     ValidationError,
 )
-from .units import fmt, parse_quantity
+from .units import metadata_header, parse_quantity
 
 EXIT_VALIDATION = 2
 EXIT_PHYSICS = 3
@@ -115,7 +115,7 @@ def _dispatch(args):
         return 0
     if args.command == "range":
         span, meta = recipes.run_range(_build_config(args))
-        text = "".join(f"# {k} = {fmt(v)}\n" for k, v in meta.items())
+        text = metadata_header(meta)
         text += "usable_range_hz,clamped\n"
         text += f"{span.frequency_span:.17g},{int(span.clamped)}\n"
         _write(text, args.output)

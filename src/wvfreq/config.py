@@ -101,6 +101,11 @@ class ExperimentConfig:
             raise ValidationError(f"mod_frequency must be positive, got {self.mod_frequency}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        if self.n_cycles < 2:
+            # The per-point error is the spread of the per-cycle peaks.
+            raise ValidationError(f"n_cycles must be >= 2, got {self.n_cycles}")
+        if self.settle_cycles < 0:
+            raise ValidationError(f"settle_cycles must be >= 0, got {self.settle_cycles}")
 
     def sweep_shifts(self):
         return np.linspace(self.sweep_min, self.sweep_max, self.sweep_points)
@@ -118,12 +123,12 @@ def _coerce(name, raw):
     return value
 
 
-def config_from_mapping(mapping, base=None, explicit_pairs=True):
+def config_from_mapping(mapping, base=None):
     """Build a config from a {key: value} mapping of strings or numbers.
 
-    ``explicit_pairs`` enforces that at most one member of each
-    {phi, postselection} / {apex_angle, unamplified_slope} pair is given;
-    supplying one clears the default of the other.
+    At most one member of each {phi, postselection} /
+    {apex_angle, unamplified_slope} pair may be given; supplying one clears
+    the default of the other.
     """
     base = base or ExperimentConfig()
     updates = {}
@@ -132,14 +137,13 @@ def config_from_mapping(mapping, base=None, explicit_pairs=True):
             known = ", ".join(sorted(CONFIG_FIELDS))
             raise ValidationError(f"unknown config key {name!r}; known keys: {known}")
         updates[name] = _coerce(name, raw)
-    if explicit_pairs:
-        for first, second in (("phi", "postselection"), ("apex_angle", "unamplified_slope")):
-            if first in updates and second in updates:
-                raise ValidationError(f"supply only one of {first!r} and {second!r}")
-            if first in updates:
-                updates.setdefault(second, None)
-            if second in updates:
-                updates.setdefault(first, None)
+    for first, second in (("phi", "postselection"), ("apex_angle", "unamplified_slope")):
+        if first in updates and second in updates:
+            raise ValidationError(f"supply only one of {first!r} and {second!r}")
+        if first in updates:
+            updates.setdefault(second, None)
+        if second in updates:
+            updates.setdefault(first, None)
     return replace(base, **updates)
 
 

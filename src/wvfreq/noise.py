@@ -1,4 +1,4 @@
-"""Photon budgeting, shot-noise SNR and Monte Carlo split detection.
+"""Photon budgeting, shot-noise SNR and the split-detector estimate.
 
 The shot-noise-limited SNR for a deflection delta measured with N photons
 entering the interferometer is
@@ -10,12 +10,13 @@ is exactly compensated by the weak-value amplification. N counts photons
 entering the interferometer; the detector only sees N * sin^2(phi/2) of
 them (plus any stray-light background).
 
-``simulate_split_detection`` realizes the split-detector measurement. Up to
-``position_cutoff`` photons it draws individual positions by inverse-CDF
-sampling on the supplied profile; above the cutoff it draws the left/right
-counts binomially, which follows the identical probability law for the
-difference-over-sum statistic (a split detector uses only the side of each
-hit) while staying O(1) in photon number.
+A split detector uses only the side of each hit, so its left/right counts
+are binomial with the probability ``p_right`` of landing at x > 0.
+``split_estimate`` turns such counts into the calibrated difference-over-sum
+position estimate; it is the one estimator every simulated record uses.
+``split_probability`` and ``split_calibration_constant`` evaluate ``p_right``
+and the calibration on a tabulated profile by quadrature: they are the
+test oracle for the closed-form kernel in ``interferometer``.
 """
 
 from dataclasses import dataclass
@@ -23,13 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 from scipy.constants import h as PLANCK
-from scipy.integrate import cumulative_trapezoid, trapezoid
+from scipy.integrate import trapezoid
 from scipy.optimize import brentq
 
 from .dispersion import dispersive_deflection, momentum_kick
 from .errors import ValidationError
-
-DEFAULT_POSITION_CUTOFF = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -93,12 +92,6 @@ class UsableRange:
     clamped: bool
 
 
-@dataclass(frozen=True)
-class SplitDetectionResult:
-    estimate: float
-    std_error: float
-
-
 def photon_number(power, carrier, integration_time):
     """N = P * tau * lambda / (h c)."""
     if power < 0:
@@ -107,7 +100,12 @@ def photon_number(power, carrier, integration_time):
         raise ValidationError(
             f"integration time must be positive, got {integration_time}"
         )
-    return power * integration_time * carrier.wavelength / (PLANCK * SPEED_OF_LIGHT)
+    n = power * integration_time * carrier.wavelength / (PLANCK * SPEED_OF_LIGHT)
+    if not np.isfinite(n):
+        raise ValidationError(
+            f"photon number overflows for power {power} W over {integration_time} s"
+        )
+    return n
 
 
 def shot_noise_snr(n_photons, k0, sigma, deflection):
@@ -187,83 +185,10 @@ def split_calibration_constant(x_grid, intensity):
     return 1.0 / (2.0 * center)
 
 
-def _validate_profile(x_grid, intensity):
-    x_grid = np.asarray(x_grid, dtype=float)
-    intensity = np.asarray(intensity, dtype=float)
-    if x_grid.shape != intensity.shape or x_grid.ndim != 1:
-        raise ValidationError("profile grid and intensity must be matching 1-D arrays")
-    if np.any(np.diff(x_grid) <= 0):
-        raise ValidationError("profile grid must be strictly increasing")
-    total = trapezoid(intensity, x_grid)
-    if abs(total - 1.0) > 1e-6:
-        raise ValidationError(
-            f"profile is not normalized: trapezoid integral = {total:.9f}"
-        )
-    return x_grid, intensity
+def split_estimate(n_right, n_total, calibration):
+    """Calibrated difference-over-sum position estimate, elementwise.
 
-
-def simulate_split_detection(
-    x_grid,
-    intensity,
-    n_detected,
-    seed,
-    position_cutoff=DEFAULT_POSITION_CUTOFF,
-    calibration=None,
-):
-    """One shot-noise realization of the split-detector position estimate.
-
-    Returns the calibrated difference-over-sum estimate and its standard
-    error. Deterministic for a fixed seed. ``calibration`` overrides the
-    profile-derived meters-per-asymmetry constant (used when the reference
-    profile differs from the displaced one).
+    ``calibration`` * (2 n_right - n_total) / n_total, in the units of the
+    calibration constant (meters per unit asymmetry).
     """
-    x_grid, intensity = _validate_profile(x_grid, intensity)
-    n_detected = int(n_detected)
-    if n_detected < 1:
-        raise ValidationError(f"need at least one detected photon, got {n_detected}")
-    rng = np.random.default_rng(seed)
-    if n_detected <= position_cutoff:
-        positions = sample_positions(x_grid, intensity, n_detected, rng)
-        n_right = int(np.count_nonzero(positions > 0.0))
-    else:
-        n_right = int(rng.binomial(n_detected, split_probability(x_grid, intensity)))
-    asymmetry = (2.0 * n_right - n_detected) / n_detected
-    if calibration is None:
-        calibration = split_calibration_constant(x_grid, intensity)
-    estimate = calibration * asymmetry
-    std_error = calibration * np.sqrt(max(1.0 - asymmetry**2, 0.0) / n_detected)
-    return SplitDetectionResult(estimate=estimate, std_error=std_error)
-
-
-def sample_positions(x_grid, intensity, n, rng):
-    """Inverse-CDF draws from a tabulated profile with linear interpolation."""
-    cdf = cumulative_trapezoid(intensity, x_grid, initial=0.0)
-    cdf /= cdf[-1]
-    return np.interp(rng.random(n), cdf, x_grid)
-
-
-def replicated_split_estimates(
-    x_grid,
-    intensity,
-    n_detected,
-    n_reps,
-    base_seed,
-    position_cutoff=DEFAULT_POSITION_CUTOFF,
-    calibration=None,
-):
-    """Independent split-detection estimates, seeded base_seed + index.
-
-    The per-repetition seeding makes the set identical however the
-    repetitions are scheduled or parallelized.
-    """
-    estimates = np.empty(n_reps)
-    for i in range(n_reps):
-        estimates[i] = simulate_split_detection(
-            x_grid,
-            intensity,
-            n_detected,
-            seed=base_seed + i,
-            position_cutoff=position_cutoff,
-            calibration=calibration,
-        ).estimate
-    return estimates
+    return calibration * (2.0 * n_right - n_total) / n_total

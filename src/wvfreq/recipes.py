@@ -37,7 +37,7 @@ from .signal_chain import (
     synthesize_run,
     timeseries_to_csv,
 )
-from .units import fmt
+from .units import fmt, metadata_header
 
 
 def _filter_spec(config):
@@ -116,7 +116,7 @@ def run_slope_sweep(config):
 
 
 def slope_sweep_csv(result):
-    lines = [f"# {key} = {fmt(value)}\n" for key, value in result.metadata.items()]
+    lines = [metadata_header(result.metadata)]
     lines.append("dnu_hz,deflection_m,std_of_mean_m\n")
     for dnu, y, e in zip(result.shifts, result.deflections, result.errors):
         lines.append(f"{dnu:.17g},{y:.17g},{e:.17g}\n")
@@ -167,7 +167,7 @@ def run_spectrum_pair(config):
 
 
 def spectrum_pair_csv(frequencies, driven_db, undriven_db, metadata):
-    lines = [f"# {key} = {fmt(value)}\n" for key, value in metadata.items()]
+    lines = [metadata_header(metadata)]
     lines.append("frequency_hz,driven_db,undriven_db\n")
     for f, d, u in zip(frequencies, driven_db, undriven_db):
         lines.append(f"{f:.17g},{d:.17g},{u:.17g}\n")
@@ -201,7 +201,7 @@ def run_sensitivity(config):
 
 
 def sensitivity_csv(report, metadata):
-    lines = [f"# {key} = {fmt(value)}\n" for key, value in metadata.items()]
+    lines = [metadata_header(metadata)]
     lines.append(
         "snr,min_deflection_rad,min_frequency_shift_hz,integration_time_s,"
         "sensitivity_hz_rthz,ideal_sensitivity_hz_rthz,usable_range_hz,range_clamped\n"
@@ -265,10 +265,19 @@ def run_calibrate(positions_path, references_path=None, probe_value=None):
     """Fit a scan calibration from a positions file and a reference table."""
     positions = []
     with open(positions_path, "r", encoding="utf-8") as handle:
-        for raw in handle:
+        for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if line and not line.startswith("#"):
-                positions.append(float(line.split(",")[0]))
+                field = line.split(",")[0]
+                try:
+                    value = float(field)
+                except ValueError:
+                    value = np.nan
+                if not np.isfinite(value):
+                    raise ValidationError(
+                        f"{positions_path}:{lineno}: not a finite number: {field!r}"
+                    )
+                positions.append(value)
     references = load_reference_lines(references_path)
     calibration = fit_scan_calibration(positions, references)
     lines = [

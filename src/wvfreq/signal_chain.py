@@ -32,6 +32,8 @@ from .interferometer import (
     dark_port_split_probability,
     postselection_probability,
 )
+from .noise import split_estimate
+from .units import metadata_header
 
 STAGE_Q = 1.0  # first-order prototype: bandwidth = center frequency
 
@@ -61,7 +63,6 @@ class ModulationConfig:
 
     mod_frequency: float = 10.0
     amplitude: float = 0.0
-    waveform: str = "sine"
 
     def __post_init__(self):
         if not self.mod_frequency > 0:
@@ -70,8 +71,6 @@ class ModulationConfig:
             )
         if self.amplitude < 0:
             raise ValidationError(f"amplitude must be >= 0, got {self.amplitude}")
-        if self.waveform != "sine":
-            raise ValidationError(f"only sine modulation is supported, got {self.waveform!r}")
 
 
 @dataclass(frozen=True)
@@ -79,15 +78,12 @@ class FilterSpec:
     """Cascade of identical 6 dB/octave bandpass stages plus a flat gain."""
 
     center: float = 10.0
-    slope_db_per_octave: float = 6.0
     stages: int = 2
     gain: float = 1e4
 
     def __post_init__(self):
         if not self.center > 0:
             raise ValidationError(f"center frequency must be positive, got {self.center}")
-        if self.slope_db_per_octave != 6.0:
-            raise ValidationError("only 6 dB/octave stages are supported")
         if self.stages < 1:
             raise ValidationError(f"need at least one stage, got {self.stages}")
 
@@ -214,7 +210,7 @@ def synthesize_run(
         dark = rng.poisson(extensions.dark_count_rate / sample_rate, n_samples)
         n_right = n_right + rng.binomial(dark, 0.5)
         total = total + dark
-    estimates = calibration * (2.0 * n_right - total) / total
+    estimates = split_estimate(n_right, total, calibration)
     if extensions.electronic_noise > 0.0:
         estimates = estimates + rng.normal(0.0, extensions.electronic_noise, n_samples)
     return TimeSeries(sample_rate=sample_rate, samples=estimates)
@@ -326,14 +322,6 @@ def power_spectrum(series, window="hann", segments=1):
 # --- CSV serialization (17 significant digits; '#'-prefixed metadata) ---
 
 
-def _fmt(value):
-    return f"{value:.17g}" if isinstance(value, float) else str(value)
-
-
-def _metadata_block(metadata):
-    return "".join(f"# {key} = {_fmt(value)}\n" for key, value in metadata.items())
-
-
 def _parse_metadata(lines):
     metadata = {}
     for line in lines:
@@ -347,7 +335,7 @@ def _parse_metadata(lines):
 def timeseries_to_csv(series, metadata=None):
     meta = {"sample_rate": float(series.sample_rate), "t0": float(series.t0)}
     meta.update(metadata or {})
-    lines = [_metadata_block(meta), "time_s,position_m\n"]
+    lines = [metadata_header(meta), "time_s,position_m\n"]
     times = series.times()
     for t, v in zip(times, series.samples):
         lines.append(f"{t:.17g},{v:.17g}\n")
@@ -371,7 +359,7 @@ def spectrum_to_csv(spectrum, metadata=None):
         "ref_power": float(spectrum.ref_power),
     }
     meta.update(metadata or {})
-    lines = [_metadata_block(meta), "frequency_hz,power_db\n"]
+    lines = [metadata_header(meta), "frequency_hz,power_db\n"]
     for f, p in zip(spectrum.frequencies, spectrum.power_db):
         lines.append(f"{f:.17g},{p:.17g}\n")
     return "".join(lines)

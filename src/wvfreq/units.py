@@ -75,3 +75,8 @@ def fmt(value):
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
+
+
+def metadata_header(metadata):
+    """``# key = value`` header lines for a {key: value} mapping."""
+    return "".join(f"# {key} = {fmt(value)}\n" for key, value in metadata.items())

@@ -24,7 +24,6 @@ from wvfreq.interferometer import (
 from wvfreq.noise import (
     ideal_sensitivity,
     measured_sensitivity,
-    replicated_split_estimates,
     shot_noise_snr,
     usable_range,
 )
@@ -151,7 +150,7 @@ def test_criterion_6_oracle_equivalence(physics):
     )
 
 
-def test_criterion_7_monte_carlo_snr(physics):
+def test_criterion_7_monte_carlo_snr(physics, split_replicas):
     n_injected = 1e8
     shifts = (4.75e9, 9.5e9, 19e9)
     phis = (0.1, 0.3, 0.5)
@@ -167,10 +166,9 @@ def test_criterion_7_monte_carlo_snr(physics):
         for shift in shifts:
             k = physics.kick_of_shift(shift)
             profile = dark_port_profile(k, state, x)
-            estimates = replicated_split_estimates(
+            estimates = split_replicas(
                 x, profile, n_detected, n_reps,
                 base_seed=50_000 + int(phi * 1000) + int(shift / 1e9),
-                position_cutoff=0,
             )
             empirical = estimates.mean() / estimates.std(ddof=1)
             formula = shot_noise_snr(
@@ -248,7 +246,7 @@ def test_criterion_9_spectrum(physics, spectrum_pair):
     )
 
 
-def test_criterion_10_determinism(physics):
+def test_criterion_10_determinism(physics, split_replicas):
     quick = ExperimentConfig(sweep_points=3, n_cycles=5, settle_cycles=2, sweep_min=2e6)
     csv_a = slope_sweep_csv(run_slope_sweep(quick))
     csv_b = slope_sweep_csv(run_slope_sweep(quick))
@@ -257,8 +255,8 @@ def test_criterion_10_determinism(physics):
     state = physics.state
     x = dark_port_grid(state)
     profile = dark_port_profile(physics.kick_of_shift(9.5e9), state, x)
-    mc_a = replicated_split_estimates(x, profile, 10_000, 50, base_seed=4, position_cutoff=0)
-    mc_b = replicated_split_estimates(x, profile, 10_000, 50, base_seed=4, position_cutoff=0)
+    mc_a = split_replicas(x, profile, 10_000, 50, base_seed=4)
+    mc_b = split_replicas(x, profile, 10_000, 50, base_seed=4)
     mc_ok = np.array_equal(mc_a, mc_b)
 
     run_a = synthesize_run(7.4e6, 2.0, 1000.0, physics, physics.n_photons_per_sample(), 5)

@@ -145,6 +145,15 @@ class TestCli:
     def test_validation_exit_code(self, capsys):
         assert cli.main(["slope", "--sweep-points", "1"]) == 2
         assert "error" in capsys.readouterr().err
+        for n_cycles in ("0", "1"):
+            assert cli.main(["slope", "--n-cycles", n_cycles]) == 2
+            assert capsys.readouterr().err == f"error: n_cycles must be >= 2, got {n_cycles}\n"
+        assert cli.main(["slope", "--settle-cycles", "-1"]) == 2
+        assert capsys.readouterr().err == "error: settle_cycles must be >= 0, got -1\n"
+        assert cli.main(["sensitivity", "--power", "1e300W"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: photon number overflows")
 
     def test_negative_seed_exit_code(self, tmp_path, capsys):
         code = cli.main(
@@ -188,6 +197,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "slope_hz_per_unit = 230000000" in out
         assert "propagated_error_hz" in out
+
+    @pytest.mark.parametrize("bad", ["np.float64(2.08)", "nan", "1e999"])
+    def test_calibrate_non_numeric_line(self, tmp_path, capsys, bad):
+        pos_file = tmp_path / "positions.txt"
+        pos_file.write_text(f"# positions\n1.0\n{bad}\n3.0\n4.0\n5.0\n6.0\n")
+        assert cli.main(["calibrate", str(pos_file)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {pos_file}:3: not a finite number: {bad!r}\n"
 
     def test_calibrate_duplicate_positions(self, tmp_path, capsys):
         pos_file = tmp_path / "positions.txt"

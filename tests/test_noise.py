@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from wvfreq.config import ExperimentConfig, resolve
 from wvfreq.dispersion import OpticalCarrier
@@ -11,10 +12,9 @@ from wvfreq.noise import (
     ideal_sensitivity,
     measured_sensitivity,
     photon_number,
-    replicated_split_estimates,
     shot_noise_snr,
-    simulate_split_detection,
     split_calibration_constant,
+    split_estimate,
     usable_range,
 )
 
@@ -169,10 +169,32 @@ def gaussian_profile(sigma=SIGMA, n=4097, half_width=8.0):
     return x, profile
 
 
+def sample_positions(x_grid, intensity, n, rng):
+    """Inverse-CDF photon positions from a tabulated profile (linear
+    interpolation): the per-photon oracle for the binomial count law."""
+    cdf = cumulative_trapezoid(intensity, x_grid, initial=0.0)
+    cdf /= cdf[-1]
+    return np.interp(rng.random(n), cdf, x_grid)
+
+
+def per_photon_right_counts(x_grid, intensity, n, n_reps, base_seed):
+    """Right-hand counts of ``sample_positions`` photons, replica i seeded
+    base_seed + i. A photon lands at x > 0 exactly when its uniform variate
+    exceeds CDF(0), so the count skips the interpolation."""
+    cdf = cumulative_trapezoid(intensity, x_grid, initial=0.0)
+    cdf_at_split = np.interp(0.0, x_grid, cdf / cdf[-1])
+    return np.array(
+        [
+            np.count_nonzero(np.random.default_rng(base_seed + i).random(n) > cdf_at_split)
+            for i in range(n_reps)
+        ]
+    )
+
+
 class TestSplitDetection:
-    def test_symmetric_profile_unbiased(self):
+    def test_symmetric_profile_unbiased(self, split_replicas):
         x, profile = gaussian_profile()
-        estimates = replicated_split_estimates(x, profile, 10_000, 200, base_seed=42)
+        estimates = split_replicas(x, profile, 10_000, 200, base_seed=42)
         se = estimates.std(ddof=1) / np.sqrt(len(estimates))
         assert abs(estimates.mean()) <= 3 * se
 
@@ -181,54 +203,63 @@ class TestSplitDetection:
         constant = split_calibration_constant(x, profile)
         assert constant == pytest.approx(SIGMA * np.sqrt(np.pi / 2), rel=1e-6)
 
-    def test_variance_scaling_across_paths(self):
-        # 1e4 and 1e6 run the per-photon position path, 1e8 the count path;
-        # the 1/N variance law must hold straight across the cutoff.
+    def test_variance_scaling(self, split_replicas):
+        # The 1/N variance law over four decades of photon number.
         x, profile = gaussian_profile()
         variances = {}
         for n in (10_000, 1_000_000, 100_000_000):
-            est = replicated_split_estimates(x, profile, n, 200, base_seed=7)
+            est = split_replicas(x, profile, n, 200, base_seed=7)
             variances[n] = est.var(ddof=1)
         assert variances[10_000] / variances[1_000_000] == pytest.approx(100, rel=0.30)
         assert variances[1_000_000] / variances[100_000_000] == pytest.approx(
             100, rel=0.30
         )
 
-    def test_both_paths_same_law(self):
-        # Force each path on the same problem; variances must agree.
+    def test_threshold_count_matches_positions(self, physics):
+        # The shortcut in per_photon_right_counts counts the same photons
+        # as drawing every position, on a kicked (asymmetric) profile.
+        state = physics.state
+        x = dark_port_grid(state)
+        profile = dark_port_profile(0.2 / state.beam.sigma, state, x)
+        for seed in range(10):
+            positions = sample_positions(
+                x, profile, 200_000, np.random.default_rng(seed)
+            )
+            counted = per_photon_right_counts(x, profile, 200_000, 1, base_seed=seed)
+            assert counted[0] == np.count_nonzero(positions > 0.0)
+
+    def test_both_paths_same_law(self, split_replicas):
+        # Per-photon placement and the binomial kernel on the same problem;
+        # variances must agree.
         x, profile = gaussian_profile()
         n = 200_000
-        positions = replicated_split_estimates(
-            x, profile, n, 400, base_seed=11, position_cutoff=10**9
+        positions = split_estimate(
+            per_photon_right_counts(x, profile, n, 400, base_seed=11),
+            n,
+            split_calibration_constant(x, profile),
         )
-        counts = replicated_split_estimates(
-            x, profile, n, 400, base_seed=11, position_cutoff=0
-        )
+        counts = split_replicas(x, profile, n, 400, base_seed=11)
         assert counts.var(ddof=1) == pytest.approx(positions.var(ddof=1), rel=0.25)
 
-    def test_std_error_estimate(self):
+    def test_std_error_estimate(self, split_std_error):
         x, profile = gaussian_profile()
-        result = simulate_split_detection(x, profile, 1_000_000, seed=3)
         predicted = SIGMA * np.sqrt(np.pi / 2) / np.sqrt(1_000_000)
-        assert result.std_error == pytest.approx(predicted, rel=0.01)
+        assert split_std_error(x, profile, 1_000_000) == pytest.approx(predicted, rel=0.01)
 
-    def test_deterministic(self):
+    def test_deterministic(self, split_replicas):
         x, profile = gaussian_profile()
-        a = simulate_split_detection(x, profile, 50_000, seed=9)
-        b = simulate_split_detection(x, profile, 50_000, seed=9)
-        assert a == b
+        a = split_replicas(x, profile, 50_000, 1, base_seed=9)
+        b = split_replicas(x, profile, 50_000, 1, base_seed=9)
+        assert np.array_equal(a, b)
 
-    def test_rejects_unnormalized(self):
-        x, profile = gaussian_profile()
-        with pytest.raises(ValidationError, match="not normalized"):
-            simulate_split_detection(x, 2 * profile, 1000, seed=0)
+    def test_estimate_is_elementwise(self):
+        n_right = np.array([0, 250, 500, 1000])
+        estimates = split_estimate(n_right, 1000, 2e-4)
+        assert estimates == pytest.approx([-2e-4, -1e-4, 0.0, 2e-4], rel=1e-15, abs=0)
+        singles = [split_estimate(int(r), 1000, 2e-4) for r in n_right]
+        assert np.array_equal(estimates, singles)
 
-    def test_rejects_empty(self):
-        x, profile = gaussian_profile()
-        with pytest.raises(ValidationError):
-            simulate_split_detection(x, profile, 0, seed=0)
-
-    def test_simulated_ratio_to_shot_noise_limit(self, physics):
+    def test_simulated_ratio_to_shot_noise_limit(self, physics, split_std_error):
         # With no extra noise the simulated apparatus sits at the shot-noise
         # limit (ratio ~ 1); adding per-sample electronic noise at sqrt(3)x
         # the shot level degrades it to ~ 2, the parameter study behind a
@@ -254,15 +285,14 @@ class TestSplitDetection:
             return measured_sensitivity(min_shift, tau) / ideal
 
         assert simulated_ratio(None, seed=60) == pytest.approx(1.0, rel=0.10)
-        shot_std = simulate_split_detection(
+        shot_std = split_std_error(
             *gaussian_profile(),
             int(round(np.sin(physics.state.phi / 2) ** 2 * n_per_sample)),
-            seed=0, position_cutoff=0,
-        ).std_error
+        )
         noisy = NoiseExtensions(electronic_noise=np.sqrt(3) * shot_std)
         assert simulated_ratio(noisy, seed=61) == pytest.approx(2.0, rel=0.15)
 
-    def test_monte_carlo_matches_snr_formula(self, physics):
+    def test_monte_carlo_matches_snr_formula(self, physics, split_replicas):
         # Empirical SNR of the estimator vs the closed-form shot-noise SNR,
         # at one (phi, shift) point; the full grid runs in the acceptance suite.
         state = physics.state
@@ -273,9 +303,7 @@ class TestSplitDetection:
         profile = dark_port_profile(k, state, x)
         p_ps = np.sin(state.phi / 2) ** 2
         n_detected = int(round(p_ps * n_injected))
-        estimates = replicated_split_estimates(
-            x, profile, n_detected, 4000, base_seed=123, position_cutoff=0
-        )
+        estimates = split_replicas(x, profile, n_detected, 4000, base_seed=123)
         empirical = estimates.mean() / estimates.std(ddof=1)
         formula = shot_noise_snr(
             n_injected,

@@ -16,7 +16,7 @@ from .errors import (
     SimulationError,
     ValidationError,
 )
-from .units import metadata_header, parse_quantity
+from .units import csv_text, parse_quantity
 
 EXIT_VALIDATION = 2
 EXIT_PHYSICS = 3
@@ -115,9 +115,9 @@ def _dispatch(args):
         return 0
     if args.command == "range":
         span, meta = recipes.run_range(_build_config(args))
-        text = metadata_header(meta)
-        text += "usable_range_hz,clamped\n"
-        text += f"{span.frequency_span:.17g},{int(span.clamped)}\n"
+        text = csv_text(
+            meta, ("usable_range_hz", "clamped"), span.frequency_span, span.clamped
+        )
         _write(text, args.output)
         return 0
     if args.command == "calibrate":
@@ -151,7 +151,7 @@ def main(argv=None):
     except SimulationError as exc:  # base-class fallback
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:  # MemoryError: a record too long to hold
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -99,6 +99,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.mod_frequency > 0:
             raise ValidationError(f"mod_frequency must be positive, got {self.mod_frequency}")
+        if not self.sample_rate > 0:
+            raise ValidationError(f"sample_rate must be positive, got {self.sample_rate}")
+        if not self.filter_gain > 0:
+            # Sweep points divide the filtered peaks by the gain.
+            raise ValidationError(f"filter_gain must be positive, got {self.filter_gain}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.n_cycles < 2:

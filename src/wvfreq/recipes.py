@@ -37,7 +37,7 @@ from .signal_chain import (
     synthesize_run,
     timeseries_to_csv,
 )
-from .units import fmt, metadata_header
+from .units import csv_text, fmt
 
 
 def _filter_spec(config):
@@ -116,11 +116,8 @@ def run_slope_sweep(config):
 
 
 def slope_sweep_csv(result):
-    lines = [metadata_header(result.metadata)]
-    lines.append("dnu_hz,deflection_m,std_of_mean_m\n")
-    for dnu, y, e in zip(result.shifts, result.deflections, result.errors):
-        lines.append(f"{dnu:.17g},{y:.17g},{e:.17g}\n")
-    return "".join(lines)
+    columns = ("dnu_hz", "deflection_m", "std_of_mean_m")
+    return csv_text(result.metadata, columns, result.shifts, result.deflections, result.errors)
 
 
 def run_spectrum_pair(config):
@@ -167,11 +164,8 @@ def run_spectrum_pair(config):
 
 
 def spectrum_pair_csv(frequencies, driven_db, undriven_db, metadata):
-    lines = [metadata_header(metadata)]
-    lines.append("frequency_hz,driven_db,undriven_db\n")
-    for f, d, u in zip(frequencies, driven_db, undriven_db):
-        lines.append(f"{f:.17g},{d:.17g},{u:.17g}\n")
-    return "".join(lines)
+    columns = ("frequency_hz", "driven_db", "undriven_db")
+    return csv_text(metadata, columns, frequencies, driven_db, undriven_db)
 
 
 def run_sensitivity(config):
@@ -201,19 +195,15 @@ def run_sensitivity(config):
 
 
 def sensitivity_csv(report, metadata):
-    lines = [metadata_header(metadata)]
-    lines.append(
-        "snr,min_deflection_rad,min_frequency_shift_hz,integration_time_s,"
-        "sensitivity_hz_rthz,ideal_sensitivity_hz_rthz,usable_range_hz,range_clamped\n"
+    columns = (
+        "snr", "min_deflection_rad", "min_frequency_shift_hz", "integration_time_s",
+        "sensitivity_hz_rthz", "ideal_sensitivity_hz_rthz", "usable_range_hz", "range_clamped",
     )
-    lines.append(
-        f"{report.snr:.17g},{report.min_deflection:.17g},"
-        f"{report.min_frequency_shift:.17g},{report.integration_time:.17g},"
-        f"{report.sensitivity_per_rt_hz:.17g},"
-        f"{report.ideal_sensitivity_per_rt_hz:.17g},"
-        f"{report.usable_range_hz:.17g},{int(report.range_clamped)}\n"
+    return csv_text(
+        metadata, columns, report.snr, report.min_deflection, report.min_frequency_shift,
+        report.integration_time, report.sensitivity_per_rt_hz,
+        report.ideal_sensitivity_per_rt_hz, report.usable_range_hz, report.range_clamped,
     )
-    return "".join(lines)
 
 
 def sensitivity_text(report):

@@ -33,7 +33,7 @@ from .interferometer import (
     postselection_probability,
 )
 from .noise import split_estimate
-from .units import metadata_header
+from .units import csv_columns, csv_text
 
 STAGE_Q = 1.0  # first-order prototype: bandwidth = center frequency
 
@@ -182,6 +182,11 @@ def synthesize_run(
     p_ps = postselection_probability(state.phi)
     beta = physics.config.background_fraction
     n_detected = int(round((p_ps + beta) * n_per_sample))
+    if n_detected > np.iinfo(np.int64).max:
+        raise ValidationError(
+            f"{n_detected:.3g} detected photons per sample exceed the binomial "
+            "draw's int64 range"
+        )
     if p_ps * n_per_sample < 10:
         raise ValidationError(
             f"P_ps * n_per_sample = {p_ps * n_per_sample:.2f} < 10: too few "
@@ -319,32 +324,20 @@ def power_spectrum(series, window="hann", segments=1):
     )
 
 
-# --- CSV serialization (17 significant digits; '#'-prefixed metadata) ---
+# --- CSV serialization (units.csv_text / csv_columns layout) ---
 
-
-def _parse_metadata(lines):
-    metadata = {}
-    for line in lines:
-        body = line[1:].strip()
-        if "=" in body:
-            key, _, value = body.partition("=")
-            metadata[key.strip()] = value.strip()
-    return metadata
+_TIMESERIES_COLUMNS = ("time_s", "position_m")
+_SPECTRUM_COLUMNS = ("frequency_hz", "power_db")
 
 
 def timeseries_to_csv(series, metadata=None):
     meta = {"sample_rate": float(series.sample_rate), "t0": float(series.t0)}
     meta.update(metadata or {})
-    lines = [metadata_header(meta), "time_s,position_m\n"]
-    times = series.times()
-    for t, v in zip(times, series.samples):
-        lines.append(f"{t:.17g},{v:.17g}\n")
-    return "".join(lines)
+    return csv_text(meta, _TIMESERIES_COLUMNS, series.times(), series.samples)
 
 
 def timeseries_from_csv(text):
-    header, rows = _split_csv(text, expected_columns="time_s,position_m")
-    samples = np.array([float(row.split(",")[1]) for row in rows])
+    header, (_, samples) = csv_columns(text, _TIMESERIES_COLUMNS)
     series = TimeSeries(
         sample_rate=float(header["sample_rate"]),
         samples=samples,
@@ -359,30 +352,15 @@ def spectrum_to_csv(spectrum, metadata=None):
         "ref_power": float(spectrum.ref_power),
     }
     meta.update(metadata or {})
-    lines = [metadata_header(meta), "frequency_hz,power_db\n"]
-    for f, p in zip(spectrum.frequencies, spectrum.power_db):
-        lines.append(f"{f:.17g},{p:.17g}\n")
-    return "".join(lines)
+    return csv_text(meta, _SPECTRUM_COLUMNS, spectrum.frequencies, spectrum.power_db)
 
 
 def spectrum_from_csv(text):
-    header, rows = _split_csv(text, expected_columns="frequency_hz,power_db")
-    pairs = [row.split(",") for row in rows]
+    header, (frequencies, power_db) = csv_columns(text, _SPECTRUM_COLUMNS)
     spectrum = Spectrum(
-        frequencies=np.array([float(p[0]) for p in pairs]),
-        power_db=np.array([float(p[1]) for p in pairs]),
+        frequencies=frequencies,
+        power_db=power_db,
         resolution_bw=float(header["resolution_bw_hz"]),
         ref_power=float(header.get("ref_power", 1.0)),
     )
     return spectrum, header
-
-
-def _split_csv(text, expected_columns):
-    lines = text.splitlines()
-    meta_lines = [l for l in lines if l.startswith("#")]
-    data_lines = [l for l in lines if l and not l.startswith("#")]
-    if not data_lines or data_lines[0] != expected_columns:
-        raise ValidationError(
-            f"CSV header mismatch: expected {expected_columns!r}"
-        )
-    return _parse_metadata(meta_lines), data_lines[1:]

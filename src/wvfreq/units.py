@@ -1,12 +1,19 @@
-"""Unit-suffixed quantity parsing for the config/CLI boundary.
+"""Unit-suffixed quantity parsing and CSV text at the I/O boundary.
 
 All internal quantities are SI (m, Hz, W, s, rad). Suffixes are only
 interpreted when reading config files and command-line flags, e.g.
 ``388um``, ``2mW``, ``780nm``, ``7.4MHz``, ``30ms``. Bare numbers pass
 through unchanged.
+
+Every CSV the package writes is ``# key = value`` metadata lines, one
+column line and numeric rows; ``csv_text`` writes that layout and
+``csv_columns`` reads it back, both a block or a whole body at a time
+rather than row by row.
 """
 
 import re
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -77,6 +84,74 @@ def fmt(value):
     return str(value)
 
 
-def metadata_header(metadata):
-    """``# key = value`` header lines for a {key: value} mapping."""
-    return "".join(f"# {key} = {fmt(value)}\n" for key, value in metadata.items())
+CSV_BLOCK_ROWS = 4096  # rows per ``%`` operation; bounds the temporary cell tuple
+_NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b",\n")))
+
+
+def csv_text(metadata, columns, *values):
+    """CSV text: ``# key = value`` metadata lines, the column line, then rows.
+
+    ``values`` holds one 1-D array (or scalar) per name in ``columns``.
+    Integer and bool columns are written with ``%d``, all others with
+    ``%.17g``, which is byte-identical to ``f"{x:.17g}"`` and round-trips
+    bit-exactly. Rows are formatted ``CSV_BLOCK_ROWS`` at a time, one ``%``
+    operation per block, so the temporary cells stay small however long the
+    record is.
+    """
+    arrays = [np.atleast_1d(value) for value in values]
+    if len(arrays) != len(columns) or any(a.ndim != 1 for a in arrays):
+        raise ValidationError(f"need one 1-D value array per column of {columns}")
+    n_rows = arrays[0].size
+    if any(a.size != n_rows for a in arrays):
+        raise ValidationError(f"columns {columns} differ in length")
+    width = len(arrays)
+    row = ",".join("%d" if a.dtype.kind in "biu" else "%.17g" for a in arrays) + "\n"
+    parts = [f"# {key} = {fmt(value)}\n" for key, value in metadata.items()]
+    parts.append(",".join(columns) + "\n")
+    for start in range(0, n_rows, CSV_BLOCK_ROWS):
+        block = [a[start : start + CSV_BLOCK_ROWS].tolist() for a in arrays]
+        cells = [None] * (len(block[0]) * width)
+        for j, column in enumerate(block):
+            cells[j::width] = column  # row-major interleave, native int/float kept
+        parts.append(row * len(block[0]) % tuple(cells))
+    return "".join(parts)
+
+
+def csv_columns(text, columns):
+    """Parse ``csv_text`` output into ``({key: value string}, table)``.
+
+    ``table`` is a float array of shape (len(columns), rows): ``table[j]`` is
+    column j. The ``#`` lines above the column line are the metadata. The
+    body is parsed in one vectorised call; a ValidationError is raised
+    unless every row holds exactly one number per column.
+    """
+    column_line = ",".join(columns) + "\n"
+    mismatch = f"CSV header mismatch: expected {column_line.strip()!r}"
+    start = text.find("\n" + column_line) + 1  # 0 when absent: then it must lead
+    if not text.startswith(column_line, start):
+        raise ValidationError(mismatch)
+    metadata = {}
+    for line in text[:start].splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            raise ValidationError(mismatch)
+        key, equals, value = line[1:].partition("=")
+        if equals:
+            metadata[key.strip()] = value.strip()
+    data = text[start + len(column_line) :].rstrip().encode()
+    if not data:
+        raise ValidationError("CSV has no data rows")
+    width = len(columns)
+    # Every row holds width - 1 commas: what remains of the body once all
+    # but its separators are deleted is that row pattern, once per row.
+    separators = data.translate(None, _NOT_SEPARATOR) + b"\n"
+    n_rows = separators.count(b"\n")
+    if separators != (b"," * (width - 1) + b"\n") * n_rows:
+        raise ValidationError(f"CSV rows must hold {width} comma-separated values")
+    try:
+        values = np.fromstring(data.replace(b"\n", b","), sep=",")
+    except ValueError:  # raised on an unparsable cell; older numpy truncates instead
+        values = np.empty(0)
+    if values.size != n_rows * width:
+        raise ValidationError("CSV body holds a value that is not a number")
+    return metadata, np.ascontiguousarray(values.reshape(n_rows, width).T)

@@ -154,6 +154,31 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: photon number overflows")
+        for args, message in (
+            (["simulate", "--sample-rate", "0Hz"], "sample_rate must be positive, got 0.0"),
+            (["range", "--sample-rate", "0Hz"], "sample_rate must be positive, got 0.0"),
+            (["slope", "--filter-gain", "0"], "filter_gain must be positive, got 0.0"),
+        ):
+            assert cli.main(args) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_photon_count_beyond_int64_exit_code(self, capsys):
+        assert cli.main(["simulate", "--power", "1e200W", "--duration", "0.1s"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.endswith("exceed the binomial draw's int64 range\n")
+        assert captured.err.count("\n") == 1
+
+    def test_record_too_long_exit_code(self, capsys):
+        # 1e15 s at 1 kHz asks numpy for 8e18 bytes, more than any 64-bit
+        # address space, so the request is refused whatever the memory
+        # overcommit policy and nothing is allocated.
+        assert cli.main(["spectrum", "--spectrum-duration", "1e15s"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Unable to allocate")
+        assert captured.err.count("\n") == 1
 
     def test_negative_seed_exit_code(self, tmp_path, capsys):
         code = cli.main(

@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wvfreq.config import ExperimentConfig, resolve
 from wvfreq.errors import AliasingError, ValidationError
@@ -18,6 +22,8 @@ from wvfreq.signal_chain import (
     timeseries_from_csv,
     timeseries_to_csv,
 )
+from wvfreq import units
+from wvfreq.units import CSV_BLOCK_ROWS, csv_columns, csv_text, fmt
 
 FS = 1000.0
 
@@ -236,6 +242,10 @@ class TestSynthesizeRun:
         with pytest.raises(ValidationError, match="too few"):
             synthesize_run(1e6, 1.0, FS, physics, 100.0, 0)
 
+    def test_photon_count_beyond_int64(self, physics):
+        with pytest.raises(ValidationError, match="int64"):
+            synthesize_run(1e6, 0.1, FS, physics, 1e30, 0)
+
     def test_kick_bound_names_offender(self, physics):
         from wvfreq.errors import WeakValueValidityError
 
@@ -365,3 +375,100 @@ class TestCsvRoundTrip:
     def test_header_mismatch(self):
         with pytest.raises(ValidationError, match="header"):
             timeseries_from_csv("# a = 1\nwrong,cols\n1,2\n")
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "0,1e-9\n0.001,abc\n",  # non-numeric cell
+            "0,1e-9\n0.001\n",  # short row
+            "0,1e-9\n0.001,2e-9,3\n",  # extra column
+            "0,1e-9,5\n0.001\n",  # extra column and short row, right total
+            "0,\n0.001,2e-9\n",  # empty cell
+            "0,1e-9\n0.001,\n",  # empty last cell
+            "",  # empty body
+            "\n\n",  # blank lines only
+        ],
+    )
+    def test_malformed_body_rejected(self, body):
+        with pytest.raises(ValidationError):
+            timeseries_from_csv("# sample_rate = 1000\ntime_s,position_m\n" + body)
+
+    def test_missing_column_line_rejected(self):
+        with pytest.raises(ValidationError, match="header"):
+            timeseries_from_csv("# sample_rate = 1000\n0,1e-9\n0.001,2e-9\n")
+
+    def test_no_final_newline(self):
+        series = TimeSeries(sample_rate=FS, samples=[1e-9, -2e-9, 3e-9])
+        text = timeseries_to_csv(series, {"seed": 1})
+        parsed, meta = timeseries_from_csv(text.rstrip("\n"))
+        assert np.array_equal(parsed.samples, series.samples)
+        assert meta == timeseries_from_csv(text)[1]
+
+
+def per_row_csv(metadata, columns, *values):
+    """The per-row f-string writer the CSV outputs used before ``csv_text``."""
+    lines = [f"# {key} = {fmt(value)}\n" for key, value in metadata.items()]
+    lines.append(",".join(columns) + "\n")
+    for row in zip(*values):
+        cells = (f"{v:.17g}" if isinstance(v, np.floating) else f"{int(v)}" for v in row)
+        lines.append(",".join(cells) + "\n")
+    return "".join(lines)
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e300, -1e300, 1e-300, -1e-300]
+FLOAT_CELLS = st.lists(
+    st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False), min_size=1, max_size=12
+)
+INT64 = np.iinfo(np.int64)
+
+
+def check_against_oracle(a, counts, b, flags):
+    """csv_text equals the per-row oracle byte for byte; csv_columns reads it back."""
+    meta = {"seed": 3, "rate": 1000.5, "config_hash": "abc123"}
+    columns = ("a", "count", "b", "flag")
+    text = csv_text(meta, columns, a, counts, b, flags)
+    oracle = per_row_csv(meta, columns, a, counts, b, flags)
+    # Line lists, not strings: pytest then names the first differing row
+    # instead of diffing thousands of rows on every failing example.
+    assert text.splitlines(keepends=True) == oracle.splitlines(keepends=True)
+    header, table = csv_columns(text, columns)
+    assert header == {"seed": "3", "rate": "1000.5", "config_hash": "abc123"}
+    assert table.shape == (4, a.size)
+    for parsed, written in ((table[0], a), (table[2], b)):
+        assert np.array_equal(parsed.view(np.int64), written.view(np.int64))
+    assert np.array_equal(table[3], flags)
+
+
+class TestCsvText:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=FLOAT_CELLS,
+        b=FLOAT_CELLS,
+        counts=st.lists(st.integers(INT64.min, INT64.max), min_size=1, max_size=6),
+        flags=st.lists(st.booleans(), min_size=1, max_size=6),
+        n_rows=st.integers(1, 10),
+    )
+    def test_matches_per_row_oracle(self, a, b, counts, flags, n_rows):
+        # A 3-row block makes 1-10 rows cross every block edge in a few
+        # cells; test_block_edges covers the real block size.
+        def tile(cells, dtype=None):
+            return np.resize(np.array(cells, dtype=dtype), n_rows)
+
+        with mock.patch.object(units, "CSV_BLOCK_ROWS", 3):
+            check_against_oracle(tile(a), tile(counts, np.int64), tile(b), tile(flags))
+
+    @pytest.mark.parametrize(
+        "n_rows", [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1]
+    )
+    def test_block_edges(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        a = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+        a[: len(EDGE_FLOATS)] = EDGE_FLOATS[:n_rows]
+        counts = rng.integers(INT64.min, INT64.max, n_rows, endpoint=True)
+        check_against_oracle(a, counts, -a[::-1].copy(), rng.random(n_rows) < 0.5)
+
+    def test_column_count_mismatch(self):
+        with pytest.raises(ValidationError):
+            csv_text({}, ("x", "y"), np.zeros(3))
+        with pytest.raises(ValidationError):
+            csv_text({}, ("x", "y"), np.zeros(3), np.zeros(4))

@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 validation error, 3 physics-validity error,
 """
 
 import argparse
+import functools
 import sys
 
 from . import recipes
@@ -23,11 +24,15 @@ EXIT_PHYSICS = 3
 EXIT_NUMERICAL = 4
 
 
-def _add_config_flags(parser):
-    parser.add_argument("--config", help="flat key = value config file")
-    for name in CONFIG_FIELDS:
-        flag = "--" + name.replace("_", "-")
-        parser.add_argument(flag, dest=name, metavar="VALUE", help=CONFIG_FIELDS[name][1])
+_CSV_TO_STDOUT = "CSV output path (default stdout)"
+# (subcommand, help, -o help) of the subcommands that take config flags and -o only
+_CONFIG_COMMANDS = (
+    ("slope", "modulation sweep and deflection-slope fit", _CSV_TO_STDOUT),
+    ("spectrum", "driven and undriven noise spectra", _CSV_TO_STDOUT),
+    ("sensitivity", "sensitivity and usable-range report",
+     "CSV output path (text report on stdout)"),
+    ("range", "usable tuning range for the kick bound", _CSV_TO_STDOUT),
+)
 
 
 def _build_config(args):
@@ -60,22 +65,16 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # One parent parser holds --config and the per-field flags of the config commands.
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="flat key = value config file")
+    for name in CONFIG_FIELDS:
+        flag = "--" + name.replace("_", "-")
+        config.add_argument(flag, dest=name, metavar="VALUE", help=CONFIG_FIELDS[name][1])
 
-    p = sub.add_parser("slope", help="modulation sweep and deflection-slope fit")
-    _add_config_flags(p)
-    p.add_argument("-o", "--output", help="CSV output path (default stdout)")
-
-    p = sub.add_parser("spectrum", help="driven and undriven noise spectra")
-    _add_config_flags(p)
-    p.add_argument("-o", "--output", help="CSV output path (default stdout)")
-
-    p = sub.add_parser("sensitivity", help="sensitivity and usable-range report")
-    _add_config_flags(p)
-    p.add_argument("-o", "--output", help="CSV output path (text report on stdout)")
-
-    p = sub.add_parser("range", help="usable tuning range for the kick bound")
-    _add_config_flags(p)
-    p.add_argument("-o", "--output", help="CSV output path (default stdout)")
+    for name, help_text, output_help in _CONFIG_COMMANDS:
+        p = sub.add_parser(name, help=help_text, parents=[config])
+        p.add_argument("-o", "--output", help=output_help)
 
     p = sub.add_parser("calibrate", help="fit the scan-to-frequency calibration")
     p.add_argument("positions", help="file of observed line positions, one per line")
@@ -89,11 +88,12 @@ def build_parser():
     )
     p.add_argument("-o", "--output", help="report output path (default stdout)")
 
-    p = sub.add_parser("simulate", help="dump one raw detector time series")
-    _add_config_flags(p)
+    p = sub.add_parser(
+        "simulate", help="dump one raw detector time series", parents=[config]
+    )
     p.add_argument("--dnu-peak", default="0Hz", help="modulation amplitude (e.g. 7.4MHz)")
     p.add_argument("--duration", default="2.5s", help="record length (whole cycles)")
-    p.add_argument("-o", "--output", help="CSV output path (default stdout)")
+    p.add_argument("-o", "--output", help=_CSV_TO_STDOUT)
 
     return parser
 
@@ -134,9 +134,14 @@ def _dispatch(args):
     raise ValidationError(f"unknown command {args.command!r}")
 
 
+@functools.cache
+def _parser():
+    """The process's one parser, built on the first ``main`` call."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _dispatch(args)
     except ValidationError as exc:

@@ -23,7 +23,6 @@ from importlib import resources
 
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
-from scipy.optimize import brentq
 
 from .errors import (
     DomainError,
@@ -173,7 +172,13 @@ def min_deviation_angle(prism, wavelength):
 
 
 def _deflection_denominator(prism, n):
-    radicand = np.sin(prism.apex_angle / 2.0) ** -2 - n**2
+    try:  # a Python float raises where numpy would return inf with a warning
+        radicand = float(np.sin(prism.apex_angle / 2.0)) ** -2 - n**2
+    except (OverflowError, ZeroDivisionError):
+        raise ValidationError(
+            f"apex angle {prism.apex_angle:.3g} rad is too small: "
+            "sin(gamma/2)**-2 overflows"
+        ) from None
     if np.any(radicand <= 0.0):
         raise GrazingIncidenceError(
             "sin(gamma/2)**-2 - n^2 <= 0: grazing-incidence regime, deflection "
@@ -207,25 +212,26 @@ def deflection_slope(prism, carrier, probe_shift=1e6):
     return dispersive_deflection(prism, carrier.wavelength, probe_shift) / probe_shift
 
 
-def calibrate_apex_angle(
-    target_slope, path_length, carrier, material, rel_tol=1e-6, probe_shift=1e6
-):
+def calibrate_apex_angle(target_slope, path_length, carrier, material, probe_shift=1e6):
     """Recover the apex angle that reproduces a target unamplified slope.
 
     ``target_slope`` is the free deflection per unit frequency (m/Hz) at
-    distance ``path_length``, i.e. path_length * delta(nu)/nu. The forward
-    map is strictly increasing in gamma on (0, 2*asin(1/n)), so a bracketed
-    root find either converges or the target is provably unreachable.
+    distance ``path_length``, i.e. path_length * delta(nu)/nu. Delta_n does
+    not depend on gamma, so target = 2 L Delta_n / (probe r) with
+    r = sqrt(sin(gamma/2)**-2 - n0^2) inverts in closed form:
+    gamma = 2*asin(1/sqrt(n0^2 + r^2)). The forward map is strictly
+    increasing in gamma on (0, 2*asin(1/n0)), so a target outside its range
+    on that bracket is provably unreachable.
     """
     if path_length <= 0:
         raise ValidationError(f"path length must be positive, got {path_length}")
     n0 = sellmeier_index(material, carrier.wavelength)
+    dn = sellmeier_index(material, SPEED_OF_LIGHT / (carrier.frequency + probe_shift)) - n0
     gamma_max = 2.0 * np.arcsin(1.0 / n0)
 
-    def forward(gamma):
+    def forward(gamma):  # path_length * dispersive_deflection(...) / probe_shift
         prism = Prism(apex_angle=gamma, material=material)
-        delta = dispersive_deflection(prism, carrier.wavelength, probe_shift)
-        return path_length * delta / probe_shift
+        return path_length * (2.0 * dn / _deflection_denominator(prism, n0)) / probe_shift
 
     lo, hi = 1e-9, gamma_max * (1.0 - 1e-12)
     f_lo, f_hi = forward(lo), forward(hi)
@@ -235,11 +241,10 @@ def calibrate_apex_angle(
             f"[{f_lo:.6e}, {f_hi:.6e}] m/Hz for {material.name} at "
             f"{carrier.wavelength:.4e} m"
         )
-    gamma_star = brentq(
-        lambda g: forward(g) - target_slope, lo, hi, xtol=1e-15, rtol=8.9e-16
-    )
+    r = 2.0 * path_length * dn / (probe_shift * target_slope)
+    gamma_star = float(2.0 * np.arcsin(1.0 / np.sqrt(n0**2 + r**2)))
     achieved = forward(gamma_star)
-    if abs(achieved - target_slope) > rel_tol * abs(target_slope):
+    if abs(achieved - target_slope) > 1e-6 * abs(target_slope):
         raise NumericalError(
             f"apex-angle calibration missed target: got {achieved:.9e} m/Hz "
             f"for {target_slope:.9e} m/Hz"

@@ -28,7 +28,7 @@ from scipy.integrate import trapezoid
 from scipy.optimize import brentq
 
 from .dispersion import dispersive_deflection, momentum_kick
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,14 @@ def usable_range(carrier, sigma, prism, threshold=0.5):
     edge *= 1.0 - 1e-12  # stay inside the validity window
     if excess(edge) < 0.0:
         return UsableRange(frequency_span=edge, clamped=True)
-    span = brentq(excess, 0.0, edge, xtol=1e-3, rtol=1e-12)
+    span, result = brentq(
+        excess, 0.0, edge, xtol=1e-3, rtol=1e-12, full_output=True, disp=False
+    )
+    if not result.converged:
+        raise NumericalError(
+            f"usable-range root find did not converge in {result.iterations} "
+            f"iterations (sigma = {sigma:.3g} m, threshold = {threshold:.3g})"
+        )
     return UsableRange(frequency_span=span, clamped=False)
 
 

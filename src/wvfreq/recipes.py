@@ -48,19 +48,10 @@ def _filter_spec(config):
     )
 
 
-def _extensions(config):
-    return NoiseExtensions(
-        electronic_noise=config.electronic_noise,
-        dark_count_rate=config.dark_count_rate,
-    )
-
-
-def _measure_point(physics, dnu_peak, seed):
-    """One sweep point: synthesize, filter, extract peaks, undo the gain."""
+def _synthesize(physics, dnu_peak, duration, seed):
+    """Raw record with the config's sample rate, photon budget, modulation and noise."""
     cfg = physics.config
-    cycle = 1.0 / cfg.mod_frequency
-    duration = (cfg.n_cycles + cfg.settle_cycles) * cycle
-    raw = synthesize_run(
+    return synthesize_run(
         dnu_peak,
         duration,
         cfg.sample_rate,
@@ -68,8 +59,17 @@ def _measure_point(physics, dnu_peak, seed):
         physics.n_photons_per_sample(),
         seed,
         modulation=ModulationConfig(mod_frequency=cfg.mod_frequency, amplitude=dnu_peak),
-        extensions=_extensions(cfg),
+        extensions=NoiseExtensions(
+            electronic_noise=cfg.electronic_noise, dark_count_rate=cfg.dark_count_rate
+        ),
     )
+
+
+def _measure_point(physics, dnu_peak, seed):
+    """One sweep point: synthesize, filter, extract peaks, undo the gain."""
+    cfg = physics.config
+    cycle = 1.0 / cfg.mod_frequency
+    raw = _synthesize(physics, dnu_peak, (cfg.n_cycles + cfg.settle_cycles) * cycle, seed)
     spec = _filter_spec(cfg)
     filtered = bandpass(raw, spec)
     mean, std_of_mean = extract_peaks(filtered, cycle, cfg.n_cycles)
@@ -124,29 +124,8 @@ def run_spectrum_pair(config):
     """Driven and undriven raw-signal spectra on a shared dB reference."""
     physics = resolve(config)
     cfg = config
-    n_per_sample = physics.n_photons_per_sample()
-    driven = synthesize_run(
-        cfg.spectrum_dnu,
-        cfg.spectrum_duration,
-        cfg.sample_rate,
-        physics,
-        n_per_sample,
-        cfg.seed,
-        modulation=ModulationConfig(
-            mod_frequency=cfg.mod_frequency, amplitude=cfg.spectrum_dnu
-        ),
-        extensions=_extensions(cfg),
-    )
-    undriven = synthesize_run(
-        0.0,
-        cfg.spectrum_duration,
-        cfg.sample_rate,
-        physics,
-        n_per_sample,
-        cfg.seed + 1,
-        modulation=ModulationConfig(mod_frequency=cfg.mod_frequency),
-        extensions=_extensions(cfg),
-    )
+    driven = _synthesize(physics, cfg.spectrum_dnu, cfg.spectrum_duration, cfg.seed)
+    undriven = _synthesize(physics, 0.0, cfg.spectrum_duration, cfg.seed + 1)
     spec_driven = power_spectrum(driven, segments=cfg.spectrum_segments)
     spec_undriven = power_spectrum(undriven, segments=cfg.spectrum_segments)
     # Re-reference both traces to the driven fundamental (0 dB).
@@ -233,18 +212,7 @@ def run_range(config):
 def run_simulate(config, dnu_peak, duration):
     """Raw time-series dump at one modulation amplitude."""
     physics = resolve(config)
-    series = synthesize_run(
-        dnu_peak,
-        duration,
-        config.sample_rate,
-        physics,
-        physics.n_photons_per_sample(),
-        config.seed,
-        modulation=ModulationConfig(
-            mod_frequency=config.mod_frequency, amplitude=dnu_peak
-        ),
-        extensions=_extensions(config),
-    )
+    series = _synthesize(physics, dnu_peak, duration, config.seed)
     metadata = resolved_metadata(physics)
     metadata["dnu_peak_hz"] = dnu_peak
     metadata["seed"] = config.seed

@@ -23,7 +23,7 @@ reproduces the output byte for byte in the same software environment.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import bilinear, get_window, lfilter
+from scipy.signal import get_window, lfilter
 
 from .errors import AliasingError, ValidationError, WeakValueValidityError
 from .interferometer import (
@@ -117,9 +117,14 @@ def stage_coefficients(spec, sample_rate):
             f"sample rate {sample_rate} Hz too low for a {spec.center} Hz "
             "bandpass (need >= 20x center)"
         )
-    # Prewarp so the bilinear map lands the resonance exactly on center.
-    w0 = 2.0 * sample_rate * np.tan(np.pi * spec.center / sample_rate)
-    b, a = bilinear([w0 / STAGE_Q, 0.0], [1.0, w0 / STAGE_Q, w0**2], fs=sample_rate)
+    # Prewarp so the bilinear map lands the resonance exactly on center, then
+    # apply s -> K (1 - 1/z) / (1 + 1/z) to (w0/Q) s / (s^2 + (w0/Q) s + w0^2).
+    k = 2.0 * sample_rate
+    w0 = k * np.tan(np.pi * spec.center / sample_rate)
+    bk = w0 / STAGE_Q * k
+    d = k**2 + bk + w0**2
+    b = np.array([bk, 0.0, -bk]) / d
+    a = np.array([1.0, 2.0 * (w0**2 - k**2) / d, (k**2 - bk + w0**2) / d])
     peak = abs(_polyresp(b, a, spec.center, sample_rate))
     return b / peak, a
 
@@ -194,6 +199,8 @@ def synthesize_run(
         )
 
     n_samples = int(round(duration * sample_rate))
+    if n_samples < 1:
+        raise ValidationError(f"a {duration} s record at {sample_rate} Hz holds no sample")
     t = np.arange(n_samples) / sample_rate
     dnu = dnu_peak * np.sin(2.0 * np.pi * mod_frequency * t)
     kick = physics.kick_of_shift(dnu)

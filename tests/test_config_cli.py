@@ -1,3 +1,10 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -158,9 +165,38 @@ class TestCli:
             (["simulate", "--sample-rate", "0Hz"], "sample_rate must be positive, got 0.0"),
             (["range", "--sample-rate", "0Hz"], "sample_rate must be positive, got 0.0"),
             (["slope", "--filter-gain", "0"], "filter_gain must be positive, got 0.0"),
+            (
+                ["simulate", "--sample-rate", "5Hz", "--duration", "0.1s"],
+                "a 0.1 s record at 5.0 Hz holds no sample",
+            ),
+            (
+                ["spectrum", "--sample-rate", "1e-3Hz"],
+                "a 100.0 s record at 0.001 Hz holds no sample",
+            ),
         ):
             assert cli.main(args) == 2
             assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["range", "sensitivity"])
+    @pytest.mark.parametrize(
+        "flag,value", [("--sigma", "1e300"), ("--range-threshold", "1e-300")]
+    )
+    def test_usable_range_not_converged_exit_code(self, capsys, command, flag, value):
+        assert cli.main([command, flag, value]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical error: usable-range root find")
+        assert captured.err.count("\n") == 1
+
+    def test_apex_angle_too_small_exit_code(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["sensitivity", "--apex-angle", "1e-300"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: apex angle 1e-300 rad is too small: sin(gamma/2)**-2 overflows\n"
+        )
 
     def test_photon_count_beyond_int64_exit_code(self, capsys):
         assert cli.main(["simulate", "--power", "1e200W", "--duration", "0.1s"]) == 2
@@ -275,3 +311,55 @@ class TestCli:
         assert cli.main(["sensitivity", "--config", str(cfg)]) == 0
         out = capsys.readouterr().out
         assert "33.6 kHz/sqrt(Hz)" in out  # ideal halves at 4x power
+
+
+PARSE_SEQUENCE = [
+    ["slope", "--seed", "7", "--sweep-points", "3"],
+    ["range", "-o", "range.csv"],
+    ["slope"],
+    ["simulate", "--dnu-peak", "7.4MHz"],
+    ["slope", "--bogus-flag", "1"],
+    ["calibrate", "positions.txt", "--propagate", "129kHz"],
+    ["slope"],
+]
+
+
+class TestParserReuse:
+    def test_main_builds_one_parser_per_process(self, capsys):
+        cli._parser.cache_clear()
+        seen = []
+        dispatch = mock.patch.object(
+            cli, "_dispatch", side_effect=lambda args: seen.append(args) or 0
+        )
+        with mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as build, dispatch:
+            parser = cli._parser()
+            for argv in PARSE_SEQUENCE:
+                if "--bogus-flag" in argv:
+                    with pytest.raises(SystemExit) as exit_info:
+                        cli.main(argv)
+                    assert exit_info.value.code == 2
+                else:
+                    assert cli.main(argv) == 0
+                assert cli._parser() is parser
+        assert build.call_count == 1
+        assert cli._parser.cache_info().currsize == 1
+        assert "--bogus-flag" in capsys.readouterr().err
+        # No state carries over: each namespace equals a fresh parser's.
+        accepted = [argv for argv in PARSE_SEQUENCE if "--bogus-flag" not in argv]
+        assert seen == [cli.build_parser().parse_args(argv) for argv in accepted]
+        assert seen[2].seed is None and seen[2].sweep_points is None
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_import_does_not_build_the_parser(self):
+        src = Path(cli.__file__).resolve().parent.parent
+        code = "import wvfreq.cli as c; print(c._parser.cache_info().currsize)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        ).stdout
+        assert out == "0\n"

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.constants import c as C_LIGHT
+from scipy.optimize import brentq
 
 from wvfreq.dispersion import (
     OpticalCarrier,
@@ -225,6 +228,57 @@ class TestCalibrateApexAngle:
         prism = Prism(apex_angle=gamma, material=fused_silica)
         slope = 0.27 * dispersive_deflection(prism, 780e-9, 1e6) / 1e6
         assert abs(slope - target) <= 1e-6 * target
+
+
+def brentq_apex_angle(target_slope, path_length, carrier, material, probe_shift=1e6):
+    """Oracle: bracketed root find of the forward slope map over gamma."""
+
+    def forward(gamma):
+        prism = Prism(apex_angle=gamma, material=material)
+        delta = dispersive_deflection(prism, carrier.wavelength, probe_shift)
+        return path_length * delta / probe_shift
+
+    n0 = sellmeier_index(material, carrier.wavelength)
+    lo, hi = 1e-9, 2.0 * np.arcsin(1.0 / n0) * (1.0 - 1e-12)
+    if not forward(lo) <= target_slope <= forward(hi):
+        raise UnreachableSlopeError("target outside the bracket")
+    return brentq(
+        lambda g: forward(g) - target_slope, lo, hi, xtol=1e-15, rtol=8.9e-16
+    )
+
+
+class TestClosedFormApexAngle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        target_pm_per_mhz=st.floats(min_value=0.5, max_value=400.0),
+        path_length=st.sampled_from([0.27, 0.54, 2.0]),
+        material=st.sampled_from(["fused_silica", "bk7"]),
+    )
+    def test_matches_brentq_oracle(self, carrier, target_pm_per_mhz, path_length, material):
+        model = get_material(material)
+        target = target_pm_per_mhz * 1e-18
+        try:
+            expected = brentq_apex_angle(target, path_length, carrier, model)
+        except UnreachableSlopeError:
+            with pytest.raises(UnreachableSlopeError):
+                calibrate_apex_angle(target, path_length, carrier, model)
+            return
+        gamma = calibrate_apex_angle(target, path_length, carrier, model)
+        assert gamma == pytest.approx(expected, rel=1e-13, abs=0)
+
+    def test_unreachable_target_beyond_bracket(self, fused_silica, carrier):
+        with pytest.raises(UnreachableSlopeError, match="achievable range"):
+            calibrate_apex_angle(1.0, 0.27, carrier, fused_silica)
+
+    @pytest.mark.parametrize("apex_angle", [1e-300, 5e-324])
+    def test_apex_angle_too_small_for_deflection(self, fused_silica, apex_angle):
+        # sin(gamma/2)**-2 overflows: a ValidationError, not an infinite
+        # radicand that makes the deflection silently zero.
+        prism = Prism(apex_angle=apex_angle, material=fused_silica)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="too small"):
+                dispersive_deflection(prism, 780e-9, 1e6)
 
 
 class TestCarrierAndCatalog:

@@ -4,7 +4,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from wvfreq.config import ExperimentConfig, resolve
 from wvfreq.dispersion import OpticalCarrier
-from wvfreq.errors import ValidationError
+from wvfreq.errors import NumericalError, ValidationError
 from wvfreq.interferometer import dark_port_grid, dark_port_profile
 from wvfreq.noise import (
     PhotonBudget,
@@ -155,6 +155,11 @@ class TestUsableRange:
             for th in (0.1, 0.3, 0.5)
         ]
         assert spans[0] < spans[1] < spans[2]
+
+    @pytest.mark.parametrize("sigma,threshold", [(1e300, 0.5), (SIGMA, 1e-300)])
+    def test_root_find_not_converged(self, physics, carrier, sigma, threshold):
+        with pytest.raises(NumericalError, match="did not converge"):
+            usable_range(carrier, sigma, physics.prism, threshold=threshold)
 
     def test_clamped_at_validity_edge(self, physics, carrier):
         # A needle-thin beam never reaches the kick bound inside the window.

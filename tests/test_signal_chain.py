@@ -4,19 +4,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import bilinear
 
 from wvfreq.config import ExperimentConfig, resolve
 from wvfreq.errors import AliasingError, ValidationError
 from wvfreq.signal_chain import (
+    STAGE_Q,
     FilterSpec,
     NoiseExtensions,
     TimeSeries,
+    _polyresp,
     bandpass,
     extract_peaks,
     frequency_response,
     power_spectrum,
     slope_fit,
     spectrum_from_csv,
+    stage_coefficients,
     spectrum_to_csv,
     synthesize_run,
     timeseries_from_csv,
@@ -89,6 +93,28 @@ class TestBandpass:
             digital = np.abs(frequency_response(spec, np.array([f]), FS))[0]
             per_stage = digital ** (1 / spec.stages) / spec.gain ** (1 / spec.stages)
             assert 20 * np.log10(per_stage / analog) == pytest.approx(0.0, abs=0.5)
+
+    @pytest.mark.parametrize("center", [1.0, 10.0, 100.0])
+    def test_stage_coefficients_match_bilinear_oracle(self, center):
+        # Oracle: scipy's bilinear map of the prewarped prototype, then the
+        # unity-gain-at-center normalization. That normalization divides by
+        # |A(z0)|, which is small at high oversampling and amplifies the
+        # rounding of both sides; the fixed log-spaced grid keeps the b
+        # comparison clear of that floor (about 1e-13 at 1000x).
+        spec = FilterSpec(center=center, stages=1, gain=1.0)
+        for ratio in np.geomspace(20.0, 1000.0, 41):
+            sample_rate = center * ratio
+            b, a = stage_coefficients(spec, sample_rate)
+            w0 = 2.0 * sample_rate * np.tan(np.pi * center / sample_rate)
+            b_ref, a_ref = bilinear(
+                [w0 / STAGE_Q, 0.0], [1.0, w0 / STAGE_Q, w0**2], fs=sample_rate
+            )
+            b_ref = b_ref / abs(_polyresp(b_ref, a_ref, center, sample_rate))
+            assert b[1] == 0.0
+            np.testing.assert_allclose(b[[0, 2]], b_ref[[0, 2]], rtol=1e-13, atol=0)
+            np.testing.assert_allclose(a, a_ref, rtol=0, atol=1e-15)
+            gain = abs(frequency_response(spec, center, sample_rate))
+            assert gain == pytest.approx(1.0, rel=0, abs=1e-15)
 
     def test_aliasing_guard(self):
         with pytest.raises(AliasingError):
@@ -241,6 +267,11 @@ class TestSynthesizeRun:
     def test_photon_floor(self, physics):
         with pytest.raises(ValidationError, match="too few"):
             synthesize_run(1e6, 1.0, FS, physics, 100.0, 0)
+
+    def test_record_shorter_than_one_sample(self, physics):
+        # one 10 Hz cycle at 5 Hz rounds to zero samples
+        with pytest.raises(ValidationError, match="holds no sample"):
+            synthesize_run(1e6, 0.1, 5.0, physics, physics.n_photons_per_sample(), 0)
 
     def test_photon_count_beyond_int64(self, physics):
         with pytest.raises(ValidationError, match="int64"):

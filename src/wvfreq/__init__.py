@@ -25,16 +25,11 @@ from .interferometer import (
     InterferometerState,
     amplification_factor,
     amplified_deflection,
-    amplified_deflection_closed_form,
-    dark_port_profile,
-    exact_dark_port_mean,
     phi_for_postselection,
     postselection_probability,
-    unamplified_deflection,
     weak_value_magnitude,
 )
 from .noise import (
-    PhotonBudget,
     SensitivityReport,
     ideal_sensitivity,
     measured_sensitivity,

@@ -55,14 +55,8 @@ CONFIG_FIELDS = {
     "seed": (None, "base random seed"),
 }
 
-_INT_FIELDS = {
-    "n_cycles",
-    "settle_cycles",
-    "sweep_points",
-    "filter_stages",
-    "spectrum_segments",
-    "seed",
-}
+# Exactly one member of each pair is set; supplying one clears the other.
+_EXCLUSIVE_PAIRS = (("phi", "postselection"), ("apex_angle", "unamplified_slope"))
 
 
 @dataclass(frozen=True)
@@ -97,6 +91,12 @@ class ExperimentConfig:
     seed: int = 20100
 
     def __post_init__(self):
+        for first, second in _EXCLUSIVE_PAIRS:
+            given = [name for name in (first, second) if getattr(self, name) is not None]
+            if len(given) == 2:
+                raise ValidationError(f"supply only one of {first!r} and {second!r}")
+            if not given:
+                raise ValidationError(f"one of {first!r} or {second!r} is required")
         if not self.mod_frequency > 0:
             raise ValidationError(f"mod_frequency must be positive, got {self.mod_frequency}")
         if not self.sample_rate > 0:
@@ -117,11 +117,11 @@ class ExperimentConfig:
 
 
 def _coerce(name, raw):
-    if name == "material":
+    kind = ExperimentConfig.__annotations__[name]
+    if kind is str:
         return str(raw)
-    dimension = CONFIG_FIELDS[name][0]
-    value = parse_quantity(raw, dimension) if isinstance(raw, str) else float(raw)
-    if name in _INT_FIELDS:
+    value = parse_quantity(raw, CONFIG_FIELDS[name][0])
+    if kind is int:
         if value != int(value):
             raise ValidationError(f"{name} must be an integer, got {raw!r}")
         return int(value)
@@ -131,9 +131,9 @@ def _coerce(name, raw):
 def config_from_mapping(mapping, base=None):
     """Build a config from a {key: value} mapping of strings or numbers.
 
-    At most one member of each {phi, postselection} /
-    {apex_angle, unamplified_slope} pair may be given; supplying one clears
-    the default of the other.
+    Supplying one member of the {phi, postselection} or
+    {apex_angle, unamplified_slope} pair clears the other; supplying both is
+    an error.
     """
     base = base or ExperimentConfig()
     updates = {}
@@ -142,13 +142,10 @@ def config_from_mapping(mapping, base=None):
             known = ", ".join(sorted(CONFIG_FIELDS))
             raise ValidationError(f"unknown config key {name!r}; known keys: {known}")
         updates[name] = _coerce(name, raw)
-    for first, second in (("phi", "postselection"), ("apex_angle", "unamplified_slope")):
-        if first in updates and second in updates:
-            raise ValidationError(f"supply only one of {first!r} and {second!r}")
-        if first in updates:
-            updates.setdefault(second, None)
-        if second in updates:
-            updates.setdefault(first, None)
+    for pair in _EXCLUSIVE_PAIRS:
+        for name, partner in (pair, pair[::-1]):
+            if name in updates:
+                updates.setdefault(partner, None)
     return replace(base, **updates)
 
 
@@ -184,8 +181,8 @@ class ResolvedPhysics:
         )
         return dispersion.momentum_kick(delta, self.carrier)
 
-    def deflection_slope(self, probe_shift=1e6):
-        return dispersion.deflection_slope(self.prism, self.carrier, probe_shift)
+    def deflection_slope(self):
+        return dispersion.deflection_slope(self.prism, self.carrier)
 
     def n_photons_per_sample(self):
         from .noise import photon_number
@@ -198,25 +195,17 @@ def resolve(config):
     carrier = dispersion.OpticalCarrier(wavelength=config.wavelength)
     material = dispersion.get_material(config.material)
 
-    if config.phi is not None and config.postselection is not None:
-        raise ValidationError("supply only one of phi and postselection")
+    # ExperimentConfig holds exactly one member of each pair.
     if config.phi is not None:
         phi = config.phi
-    elif config.postselection is not None:
-        phi = interferometer.phi_for_postselection(config.postselection)
     else:
-        raise ValidationError("one of phi or postselection is required")
-
-    if config.apex_angle is not None and config.unamplified_slope is not None:
-        raise ValidationError("supply only one of apex_angle and unamplified_slope")
+        phi = interferometer.phi_for_postselection(config.postselection)
     if config.apex_angle is not None:
         gamma = config.apex_angle
-    elif config.unamplified_slope is not None:
+    else:
         gamma = dispersion.calibrate_apex_angle(
             config.unamplified_slope, config.path_length, carrier, material
         )
-    else:
-        raise ValidationError("one of apex_angle or unamplified_slope is required")
 
     prism = dispersion.Prism(apex_angle=gamma, material=material)
     beam = interferometer.BeamProfile(sigma=config.sigma, carrier=carrier)

@@ -34,6 +34,8 @@ from .errors import (
 )
 
 TWO_PI = 2.0 * np.pi
+PROBE_SHIFT = 1e6  # Hz: the two-point probe behind every local deflection slope
+MIN_APEX_ANGLE = 1e-9  # rad: the smallest prism, and the low end of the calibration bracket
 
 _CATALOG_RESOURCE = "sellmeier_coefficients.txt"
 
@@ -63,9 +65,9 @@ class Prism:
     material: SellmeierModel
 
     def __post_init__(self):
-        if not 0.0 < self.apex_angle < np.pi:
+        if not MIN_APEX_ANGLE <= self.apex_angle < np.pi:
             raise ValidationError(
-                f"apex angle must lie in (0, pi), got {self.apex_angle}"
+                f"apex angle must lie in [{MIN_APEX_ANGLE:g}, pi), got {self.apex_angle}"
             )
 
 
@@ -80,12 +82,6 @@ class OpticalCarrier:
         if not self.wavelength > 0:
             raise ValidationError(f"wavelength must be positive, got {self.wavelength}")
 
-    @classmethod
-    def from_frequency(cls, frequency):
-        if not frequency > 0:
-            raise ValidationError(f"frequency must be positive, got {frequency}")
-        return cls(wavelength=SPEED_OF_LIGHT / frequency)
-
     @property
     def frequency(self):
         return SPEED_OF_LIGHT / self.wavelength
@@ -95,20 +91,14 @@ class OpticalCarrier:
         return TWO_PI / self.wavelength
 
 
-def load_material_catalog(path=None):
-    """Load the Sellmeier coefficient table, keyed by material name.
+def load_material_catalog():
+    """Load the packaged Sellmeier coefficient table, keyed by material name.
 
-    ``path`` overrides the packaged data file. File format: comma-separated
-    records ``name, b1, b2, b3, c1_um2, c2_um2, c3_um2, min_um, max_um``
-    with '#' comment lines.
+    File format: comma-separated records
+    ``name, b1, b2, b3, c1_um2, c2_um2, c3_um2, min_um, max_um`` with '#'
+    comment lines.
     """
-    if path is None:
-        text = (
-            resources.files("wvfreq").joinpath("data", _CATALOG_RESOURCE).read_text()
-        )
-    else:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+    text = resources.files("wvfreq").joinpath("data", _CATALOG_RESOURCE).read_text()
     catalog = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -130,8 +120,8 @@ def load_material_catalog(path=None):
     return catalog
 
 
-def get_material(name, path=None):
-    catalog = load_material_catalog(path)
+def get_material(name):
+    catalog = load_material_catalog()
     if name not in catalog:
         known = ", ".join(sorted(catalog))
         raise ValidationError(f"unknown material {name!r}; catalog has: {known}")
@@ -172,13 +162,7 @@ def min_deviation_angle(prism, wavelength):
 
 
 def _deflection_denominator(prism, n):
-    try:  # a Python float raises where numpy would return inf with a warning
-        radicand = float(np.sin(prism.apex_angle / 2.0)) ** -2 - n**2
-    except (OverflowError, ZeroDivisionError):
-        raise ValidationError(
-            f"apex angle {prism.apex_angle:.3g} rad is too small: "
-            "sin(gamma/2)**-2 overflows"
-        ) from None
+    radicand = float(np.sin(prism.apex_angle / 2.0)) ** -2 - n**2
     if np.any(radicand <= 0.0):
         raise GrazingIncidenceError(
             "sin(gamma/2)**-2 - n^2 <= 0: grazing-incidence regime, deflection "
@@ -207,12 +191,12 @@ def momentum_kick(deflection, carrier):
     return deflection * carrier.wavenumber
 
 
-def deflection_slope(prism, carrier, probe_shift=1e6):
+def deflection_slope(prism, carrier):
     """Local deflection slope d(delta)/d(nu) in rad/Hz, from a two-point probe."""
-    return dispersive_deflection(prism, carrier.wavelength, probe_shift) / probe_shift
+    return dispersive_deflection(prism, carrier.wavelength, PROBE_SHIFT) / PROBE_SHIFT
 
 
-def calibrate_apex_angle(target_slope, path_length, carrier, material, probe_shift=1e6):
+def calibrate_apex_angle(target_slope, path_length, carrier, material):
     """Recover the apex angle that reproduces a target unamplified slope.
 
     ``target_slope`` is the free deflection per unit frequency (m/Hz) at
@@ -226,14 +210,14 @@ def calibrate_apex_angle(target_slope, path_length, carrier, material, probe_shi
     if path_length <= 0:
         raise ValidationError(f"path length must be positive, got {path_length}")
     n0 = sellmeier_index(material, carrier.wavelength)
-    dn = sellmeier_index(material, SPEED_OF_LIGHT / (carrier.frequency + probe_shift)) - n0
+    dn = sellmeier_index(material, SPEED_OF_LIGHT / (carrier.frequency + PROBE_SHIFT)) - n0
     gamma_max = 2.0 * np.arcsin(1.0 / n0)
 
-    def forward(gamma):  # path_length * dispersive_deflection(...) / probe_shift
+    def forward(gamma):  # path_length * deflection_slope(...)
         prism = Prism(apex_angle=gamma, material=material)
-        return path_length * (2.0 * dn / _deflection_denominator(prism, n0)) / probe_shift
+        return path_length * (2.0 * dn / _deflection_denominator(prism, n0)) / PROBE_SHIFT
 
-    lo, hi = 1e-9, gamma_max * (1.0 - 1e-12)
+    lo, hi = MIN_APEX_ANGLE, gamma_max * (1.0 - 1e-12)
     f_lo, f_hi = forward(lo), forward(hi)
     if not f_lo <= target_slope <= f_hi:
         raise UnreachableSlopeError(
@@ -241,7 +225,7 @@ def calibrate_apex_angle(target_slope, path_length, carrier, material, probe_shi
             f"[{f_lo:.6e}, {f_hi:.6e}] m/Hz for {material.name} at "
             f"{carrier.wavelength:.4e} m"
         )
-    r = 2.0 * path_length * dn / (probe_shift * target_slope)
+    r = 2.0 * path_length * dn / (PROBE_SHIFT * target_slope)
     gamma_star = float(2.0 * np.arcsin(1.0 / np.sqrt(n0**2 + r**2)))
     achieved = forward(gamma_star)
     if abs(achieved - target_slope) > 1e-6 * abs(target_slope):

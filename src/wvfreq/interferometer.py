@@ -11,22 +11,20 @@ with sigma the Gaussian intensity-profile standard deviation (field
 amplitude ~ exp(-x^2/(4 sigma^2))). Linearizing in k*sigma gives the
 amplified centroid shift 2 k sigma^2 cot(phi/2), i.e. the purely imaginary
 weak value cot(phi/2) converts the momentum kick into a position shift.
-``exact_dark_port_mean`` keeps the full sin^2 form and serves as the oracle
-the linearized expressions are validated against.
+The split detector's count probability keeps the full sin^2 form, in closed
+form through the Dawson function.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 from scipy.special import dawsn
 
 from .dispersion import OpticalCarrier
 from .errors import (
     DarkPortEmptyError,
     DomainError,
-    GrazingIncidenceError,
     ValidationError,
     WeakValueApproximationWarning,
     WeakValueValidityError,
@@ -36,8 +34,7 @@ from .errors import (
 KICK_SIGMA_WARN = 0.1
 KICK_SIGMA_LIMIT = 0.5
 
-DEFAULT_GRID_POINTS = 4097
-DEFAULT_GRID_HALF_WIDTH = 8.0  # in units of sigma; tail error ~ exp(-32)
+DEFAULT_GRID_HALF_WIDTH = 8.0  # detector half-width in units of sigma
 
 
 @dataclass(frozen=True)
@@ -115,25 +112,6 @@ def amplified_deflection(k, state):
     return 2.0 * k * sigma**2 * weak_value_magnitude(state.phi)
 
 
-def amplified_deflection_closed_form(dn, gamma, n, phi, sigma, k0):
-    """Small-phi closed form 8 k0 sigma^2 (dn/phi) / sqrt(sin(gamma/2)**-2 - n^2).
-
-    Uses the small-angle weak value 2/phi instead of cot(phi/2); relative to
-    ``amplified_deflection`` the substitution error is about phi^2/12.
-    """
-    radicand = np.sin(gamma / 2.0) ** -2 - n**2
-    if radicand <= 0.0:
-        raise GrazingIncidenceError(
-            f"sin(gamma/2)**-2 - n^2 = {radicand:.3e} <= 0 in closed-form deflection"
-        )
-    return 8.0 * k0 * sigma**2 * (dn / phi) / np.sqrt(radicand)
-
-
-def unamplified_deflection(k, path_length, k0):
-    """Free-space deflection l*k/k0 = l*delta of the un-postselected beam."""
-    return path_length * k / k0
-
-
 def amplification_factor(state):
     """Ratio of amplified to unamplified deflection, 2 k0 sigma^2 cot(phi/2) / l.
 
@@ -149,33 +127,6 @@ def amplification_factor(state):
     )
 
 
-def dark_port_grid(state, n_points=DEFAULT_GRID_POINTS, half_width=DEFAULT_GRID_HALF_WIDTH):
-    """Symmetric detector-plane grid covering +-half_width*sigma."""
-    span = half_width * state.beam.sigma
-    return np.linspace(-span, span, n_points)
-
-
-def dark_port_profile(k, state, x_grid, background_fraction=0.0):
-    """Normalized dark-port intensity samples on ``x_grid`` (unit trapezoid
-    integral).
-
-    A nonzero ``background_fraction`` beta mixes in a uniform floor carrying
-    beta of the input light (relative to the sin^2(phi/2) dark-port share),
-    standing in for stray light from imperfect optics.
-    """
-    x_grid = np.asarray(x_grid, dtype=float)
-    if x_grid.ndim != 1 or x_grid.size < 2 or np.any(np.diff(x_grid) <= 0):
-        raise ValidationError("x_grid must be a strictly increasing 1-D array")
-    w_dark = _dark_weight(state.phi, background_fraction)
-    envelope = np.exp(-(x_grid**2) / (2.0 * state.beam.sigma**2))
-    intensity = np.sin(k * x_grid + state.phi / 2.0) ** 2 * envelope
-    norm = trapezoid(intensity, x_grid)
-    if norm <= 0.0:
-        raise DarkPortEmptyError("dark-port intensity vanished on the grid")
-    uniform = 1.0 / (x_grid[-1] - x_grid[0])
-    return w_dark * intensity / norm + (1.0 - w_dark) * uniform
-
-
 def dark_port_split_probability(k, state, background_fraction=0.0):
     """Closed-form probability that a detected photon lands at x >= 0.
 
@@ -184,8 +135,8 @@ def dark_port_split_probability(k, state, background_fraction=0.0):
     p_right = 1/2 + sin(phi) D(sqrt(2) k sigma) / (sqrt(pi) (1 - cos(phi) E));
     1 - cos(phi) E is evaluated as 2 E sin^2(phi/2) - expm1(-2 k^2 sigma^2),
     free of cancellation at small phi. The symmetric stray-light floor adds
-    (1 - w_dark)/2. Vectorized over ``k``; its test oracle is the trapezoid
-    integral of ``dark_port_profile`` over x >= 0.
+    (1 - w_dark)/2. Vectorized over ``k``; its test oracle is a grid
+    quadrature of the profile over x >= 0.
     """
     w_dark = _dark_weight(state.phi, background_fraction)
     ks = np.asarray(k, dtype=float) * state.beam.sigma
@@ -219,23 +170,3 @@ def _dark_weight(phi, background_fraction):
         return 1.0  # also when sin^2(phi/2) underflows to 0
     p_ps = postselection_probability(phi)
     return p_ps / (p_ps + background_fraction)
-
-
-def exact_dark_port_mean(k, state):
-    """First moment of the exact dark-port intensity, by trapezoid quadrature.
-
-    Valid beyond k*sigma << 1; this is the oracle against which the
-    linearized ``amplified_deflection`` is checked. Raises DarkPortEmptyError
-    when essentially no light reaches the dark port (phi ~ 0 and k ~ 0).
-    """
-    sigma = state.beam.sigma
-    x = dark_port_grid(state)
-    intensity = np.sin(k * x + state.phi / 2.0) ** 2 * np.exp(
-        -(x**2) / (2.0 * sigma**2)
-    )
-    norm = trapezoid(intensity, x)
-    # Compare against the bright-beam normalization sqrt(2*pi)*sigma.
-    occupancy = norm / (np.sqrt(2.0 * np.pi) * sigma)
-    if occupancy < 1e-14:
-        raise DarkPortEmptyError(f"dark-port occupancy {occupancy:.3e} below floor 1e-14")
-    return trapezoid(x * intensity, x) / norm

@@ -14,9 +14,6 @@ A split detector uses only the side of each hit, so its left/right counts
 are binomial with the probability ``p_right`` of landing at x > 0.
 ``split_estimate`` turns such counts into the calibrated difference-over-sum
 position estimate; it is the one estimator every simulated record uses.
-``split_probability`` and ``split_calibration_constant`` evaluate ``p_right``
-and the calibration on a tabulated profile by quadrature: they are the
-test oracle for the closed-form kernel in ``interferometer``.
 """
 
 from dataclasses import dataclass
@@ -24,33 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 from scipy.constants import h as PLANCK
-from scipy.integrate import trapezoid
 from scipy.optimize import brentq
 
-from .dispersion import dispersive_deflection, momentum_kick
+from .dispersion import deflection_slope, dispersive_deflection, momentum_kick
 from .errors import NumericalError, ValidationError
-
-
-@dataclass(frozen=True)
-class PhotonBudget:
-    """Optical power integrated for a time, as a photon count at the carrier."""
-
-    power: float
-    carrier: object
-    integration_time: float
-
-    def __post_init__(self):
-        if self.power < 0:
-            raise ValidationError(f"power must be >= 0, got {self.power}")
-        if not self.integration_time > 0:
-            raise ValidationError(
-                f"integration time must be positive, got {self.integration_time}"
-            )
-
-    @property
-    def n_photons(self):
-        """Photons entering the interferometer (not the postselected count)."""
-        return photon_number(self.power, self.carrier, self.integration_time)
 
 
 @dataclass(frozen=True)
@@ -115,7 +89,7 @@ def shot_noise_snr(n_photons, k0, sigma, deflection):
     return np.sqrt(8.0 * n_photons / np.pi) * k0 * sigma * deflection
 
 
-def ideal_sensitivity(power, carrier, sigma, prism, probe_shift=1e6):
+def ideal_sensitivity(power, carrier, sigma, prism):
     """Shot-noise-limited sensitivity in Hz/sqrt(Hz).
 
     Sets R = 1 at one second of integration, solves for the minimum
@@ -125,8 +99,7 @@ def ideal_sensitivity(power, carrier, sigma, prism, probe_shift=1e6):
     if n <= 0:
         raise ValidationError("zero photon budget: sensitivity is unbounded")
     delta_min = 1.0 / (np.sqrt(8.0 * n / np.pi) * carrier.wavenumber * sigma)
-    slope = dispersive_deflection(prism, carrier.wavelength, probe_shift) / probe_shift
-    return delta_min / slope
+    return delta_min / deflection_slope(prism, carrier)
 
 
 def measured_sensitivity(min_shift, integration_time):
@@ -170,26 +143,6 @@ def usable_range(carrier, sigma, prism, threshold=0.5):
             f"iterations (sigma = {sigma:.3g} m, threshold = {threshold:.3g})"
         )
     return UsableRange(frequency_span=span, clamped=False)
-
-
-def split_probability(x_grid, intensity):
-    """Probability that a photon drawn from the profile lands at x > 0."""
-    x_grid = np.asarray(x_grid, dtype=float)
-    intensity = np.asarray(intensity, dtype=float)
-    right = x_grid >= 0.0
-    return trapezoid(intensity[right], x_grid[right])
-
-
-def split_calibration_constant(x_grid, intensity):
-    """Meters per unit difference-over-sum for small centroid shifts.
-
-    For a small rigid shift d of a symmetric profile the count asymmetry is
-    2*I(0)*d, so the inverse slope is 1/(2*I(0)).
-    """
-    center = np.interp(0.0, x_grid, intensity)
-    if center <= 0.0:
-        raise ValidationError("profile vanishes at the split position")
-    return 1.0 / (2.0 * center)
 
 
 def split_estimate(n_right, n_total, calibration):

@@ -89,10 +89,12 @@ class SlopeSweepResult:
 
 def run_slope_sweep(config):
     """Modulation-amplitude sweep with a weighted linear fit (deflection slope)."""
+    if not 2 <= config.sweep_points <= np.iinfo(np.intp).max:
+        raise ValidationError(
+            f"slope sweep needs 2 to {np.iinfo(np.intp).max} points, got {config.sweep_points}"
+        )
     physics = resolve(config)
     shifts = config.sweep_shifts()
-    if shifts.size < 2:
-        raise ValidationError("slope sweep needs at least two points")
     deflections = np.empty(shifts.size)
     errors = np.empty(shifts.size)
     for i, dnu in enumerate(shifts):
@@ -153,6 +155,8 @@ def run_sensitivity(config):
     cfg = config
     if cfg.power <= 0:
         raise ValidationError("zero optical power: sensitivity is unreachable")
+    # The range first: a sigma too wide for its root find would overflow the SNR terms.
+    span = usable_range(physics.carrier, cfg.sigma, physics.prism, cfg.range_threshold)
     ideal = ideal_sensitivity(cfg.power, physics.carrier, cfg.sigma, physics.prism)
     min_shift = cfg.sweep_min
     scaled = measured_sensitivity(min_shift, cfg.integration_time)
@@ -160,7 +164,6 @@ def run_sensitivity(config):
     delta_min = slope * min_shift
     n_tau = photon_number(cfg.power, physics.carrier, cfg.integration_time)
     snr = shot_noise_snr(n_tau, physics.carrier.wavenumber, cfg.sigma, delta_min)
-    span = usable_range(physics.carrier, cfg.sigma, physics.prism, cfg.range_threshold)
     return SensitivityReport(
         snr=snr,
         min_deflection=delta_min,

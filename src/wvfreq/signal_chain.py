@@ -137,12 +137,6 @@ def _polyresp(b, a, freq, sample_rate):
     return num / den
 
 
-def frequency_response(spec, freqs, sample_rate):
-    """Complex response of the full cascade (all stages and the gain)."""
-    b, a = stage_coefficients(spec, sample_rate)
-    return spec.gain * _polyresp(b, a, freqs, sample_rate) ** spec.stages
-
-
 def bandpass(series, spec):
     """Apply the stage cascade and gain to a series."""
     b, a = stage_coefficients(spec, series.sample_rate)
@@ -179,7 +173,7 @@ def synthesize_run(
     mod_frequency = modulation.mod_frequency
     extensions = extensions or NoiseExtensions()
     cycles = duration * mod_frequency
-    if abs(cycles - round(cycles)) > 1e-9 or cycles < 1:
+    if not 1 <= cycles < np.inf or abs(cycles - round(cycles)) > 1e-9:
         raise ValidationError(
             f"duration {duration} s is not a whole number of {mod_frequency} Hz cycles"
         )
@@ -198,6 +192,11 @@ def synthesize_run(
             "postselected photons per sample for a meaningful estimate"
         )
 
+    if duration * sample_rate > np.iinfo(np.intp).max:
+        raise ValidationError(
+            f"a {duration} s record at {sample_rate} Hz holds more samples than "
+            "an array can index"
+        )
     n_samples = int(round(duration * sample_rate))
     if n_samples < 1:
         raise ValidationError(f"a {duration} s record at {sample_rate} Hz holds no sample")
@@ -256,29 +255,25 @@ def extract_peaks(series, cycle_period, n_cycles):
     return mean, std_of_mean
 
 
-def slope_fit(shifts, deflections, errors=None):
+def slope_fit(shifts, deflections, errors):
     """Weighted least-squares line through (shift, deflection) points.
 
-    Weights are 1/error^2 when errors are given (slope error from the
-    normal equations), uniform otherwise (slope error from the residual
-    variance). Points are put in a canonical order before summation, so the
+    Weights are 1/error^2 and the slope error comes from the normal
+    equations. Points are put in a canonical order before summation, so the
     result is bit-identical under any permutation of the inputs.
     """
     x = np.asarray(shifts, dtype=float)
     y = np.asarray(deflections, dtype=float)
+    err = np.asarray(errors, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
         raise ValidationError("need two same-length 1-D arrays of at least 2 points")
     if np.ptp(x) == 0.0:
         raise ValidationError("degenerate fit: all abscissae identical")
-    if errors is not None:
-        err = np.asarray(errors, dtype=float)
-        if err.shape != x.shape or np.any(err <= 0):
-            raise ValidationError("errors must be positive and match the points")
-    else:
-        err = np.ones_like(x)
+    if err.shape != x.shape or np.any(err <= 0):
+        raise ValidationError("errors must be positive and match the points")
     order = np.lexsort((err, y, x))
     x, y, err = x[order], y[order], err[order]
-    w = 1.0 / err**2 if errors is not None else np.ones_like(x)
+    w = 1.0 / err**2
     sw = w.sum()
     sx = (w * x).sum()
     sy = (w * y).sum()
@@ -286,19 +281,11 @@ def slope_fit(shifts, deflections, errors=None):
     sxy = (w * x * y).sum()
     denom = sw * sxx - sx**2
     slope = (sw * sxy - sx * sy) / denom
-    intercept = (sy - slope * sx) / sw
-    if errors is not None:
-        slope_error = np.sqrt(sw / denom)
-    else:
-        resid = y - (slope * x + intercept)
-        dof = x.size - 2
-        variance = (resid**2).sum() / dof if dof > 0 else 0.0
-        slope_error = np.sqrt(variance * sw / denom)
-    return float(slope), float(slope_error)
+    return float(slope), float(np.sqrt(sw / denom))
 
 
-def power_spectrum(series, window="hann", segments=1):
-    """One-sided windowed periodogram, segment-averaged when ``segments`` > 1.
+def power_spectrum(series, segments=1):
+    """One-sided Hann-windowed periodogram, segment-averaged when ``segments`` > 1.
 
     Powers are mean-square (a full-scale sine of amplitude A contributes
     A^2/2 in its bin) and reported in dB relative to the strongest bin.
@@ -309,7 +296,7 @@ def power_spectrum(series, window="hann", segments=1):
     if segments < 1 or n // segments < 16:
         raise ValidationError(f"cannot split {n} samples into {segments} segments")
     seg_len = n // segments
-    win = get_window(window, seg_len)
+    win = get_window("hann", seg_len)
     coherent_gain = win.sum()
     power = np.zeros(seg_len // 2 + 1)
     for i in range(segments):
@@ -334,7 +321,6 @@ def power_spectrum(series, window="hann", segments=1):
 # --- CSV serialization (units.csv_text / csv_columns layout) ---
 
 _TIMESERIES_COLUMNS = ("time_s", "position_m")
-_SPECTRUM_COLUMNS = ("frequency_hz", "power_db")
 
 
 def timeseries_to_csv(series, metadata=None):
@@ -351,23 +337,3 @@ def timeseries_from_csv(text):
         t0=float(header.get("t0", 0.0)),
     )
     return series, header
-
-
-def spectrum_to_csv(spectrum, metadata=None):
-    meta = {
-        "resolution_bw_hz": float(spectrum.resolution_bw),
-        "ref_power": float(spectrum.ref_power),
-    }
-    meta.update(metadata or {})
-    return csv_text(meta, _SPECTRUM_COLUMNS, spectrum.frequencies, spectrum.power_db)
-
-
-def spectrum_from_csv(text):
-    header, (frequencies, power_db) = csv_columns(text, _SPECTRUM_COLUMNS)
-    spectrum = Spectrum(
-        frequencies=frequencies,
-        power_db=power_db,
-        resolution_bw=float(header["resolution_bw_hz"]),
-        ref_power=float(header.get("ref_power", 1.0)),
-    )
-    return spectrum, header

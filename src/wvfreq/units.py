@@ -53,10 +53,12 @@ def parse_quantity(text, dimension=None):
 
     ``dimension`` (one of 'length', 'frequency', 'power', 'time',
     'angle') makes the parser reject a suffix of the wrong kind;
-    suffix-less numbers are accepted for any dimension.
+    suffix-less numbers are accepted for any dimension. Numbers pass through
+    as floats. A value that is not finite, such as '1e309' or '1e300THz'
+    once scaled, is rejected.
     """
-    if isinstance(text, (int, float)):
-        return float(text)
+    if not isinstance(text, str):
+        return _finite(float(text), text)
     match = _QUANTITY_RE.match(text)
     if match is None:
         raise ValidationError(f"cannot parse quantity {text!r}")
@@ -66,7 +68,7 @@ def parse_quantity(text, dimension=None):
     except ValueError as exc:
         raise ValidationError(f"cannot parse number in {text!r}") from exc
     if not suffix:
-        return value
+        return _finite(value, text)
     if suffix not in _SUFFIXES:
         raise ValidationError(f"unknown unit suffix {suffix!r} in {text!r}")
     multiplier, kind = _SUFFIXES[suffix]
@@ -74,7 +76,13 @@ def parse_quantity(text, dimension=None):
         raise ValidationError(
             f"unit {suffix!r} in {text!r} is a {kind}, expected {dimension}"
         )
-    return value * multiplier
+    return _finite(value * multiplier, text)
+
+
+def _finite(value, text):
+    if not np.isfinite(value):
+        raise ValidationError(f"quantity {text!r} is not finite")
+    return value
 
 
 def fmt(value):

@@ -1,7 +1,7 @@
 """Shared Monte Carlo oracle for the split-detector tests.
 
-A run takes p_right and the calibration once from the quadrature oracle on a
-tabulated profile. Replica i draws its right-hand count from
+A run takes p_right and the calibration once from the quadrature oracles on
+a tabulated profile. Replica i draws its right-hand count from
 ``np.random.default_rng(base_seed + i)``, so a set of replicas is the same
 however it is scheduled, and one ``split_estimate`` call turns all counts
 into position estimates.
@@ -10,7 +10,8 @@ into position estimates.
 import numpy as np
 import pytest
 
-from wvfreq.noise import split_calibration_constant, split_estimate, split_probability
+from oracles import split_calibration_constant, split_probability
+from wvfreq.noise import split_estimate
 
 
 def _replicated_estimates(x_grid, intensity, n_detected, n_reps, base_seed):

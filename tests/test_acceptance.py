@@ -11,14 +11,12 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import dark_port_grid, dark_port_profile, exact_dark_port_mean
 from wvfreq.config import ExperimentConfig, resolve
 from wvfreq.errors import WeakValueApproximationWarning
 from wvfreq.interferometer import (
     amplification_factor,
     amplified_deflection,
-    dark_port_grid,
-    dark_port_profile,
-    exact_dark_port_mean,
     weak_value_magnitude,
 )
 from wvfreq.noise import (

@@ -52,6 +52,11 @@ class TestUnits:
         with pytest.raises(ValidationError):
             parse_quantity("not-a-number")
 
+    @pytest.mark.parametrize("text", ["1e309", "-1e309", "1e300THz", float("inf"), float("nan")])
+    def test_not_finite(self, text):
+        with pytest.raises(ValidationError, match="is not finite"):
+            parse_quantity(text, "frequency")
+
 
 class TestConfig:
     def test_defaults_resolve_to_operating_point(self):
@@ -85,6 +90,19 @@ class TestConfig:
         physics = resolve(cfg)
         assert physics.state.phi == pytest.approx(0.2)
 
+    def test_pair_rules_at_construction(self):
+        for kwargs, message in (
+            ({"phi": 0.2}, "supply only one of 'phi' and 'postselection'"),
+            ({"apex_angle": 1.0}, "supply only one of 'apex_angle' and 'unamplified_slope'"),
+            ({"postselection": None}, "one of 'phi' or 'postselection' is required"),
+            ({"unamplified_slope": None}, "one of 'apex_angle' or 'unamplified_slope' is required"),
+        ):
+            with pytest.raises(ValidationError) as info:
+                ExperimentConfig(**kwargs)
+            assert str(info.value) == message
+        cfg = ExperimentConfig(phi=0.2, postselection=None, apex_angle=1.0, unamplified_slope=None)
+        assert resolve(cfg).prism.apex_angle == 1.0
+
     def test_direct_apex_angle(self):
         cfg = config_from_mapping({"apex_angle": "60deg"})
         assert cfg.unamplified_slope is None
@@ -96,8 +114,11 @@ class TestConfig:
             config_from_mapping({"wavelenght": "780nm"})
 
     def test_int_field_validation(self):
-        with pytest.raises(ValidationError, match="integer"):
-            config_from_mapping({"n_cycles": "2.5"})
+        for name in ("n_cycles", "settle_cycles", "sweep_points", "filter_stages",
+                     "spectrum_segments", "seed"):
+            with pytest.raises(ValidationError, match="integer"):
+                config_from_mapping({name: "2.5"})
+            assert type(getattr(config_from_mapping({name: "7"}), name)) is int
 
     def test_metadata_and_hash(self):
         physics = resolve(ExperimentConfig())
@@ -173,30 +194,65 @@ class TestCli:
                 ["spectrum", "--sample-rate", "1e-3Hz"],
                 "a 100.0 s record at 0.001 Hz holds no sample",
             ),
+            (["sensitivity", "--sigma", "1e309"], "quantity '1e309' is not finite"),
+            (["range", "--sigma", "1e309"], "quantity '1e309' is not finite"),
+            (["slope", "--seed", "1e309"], "quantity '1e309' is not finite"),
+            (["simulate", "--duration", "1e309s"], "quantity '1e309s' is not finite"),
+            (["sensitivity", "--sweep-min", "1e309"], "quantity '1e309' is not finite"),
+            (["simulate", "--dnu-peak", "1e300THz"], "quantity '1e300THz' is not finite"),
+            (
+                ["simulate", "--duration", "1e10s", "--mod-frequency", "1e300Hz"],
+                "duration 10000000000.0 s is not a whole number of 1e+300 Hz cycles",
+            ),
+            (
+                ["simulate", "--duration", "1e20s"],
+                "a 1e+20 s record at 1000.0 Hz holds more samples than an array can index",
+            ),
+            (
+                ["spectrum", "--spectrum-duration", "1e20s"],
+                "a 1e+20 s record at 1000.0 Hz holds more samples than an array can index",
+            ),
+            (
+                ["slope", "--n-cycles", "1e20"],
+                "sweep point 0 (dnu=743000 Hz): a 1e+19 s record at 1000.0 Hz holds "
+                "more samples than an array can index",
+            ),
+            (
+                ["slope", "--sweep-points", "1e20"],
+                "slope sweep needs 2 to 9223372036854775807 points, got 100000000000000000000",
+            ),
+            (
+                ["slope", "--sweep-points", "-1"],
+                "slope sweep needs 2 to 9223372036854775807 points, got -1",
+            ),
         ):
             assert cli.main(args) == 2
             assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("command", ["range", "sensitivity"])
     @pytest.mark.parametrize(
-        "flag,value", [("--sigma", "1e300"), ("--range-threshold", "1e-300")]
+        "flag,value",
+        [("--sigma", "1e294"), ("--sigma", "1e300"), ("--range-threshold", "1e-300")],
     )
     def test_usable_range_not_converged_exit_code(self, capsys, command, flag, value):
-        assert cli.main([command, flag, value]) == 4
+        # sensitivity finds the range first: at these sigmas its SNR terms
+        # would overflow with a RuntimeWarning before the exit-4 message.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([command, flag, value]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("numerical error: usable-range root find")
         assert captured.err.count("\n") == 1
 
     def test_apex_angle_too_small_exit_code(self, capsys):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert cli.main(["sensitivity", "--apex-angle", "1e-300"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: apex angle 1e-300 rad is too small: sin(gamma/2)**-2 overflows\n"
-        )
+        for value in ("1e-150", "1e-300"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert cli.main(["sensitivity", "--apex-angle", value]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: apex angle must lie in [1e-09, pi), got {value}\n"
 
     def test_photon_count_beyond_int64_exit_code(self, capsys):
         assert cli.main(["simulate", "--power", "1e200W", "--duration", "0.1s"]) == 2

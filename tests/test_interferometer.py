@@ -6,6 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
+from oracles import (
+    amplified_deflection_closed_form,
+    dark_port_grid,
+    dark_port_profile,
+    exact_dark_port_mean,
+    split_calibration_constant,
+    split_probability,
+    unamplified_deflection,
+)
 from wvfreq.dispersion import OpticalCarrier
 from wvfreq.errors import (
     DarkPortEmptyError,
@@ -19,18 +28,12 @@ from wvfreq.interferometer import (
     InterferometerState,
     amplification_factor,
     amplified_deflection,
-    amplified_deflection_closed_form,
-    dark_port_grid,
-    dark_port_profile,
     dark_port_split_calibration,
     dark_port_split_probability,
-    exact_dark_port_mean,
     phi_for_postselection,
     postselection_probability,
-    unamplified_deflection,
     weak_value_magnitude,
 )
-from wvfreq.noise import split_calibration_constant, split_probability
 
 SIGMA = 388e-6
 PHI_13PCT = 0.22853207394762412  # phase giving 1.3% postselection

@@ -2,18 +2,16 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
+from oracles import dark_port_grid, dark_port_profile, split_calibration_constant
 from wvfreq.config import ExperimentConfig, resolve
 from wvfreq.dispersion import OpticalCarrier
 from wvfreq.errors import NumericalError, ValidationError
-from wvfreq.interferometer import dark_port_grid, dark_port_profile
 from wvfreq.noise import (
-    PhotonBudget,
     SensitivityReport,
     ideal_sensitivity,
     measured_sensitivity,
     photon_number,
     shot_noise_snr,
-    split_calibration_constant,
     split_estimate,
     usable_range,
 )
@@ -46,13 +44,11 @@ class TestPhotonNumber:
             0.03 * photon_number(2e-3, carrier, 1.0), rel=1e-12
         )
 
-    def test_budget_dataclass(self, carrier):
-        budget = PhotonBudget(power=2e-3, carrier=carrier, integration_time=1.0)
-        assert budget.n_photons == photon_number(2e-3, carrier, 1.0)
-        with pytest.raises(ValidationError):
-            PhotonBudget(power=-1.0, carrier=carrier, integration_time=1.0)
-        with pytest.raises(ValidationError):
-            PhotonBudget(power=1e-3, carrier=carrier, integration_time=0.0)
+    def test_validation(self, carrier):
+        with pytest.raises(ValidationError, match="power"):
+            photon_number(-1.0, carrier, 1.0)
+        with pytest.raises(ValidationError, match="integration time"):
+            photon_number(1e-3, carrier, 0.0)
 
 
 class TestShotNoiseSnr:

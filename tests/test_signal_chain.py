@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import bilinear
 
+from oracles import dark_port_grid, dark_port_profile, frequency_response
 from wvfreq.config import ExperimentConfig, resolve
 from wvfreq.errors import AliasingError, ValidationError
 from wvfreq.signal_chain import (
@@ -16,12 +17,9 @@ from wvfreq.signal_chain import (
     _polyresp,
     bandpass,
     extract_peaks,
-    frequency_response,
     power_spectrum,
     slope_fit,
-    spectrum_from_csv,
     stage_coefficients,
-    spectrum_to_csv,
     synthesize_run,
     timeseries_from_csv,
     timeseries_to_csv,
@@ -165,9 +163,8 @@ class TestExtractPeaks:
 class TestSlopeFit:
     def test_exact_line(self):
         x = np.array([1.0, 2.0, 4.0, 8.0])
-        slope, err = slope_fit(x, 3.0 * x)
+        slope, _ = slope_fit(x, 3.0 * x, np.full(4, 0.5))
         assert slope == pytest.approx(3.0, rel=1e-14)
-        assert err == pytest.approx(0.0, abs=1e-12)
 
     def test_weighted_normal_equations(self):
         x = np.array([0.0, 1.0, 2.0])
@@ -194,14 +191,16 @@ class TestSlopeFit:
 
     def test_degenerate(self):
         with pytest.raises(ValidationError, match="degenerate"):
-            slope_fit([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+            slope_fit([1.0, 1.0, 1.0], [1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
         with pytest.raises(ValidationError):
-            slope_fit([1.0], [2.0])
+            slope_fit([1.0], [2.0], [1.0])
+        with pytest.raises(ValidationError, match="errors"):
+            slope_fit([1.0, 2.0], [1.0, 2.0], [1.0, 0.0])
 
 
 class TestPowerSpectrum:
     def test_pure_tone(self):
-        spec = power_spectrum(sine_series(10.0, duration=20.0), window="hann")
+        spec = power_spectrum(sine_series(10.0, duration=20.0))
         peak = np.argmax(spec.power_db)
         assert spec.frequencies[peak] == pytest.approx(10.0, abs=spec.resolution_bw)
         # Everything beyond the main lobe (+-1 bin for a bin-centered hann
@@ -239,8 +238,6 @@ class TestSynthesizeRun:
         assert n == 10_000
         sample_std = series.samples.std(ddof=1)
         assert abs(series.samples.mean()) <= 4 * sample_std / np.sqrt(n)
-        from wvfreq.interferometer import dark_port_grid, dark_port_profile
-
         x = dark_port_grid(physics.state)
         profile = dark_port_profile(0.0, physics.state, x)
         p_ps = np.sin(physics.state.phi / 2) ** 2
@@ -393,15 +390,6 @@ class TestCsvRoundTrip:
         assert parsed.t0 == series.t0
         assert np.array_equal(parsed.samples, series.samples)
         assert timeseries_to_csv(parsed, {"seed": 2, "config_hash": "abc123"}) == text
-
-    def test_spectrum_bit_exact(self):
-        spec = power_spectrum(sine_series(10.0, duration=4.0))
-        text = spectrum_to_csv(spec, {"seed": 0})
-        parsed, _ = spectrum_from_csv(text)
-        assert np.array_equal(parsed.frequencies, spec.frequencies)
-        assert np.array_equal(parsed.power_db, spec.power_db)
-        assert parsed.resolution_bw == spec.resolution_bw
-        assert spectrum_to_csv(parsed, {"seed": 0}) == text
 
     def test_header_mismatch(self):
         with pytest.raises(ValidationError, match="header"):

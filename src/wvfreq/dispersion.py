@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
 from .errors import (
     DomainError,
@@ -33,6 +32,7 @@ from .errors import (
     ValidationError,
 )
 
+SPEED_OF_LIGHT = 299792458.0  # m/s, exact SI value
 TWO_PI = 2.0 * np.pi
 PROBE_SHIFT = 1e6  # Hz: the two-point probe behind every local deflection slope
 MIN_APEX_ANGLE = 1e-9  # rad: the smallest prism, and the low end of the calibration bracket

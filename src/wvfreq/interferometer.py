@@ -45,8 +45,8 @@ class BeamProfile:
     carrier: OpticalCarrier
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValidationError(f"beam sigma must be positive, got {self.sigma}")
+        if not self.sigma >= self.carrier.wavelength:  # floor of the paraxial model
+            raise ValidationError(f"beam sigma must be >= the wavelength, got {self.sigma:g} m")
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,11 @@ position estimate; it is the one estimator every simulated record uses.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
-from scipy.constants import h as PLANCK
-from scipy.optimize import brentq
 
-from .dispersion import deflection_slope, dispersive_deflection, momentum_kick
+from .dispersion import SPEED_OF_LIGHT, deflection_slope, dispersive_deflection, momentum_kick
 from .errors import NumericalError, ValidationError
+
+PLANCK = 6.62607015e-34  # J s, exact SI value
 
 
 @dataclass(frozen=True)
@@ -120,8 +119,10 @@ def usable_range(carrier, sigma, prism, threshold=0.5):
     The kick grows monotonically with the offset under normal dispersion, so
     a bracketed root find on [0, validity edge] suffices. If even the edge
     of the Sellmeier window stays below threshold the result is clamped
-    there and flagged.
+    there and flagged. ``brentq`` is imported on the first call.
     """
+    from scipy.optimize import brentq
+
     if not 0.0 < threshold <= 1.0:
         raise ValidationError(f"threshold must lie in (0, 1], got {threshold}")
 

@@ -14,6 +14,8 @@ the center frequency on the digital grid, so the cascade attenuates a tone
 two octaves out by about 24 dB. Filtering is causal (lfilter), so the
 output carries the prototype's phase response: zero at the center
 frequency, approaching +90 deg per stage below and -90 deg per stage above.
+``lfilter`` is imported on the first filter call, so a request that never
+filters (``simulate``, ``spectrum``) does not load ``scipy.signal``.
 
 Determinism: all randomness flows through one generator seeded by the run
 seed and is drawn as whole-series calls in a fixed order, so a fixed seed
@@ -23,7 +25,6 @@ reproduces the output byte for byte in the same software environment.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import get_window, lfilter
 
 from .errors import AliasingError, ValidationError, WeakValueValidityError
 from .interferometer import (
@@ -139,6 +140,8 @@ def _polyresp(b, a, freq, sample_rate):
 
 def bandpass(series, spec):
     """Apply the stage cascade and gain to a series."""
+    from scipy.signal import lfilter
+
     b, a = stage_coefficients(spec, series.sample_rate)
     out = series.samples
     for _ in range(spec.stages):
@@ -284,6 +287,11 @@ def slope_fit(shifts, deflections, errors):
     return float(slope), float(np.sqrt(sw / denom))
 
 
+def hann_window(n):
+    """Periodic Hann window, bit-identical to get_window("hann", n) for n >= 2."""
+    return (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
+
+
 def power_spectrum(series, segments=1):
     """One-sided Hann-windowed periodogram, segment-averaged when ``segments`` > 1.
 
@@ -296,7 +304,7 @@ def power_spectrum(series, segments=1):
     if segments < 1 or n // segments < 16:
         raise ValidationError(f"cannot split {n} samples into {segments} segments")
     seg_len = n // segments
-    win = get_window("hann", seg_len)
+    win = hann_window(seg_len)
     coherent_gain = win.sum()
     power = np.zeros(seg_len // 2 + 1)
     for i in range(segments):

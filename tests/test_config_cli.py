@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -225,6 +226,15 @@ class TestCli:
                 ["slope", "--sweep-points", "-1"],
                 "slope sweep needs 2 to 9223372036854775807 points, got -1",
             ),
+            (
+                ["sensitivity", "--sigma", "1e-300"],
+                "beam sigma must be >= the wavelength, got 1e-300 m",
+            ),
+            (
+                ["sensitivity", "--sigma", "1e-9"],
+                "beam sigma must be >= the wavelength, got 1e-09 m",
+            ),
+            (["range", "--sigma", "1e-9"], "beam sigma must be >= the wavelength, got 1e-09 m"),
         ):
             assert cli.main(args) == 2
             assert capsys.readouterr().err == f"error: {message}\n"
@@ -419,3 +429,46 @@ class TestParserReuse:
             env={**os.environ, "PYTHONPATH": str(src)},
         ).stdout
         assert out == "0\n"
+
+
+# One process runs these steps in order and lists the scipy modules loaded
+# after each step: (step, modules that must be absent, modules that must be present).
+_IMPORT_SCRIPT = """
+import json, sys
+out = sys.argv[1]
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("scipy"))
+import wvfreq.cli as cli
+steps = [loaded()]
+assert cli.main(["simulate", "-o", out + "/raw.csv"]) == 0
+assert cli.main(["spectrum", "-o", out + "/spectrum.csv"]) == 0
+steps.append(loaded())
+assert cli.main(["range", "-o", out + "/range.csv"]) == 0
+steps.append(loaded())
+print(json.dumps(steps))
+"""
+_IMPORT_STEPS = (
+    (
+        "import wvfreq.cli",
+        {"scipy.signal", "scipy.optimize", "scipy.integrate", "scipy.constants"},
+        set(),
+    ),
+    ("simulate, spectrum", {"scipy.signal", "scipy.optimize"}, set()),
+    ("range", {"scipy.signal"}, {"scipy.optimize"}),
+)
+
+
+class TestLazyImports:
+    def test_each_request_loads_only_what_it_runs(self, tmp_path):
+        src = Path(cli.__file__).resolve().parent.parent
+        out = subprocess.run(
+            [sys.executable, "-c", _IMPORT_SCRIPT, str(tmp_path)],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        ).stdout
+        steps = json.loads(out)
+        assert len(steps) == len(_IMPORT_STEPS)
+        for loaded, (step, absent, present) in zip(steps, _IMPORT_STEPS):
+            assert absent.isdisjoint(loaded), step
+            assert present.issubset(loaded), step

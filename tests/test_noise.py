@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.constants
 from scipy.integrate import cumulative_trapezoid
 
 from oracles import dark_port_grid, dark_port_profile, split_calibration_constant
+from wvfreq import dispersion, noise
 from wvfreq.config import ExperimentConfig, resolve
 from wvfreq.dispersion import OpticalCarrier
 from wvfreq.errors import NumericalError, ValidationError
@@ -30,6 +32,12 @@ def carrier():
 
 
 class TestPhotonNumber:
+    def test_literal_constants_are_exact(self):
+        assert dispersion.SPEED_OF_LIGHT == scipy.constants.c
+        assert noise.PLANCK == scipy.constants.h
+        # noise takes c from dispersion rather than holding a second copy.
+        assert noise.SPEED_OF_LIGHT is dispersion.SPEED_OF_LIGHT
+
     def test_zero_power(self, carrier):
         assert photon_number(0.0, carrier, 1.0) == 0.0
 

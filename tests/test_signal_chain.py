@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.signal import bilinear
+from scipy.signal import bilinear, get_window
 
 from oracles import dark_port_grid, dark_port_profile, frequency_response
 from wvfreq.config import ExperimentConfig, resolve
@@ -17,6 +17,7 @@ from wvfreq.signal_chain import (
     _polyresp,
     bandpass,
     extract_peaks,
+    hann_window,
     power_spectrum,
     slope_fit,
     stage_coefficients,
@@ -220,6 +221,29 @@ class TestPowerSpectrum:
         averaged = power_spectrum(series, segments=16)
         band = lambda s: s.power_db[(s.frequencies > 100) & (s.frequencies < 400)]
         assert band(averaged).std() < band(single).std() / 2
+
+    @pytest.mark.parametrize("n", [16, 17, 512, 1000, 1024, 6250])
+    def test_hann_window_bit_exact(self, n):
+        assert np.array_equal(hann_window(n), get_window("hann", n))
+
+    def test_bit_exact_against_get_window_periodogram(self):
+        rng = np.random.default_rng(7)
+        series = TimeSeries(sample_rate=FS, samples=rng.normal(0, 1, 100_000))
+        segments = 16
+        spec = power_spectrum(series, segments=segments)
+        # The same periodogram, step for step, with scipy's window.
+        seg_len = series.samples.size // segments
+        win = get_window("hann", seg_len)
+        power = np.zeros(seg_len // 2 + 1)
+        for chunk in series.samples[: segments * seg_len].reshape(segments, seg_len):
+            power += np.abs(np.fft.rfft(chunk * win) / win.sum()) ** 2
+        power /= segments
+        power[1:] *= 2.0
+        power[-1] /= 2.0
+        ref = power.max()
+        assert spec.ref_power == ref
+        assert np.array_equal(spec.power_db, 10.0 * np.log10(power / ref))
+        assert spec.resolution_bw == FS * (win**2).sum() / win.sum() ** 2
 
     def test_rejects_empty_and_bad_segments(self):
         with pytest.raises(ValidationError):

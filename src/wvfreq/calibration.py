@@ -13,6 +13,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import ValidationError
+from .units import data_lines, finite_number
 
 _LINES_RESOURCE = "rb_d2_reference_lines.txt"
 
@@ -50,21 +51,14 @@ def load_reference_lines(path=None):
     comments. Frequencies are returned in Hz, and must be strictly ordered.
     """
     if path is None:
-        text = resources.files("wvfreq").joinpath("data", _LINES_RESOURCE).read_text()
-    else:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        path = resources.files("wvfreq").joinpath("data", _LINES_RESOURCE)
     lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields = [f.strip() for f in stripped.split(",")]
+    for where, line in data_lines(path):
+        fields = [f.strip() for f in line.split(",")]
         if len(fields) < 2:
-            raise ValidationError(f"reference record on line {lineno} needs name, MHz")
-        lines.append(
-            ReferenceLine(label=fields[0], relative_frequency=float(fields[1]) * 1e6)
-        )
+            raise ValidationError(f"{where}: reference record needs name, MHz")
+        mhz = finite_number(fields[1], where)
+        lines.append(ReferenceLine(label=fields[0], relative_frequency=mhz * 1e6))
     rel = [line.relative_frequency for line in lines]
     if any(b <= a for a, b in zip(rel, rel[1:])):
         raise ValidationError("reference lines must be strictly increasing in frequency")

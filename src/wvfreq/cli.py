@@ -9,6 +9,8 @@ import argparse
 import functools
 import sys
 
+import numpy as np
+
 from . import recipes
 from .config import CONFIG_FIELDS, ExperimentConfig, config_from_file, config_from_mapping
 from .errors import (
@@ -143,7 +145,9 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        # An overflow or 0/0 anywhere in a request ends it, rather than printing inf or nan.
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return _dispatch(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -152,6 +156,9 @@ def main(argv=None):
         return EXIT_PHYSICS
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except (FloatingPointError, OverflowError) as exc:  # a float result out of range
+        print(f"numerical error: {exc.args[-1]}", file=sys.stderr)
         return EXIT_NUMERICAL
     except SimulationError as exc:  # base-class fallback
         print(f"error: {exc}", file=sys.stderr)

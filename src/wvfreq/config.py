@@ -17,7 +17,8 @@ import numpy as np
 
 from . import dispersion, interferometer
 from .errors import ValidationError
-from .units import fmt, parse_quantity
+from .signal_chain import FilterSpec, NoiseExtensions
+from .units import data_lines, fmt, parse_quantity
 
 # field name -> (dimension for the unit parser, help text)
 CONFIG_FIELDS = {
@@ -58,6 +59,21 @@ CONFIG_FIELDS = {
 # Exactly one member of each pair is set; supplying one clears the other.
 _EXCLUSIVE_PAIRS = (("phi", "postselection"), ("apex_angle", "unamplified_slope"))
 
+_INTP_MAX = int(np.iinfo(np.intp).max)
+# The fields that no object built by resolve() checks: name -> (test, the rule it states).
+_FIELD_RULES = {
+    "mod_frequency": (lambda v: v > 0, "positive"),
+    "sample_rate": (lambda v: v > 0, "positive"),
+    "seed": (lambda v: v >= 0, ">= 0"),
+    # The per-point error is the spread of the per-cycle peaks.
+    "n_cycles": (lambda v: v >= 2, ">= 2"),
+    "settle_cycles": (lambda v: v >= 0, ">= 0"),
+    # Sweep points are sine amplitudes; the line fit needs two, linspace an intp count.
+    "sweep_min": (lambda v: v >= 0, ">= 0"),
+    "sweep_max": (lambda v: v >= 0, ">= 0"),
+    "sweep_points": (lambda v: 2 <= v <= _INTP_MAX, f"in [2, {_INTP_MAX}]"),
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -97,20 +113,10 @@ class ExperimentConfig:
                 raise ValidationError(f"supply only one of {first!r} and {second!r}")
             if not given:
                 raise ValidationError(f"one of {first!r} or {second!r} is required")
-        if not self.mod_frequency > 0:
-            raise ValidationError(f"mod_frequency must be positive, got {self.mod_frequency}")
-        if not self.sample_rate > 0:
-            raise ValidationError(f"sample_rate must be positive, got {self.sample_rate}")
-        if not self.filter_gain > 0:
-            # Sweep points divide the filtered peaks by the gain.
-            raise ValidationError(f"filter_gain must be positive, got {self.filter_gain}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if self.n_cycles < 2:
-            # The per-point error is the spread of the per-cycle peaks.
-            raise ValidationError(f"n_cycles must be >= 2, got {self.n_cycles}")
-        if self.settle_cycles < 0:
-            raise ValidationError(f"settle_cycles must be >= 0, got {self.settle_cycles}")
+        for name, (allowed, rule) in _FIELD_RULES.items():
+            value = getattr(self, name)
+            if not allowed(value):
+                raise ValidationError(f"{name} must be {rule}, got {value}")
 
     def sweep_shifts(self):
         return np.linspace(self.sweep_min, self.sweep_max, self.sweep_points)
@@ -152,15 +158,11 @@ def config_from_mapping(mapping, base=None):
 def config_from_file(path, base=None):
     """Parse a flat ``key = value`` config file."""
     mapping = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            mapping[key.strip()] = value.strip()
+    for where, line in data_lines(path):
+        if "=" not in line:
+            raise ValidationError(f"{where}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        mapping[key.strip()] = value.strip()
     return config_from_mapping(mapping, base=base)
 
 
@@ -173,6 +175,8 @@ class ResolvedPhysics:
     material: dispersion.SellmeierModel
     prism: dispersion.Prism
     state: interferometer.InterferometerState
+    filter_spec: FilterSpec
+    extensions: NoiseExtensions
 
     def kick_of_shift(self, frequency_shift):
         """Transverse momentum kick (rad/m) for a carrier frequency shift."""
@@ -191,7 +195,7 @@ class ResolvedPhysics:
 
 
 def resolve(config):
-    """Materialize carrier, prism and interferometer state from a config."""
+    """Materialize the physical, filter and noise objects; each checks its config fields."""
     carrier = dispersion.OpticalCarrier(wavelength=config.wavelength)
     material = dispersion.get_material(config.material)
 
@@ -213,7 +217,9 @@ def resolve(config):
         phi=phi, path_length=config.path_length, beam=beam
     )
     return ResolvedPhysics(
-        config=config, carrier=carrier, material=material, prism=prism, state=state
+        config=config, carrier=carrier, material=material, prism=prism, state=state,
+        filter_spec=FilterSpec(config.filter_center, config.filter_stages, config.filter_gain),
+        extensions=NoiseExtensions(config.electronic_noise, config.dark_count_rate),
     )
 
 

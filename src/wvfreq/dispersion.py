@@ -31,6 +31,7 @@ from .errors import (
     UnreachableSlopeError,
     ValidationError,
 )
+from .units import data_lines, finite_number
 
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact SI value
 TWO_PI = 2.0 * np.pi
@@ -98,19 +99,14 @@ def load_material_catalog():
     ``name, b1, b2, b3, c1_um2, c2_um2, c3_um2, min_um, max_um`` with '#'
     comment lines.
     """
-    text = resources.files("wvfreq").joinpath("data", _CATALOG_RESOURCE).read_text()
+    path = resources.files("wvfreq").joinpath("data", _CATALOG_RESOURCE)
     catalog = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for where, line in data_lines(path):
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != 9:
-            raise ValidationError(
-                f"material record on line {lineno} has {len(fields)} fields, expected 9"
-            )
+            raise ValidationError(f"{where}: material record has {len(fields)} fields, expected 9")
         name = fields[0]
-        values = [float(f) for f in fields[1:]]
+        values = [finite_number(f, where) for f in fields[1:]]
         catalog[name] = SellmeierModel(
             name=name,
             b=tuple(values[0:3]),

@@ -16,7 +16,7 @@ from .calibration import (
     propagate_calibration_error,
 )
 from .config import resolve, resolved_metadata
-from .errors import SimulationError, ValidationError
+from .errors import SimulationError
 from .interferometer import amplification_factor
 from .noise import (
     ideal_sensitivity,
@@ -27,9 +27,7 @@ from .noise import (
     SensitivityReport,
 )
 from .signal_chain import (
-    FilterSpec,
     ModulationConfig,
-    NoiseExtensions,
     bandpass,
     extract_peaks,
     power_spectrum,
@@ -37,15 +35,7 @@ from .signal_chain import (
     synthesize_run,
     timeseries_to_csv,
 )
-from .units import csv_text, fmt
-
-
-def _filter_spec(config):
-    return FilterSpec(
-        center=config.filter_center,
-        stages=config.filter_stages,
-        gain=config.filter_gain,
-    )
+from .units import csv_text, data_lines, finite_number, fmt
 
 
 def _synthesize(physics, dnu_peak, duration, seed):
@@ -59,9 +49,7 @@ def _synthesize(physics, dnu_peak, duration, seed):
         physics.n_photons_per_sample(),
         seed,
         modulation=ModulationConfig(mod_frequency=cfg.mod_frequency, amplitude=dnu_peak),
-        extensions=NoiseExtensions(
-            electronic_noise=cfg.electronic_noise, dark_count_rate=cfg.dark_count_rate
-        ),
+        extensions=physics.extensions,
     )
 
 
@@ -70,7 +58,7 @@ def _measure_point(physics, dnu_peak, seed):
     cfg = physics.config
     cycle = 1.0 / cfg.mod_frequency
     raw = _synthesize(physics, dnu_peak, (cfg.n_cycles + cfg.settle_cycles) * cycle, seed)
-    spec = _filter_spec(cfg)
+    spec = physics.filter_spec
     filtered = bandpass(raw, spec)
     mean, std_of_mean = extract_peaks(filtered, cycle, cfg.n_cycles)
     return mean / spec.gain, std_of_mean / spec.gain
@@ -89,10 +77,6 @@ class SlopeSweepResult:
 
 def run_slope_sweep(config):
     """Modulation-amplitude sweep with a weighted linear fit (deflection slope)."""
-    if not 2 <= config.sweep_points <= np.iinfo(np.intp).max:
-        raise ValidationError(
-            f"slope sweep needs 2 to {np.iinfo(np.intp).max} points, got {config.sweep_points}"
-        )
     physics = resolve(config)
     shifts = config.sweep_shifts()
     deflections = np.empty(shifts.size)
@@ -153,8 +137,6 @@ def run_sensitivity(config):
     """Ideal and scaled sensitivities, SNR at the minimum sweep point, range."""
     physics = resolve(config)
     cfg = config
-    if cfg.power <= 0:
-        raise ValidationError("zero optical power: sensitivity is unreachable")
     # The range first: a sigma too wide for its root find would overflow the SNR terms.
     span = usable_range(physics.carrier, cfg.sigma, physics.prism, cfg.range_threshold)
     ideal = ideal_sensitivity(cfg.power, physics.carrier, cfg.sigma, physics.prism)
@@ -224,21 +206,9 @@ def run_simulate(config, dnu_peak, duration):
 
 def run_calibrate(positions_path, references_path=None, probe_value=None):
     """Fit a scan calibration from a positions file and a reference table."""
-    positions = []
-    with open(positions_path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                field = line.split(",")[0]
-                try:
-                    value = float(field)
-                except ValueError:
-                    value = np.nan
-                if not np.isfinite(value):
-                    raise ValidationError(
-                        f"{positions_path}:{lineno}: not a finite number: {field!r}"
-                    )
-                positions.append(value)
+    positions = [
+        finite_number(line.split(",")[0], where) for where, line in data_lines(positions_path)
+    ]
     references = load_reference_lines(references_path)
     calibration = fit_scan_calibration(positions, references)
     lines = [

@@ -37,6 +37,8 @@ from .noise import split_estimate
 from .units import csv_columns, csv_text
 
 STAGE_Q = 1.0  # first-order prototype: bandwidth = center frequency
+# The largest mean numpy's Poisson draw accepts: 10 standard deviations below int64's limit.
+POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass
@@ -84,9 +86,12 @@ class FilterSpec:
 
     def __post_init__(self):
         if not self.center > 0:
-            raise ValidationError(f"center frequency must be positive, got {self.center}")
+            raise ValidationError(f"filter_center must be positive, got {self.center}")
         if self.stages < 1:
-            raise ValidationError(f"need at least one stage, got {self.stages}")
+            raise ValidationError(f"filter_stages must be >= 1, got {self.stages}")
+        if not self.gain > 0:
+            # Sweep points divide the filtered peaks by the gain.
+            raise ValidationError(f"filter_gain must be positive, got {self.gain}")
 
 
 @dataclass
@@ -107,8 +112,9 @@ class NoiseExtensions:
     dark_count_rate: float = 0.0  # detector dark counts, Hz
 
     def __post_init__(self):
-        if self.electronic_noise < 0 or self.dark_count_rate < 0:
-            raise ValidationError("noise extension parameters must be >= 0")
+        for name in ("electronic_noise", "dark_count_rate"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 def stage_coefficients(spec, sample_rate):
@@ -203,6 +209,12 @@ def synthesize_run(
     n_samples = int(round(duration * sample_rate))
     if n_samples < 1:
         raise ValidationError(f"a {duration} s record at {sample_rate} Hz holds no sample")
+    dark_mean = extensions.dark_count_rate / sample_rate
+    if dark_mean > 0.0 and n_detected + dark_mean > POISSON_MEAN_MAX:
+        # The photon and dark counts are summed in int64 too.
+        raise ValidationError(
+            f"{dark_mean:.3g} dark counts per sample exceed the Poisson draw's int64 range"
+        )
     t = np.arange(n_samples) / sample_rate
     dnu = dnu_peak * np.sin(2.0 * np.pi * mod_frequency * t)
     kick = physics.kick_of_shift(dnu)
@@ -221,7 +233,7 @@ def synthesize_run(
     n_right = rng.binomial(n_detected, p_right)
     total = np.full(n_samples, float(n_detected))
     if extensions.dark_count_rate > 0.0:
-        dark = rng.poisson(extensions.dark_count_rate / sample_rate, n_samples)
+        dark = rng.poisson(dark_mean, n_samples)
         n_right = n_right + rng.binomial(dark, 0.5)
         total = total + dark
     estimates = split_estimate(n_right, total, calibration)
@@ -237,7 +249,7 @@ def extract_peaks(series, cycle_period, n_cycles):
     settling at the start of the record.
     """
     per_cycle = cycle_period * series.sample_rate
-    if abs(per_cycle - round(per_cycle)) > 1e-6:
+    if not per_cycle >= 1 or abs(per_cycle - round(per_cycle)) > 1e-6:
         raise ValidationError(
             f"cycle period {cycle_period} s is not a whole number of samples "
             f"at {series.sample_rate} Hz"

@@ -8,10 +8,13 @@ through unchanged.
 Every CSV the package writes is ``# key = value`` metadata lines, one
 column line and numeric rows; ``csv_text`` writes that layout and
 ``csv_columns`` reads it back, both a block or a whole body at a time
-rather than row by row.
+rather than row by row. The line-oriented data files (config files,
+positions, reference lines, the Sellmeier catalog) are read by
+``data_lines``, and their numbers parsed by ``finite_number``.
 """
 
 import re
+from pathlib import Path
 
 import numpy as np
 
@@ -82,6 +85,35 @@ def parse_quantity(text, dimension=None):
 def _finite(value, text):
     if not np.isfinite(value):
         raise ValidationError(f"quantity {text!r} is not finite")
+    return value
+
+
+def data_lines(source):
+    """``(where, line)`` for each line of a UTF-8 text file, a path or a packaged
+    resource, that is neither blank nor a '#' comment. ``where`` is
+    ``source:lineno``, the prefix of any message about that line."""
+    if not hasattr(source, "read_bytes"):
+        source = Path(source)
+    try:
+        text = source.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{source}: not UTF-8 text (byte {exc.start})") from None
+    records = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            records.append((f"{source}:{lineno}", line))
+    return records
+
+
+def finite_number(text, where):
+    """``float(text)``, refused with a ``where``-prefixed message unless finite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise ValidationError(f"{where}: not a finite number: {text!r}")
     return value
 
 

@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from wvfreq import cli
+from wvfreq import cli, recipes
 from wvfreq.config import (
     ExperimentConfig,
     config_from_file,
@@ -220,11 +220,11 @@ class TestCli:
             ),
             (
                 ["slope", "--sweep-points", "1e20"],
-                "slope sweep needs 2 to 9223372036854775807 points, got 100000000000000000000",
+                "sweep_points must be in [2, 9223372036854775807], got 100000000000000000000",
             ),
             (
                 ["slope", "--sweep-points", "-1"],
-                "slope sweep needs 2 to 9223372036854775807 points, got -1",
+                "sweep_points must be in [2, 9223372036854775807], got -1",
             ),
             (
                 ["sensitivity", "--sigma", "1e-300"],
@@ -238,6 +238,53 @@ class TestCli:
         ):
             assert cli.main(args) == 2
             assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["slope", "range"])
+    @pytest.mark.parametrize(
+        "flag,message",
+        [
+            ("--filter-stages=0", "filter_stages must be >= 1, got 0"),
+            ("--filter-center=0Hz", "filter_center must be positive, got 0.0"),
+            ("--electronic-noise=-1m", "electronic_noise must be >= 0, got -1.0"),
+            ("--dark-count-rate=-1Hz", "dark_count_rate must be >= 0, got -1.0"),
+            ("--sweep-points=1", "sweep_points must be in [2, 9223372036854775807], got 1"),
+            ("--sweep-max=-1MHz", "sweep_max must be >= 0, got -1000000.0"),
+        ],
+    )
+    def test_config_refused_before_any_record(self, capsys, command, flag, message):
+        # Every subcommand refuses the field by name before a record is drawn.
+        with mock.patch.object(recipes, "synthesize_run", side_effect=AssertionError) as draw:
+            assert cli.main([command, flag]) == 2
+        assert draw.call_count == 0
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["slope", "--electronic-noise=1e200m"],
+            ["slope", "--filter-gain=1e300"],
+            ["simulate", "--duration", "0.1s", "--background-fraction=1e300"],
+            ["slope", "--filter-center=1e-30"],
+            ["simulate", "--sigma=1e300"],  # a Python float overflow, not a numpy one
+        ],
+    )
+    def test_float_overflow_exit_code(self, tmp_path, capsys, args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(args + ["-o", str(tmp_path / "x.csv")]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical error: ")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command", ["slope", "spectrum", "simulate"])
+    def test_dark_count_mean_beyond_poisson_range_exit_code(self, tmp_path, capsys, command):
+        assert cli.main([command, "--dark-count-rate=1e30Hz", "-o", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.endswith("1e+27 dark counts per sample exceed the Poisson draw's int64 range\n")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["range", "sensitivity"])
     @pytest.mark.parametrize(
@@ -298,7 +345,7 @@ class TestCli:
 
     def test_zero_power_exit_codes(self, tmp_path, capsys):
         assert cli.main(["sensitivity", "--power", "0W"]) == 2
-        assert "unreachable" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: zero photon budget: sensitivity is unbounded\n"
         args = ["spectrum", "--power", "0W", "--spectrum-duration", "1s",
                 "--spectrum-segments", "1", "-o", str(tmp_path / "x.csv")]
         assert cli.main(args) == 2
@@ -332,6 +379,31 @@ class TestCli:
         assert cli.main(["calibrate", str(pos_file)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {pos_file}:3: not a finite number: {bad!r}\n"
+
+    @pytest.mark.parametrize("bad", ["x", "nan", "inf", "1e999"])
+    def test_calibrate_non_numeric_reference(self, tmp_path, capsys, bad):
+        refs = tmp_path / "refs.txt"
+        refs.write_text(f"# name, MHz\na, 0.0\nb, {bad}, note\nc, 20.0\n")
+        pos_file = tmp_path / "positions.txt"
+        pos_file.write_text("1.0\n2.0\n3.0\n")
+        assert cli.main(["calibrate", str(pos_file), "--references", str(refs)]) == 2
+        assert capsys.readouterr().err == f"error: {refs}:3: not a finite number: {bad!r}\n"
+
+    @pytest.mark.parametrize("role", ["config", "positions", "references"])
+    def test_input_file_not_utf8(self, tmp_path, capsys, role):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"# \xff\xfe\n1.0\n")
+        pos_file = tmp_path / "positions.txt"
+        pos_file.write_text("1.0\n2.0\n3.0\n")
+        argv = {
+            "config": ["sensitivity", "--config", str(bad)],
+            "positions": ["calibrate", str(bad)],
+            "references": ["calibrate", str(pos_file), "--references", str(bad)],
+        }[role]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}: not UTF-8 text (byte 2)\n"
 
     def test_calibrate_duplicate_positions(self, tmp_path, capsys):
         pos_file = tmp_path / "positions.txt"

@@ -10,6 +10,7 @@ from oracles import dark_port_grid, dark_port_profile, frequency_response
 from wvfreq.config import ExperimentConfig, resolve
 from wvfreq.errors import AliasingError, ValidationError
 from wvfreq.signal_chain import (
+    POISSON_MEAN_MAX,
     STAGE_Q,
     FilterSpec,
     NoiseExtensions,
@@ -120,8 +121,14 @@ class TestBandpass:
             bandpass(TimeSeries(sample_rate=100.0, samples=np.zeros(64)), FilterSpec())
 
     def test_spec_validation(self):
-        with pytest.raises(ValidationError):
-            FilterSpec(center=-1.0)
+        for kwargs, message in (
+            ({"center": -1.0}, "filter_center must be positive, got -1.0"),
+            ({"stages": 0}, "filter_stages must be >= 1, got 0"),
+            ({"gain": 0.0}, "filter_gain must be positive, got 0.0"),
+        ):
+            with pytest.raises(ValidationError) as info:
+                FilterSpec(**kwargs)
+            assert str(info.value) == message
 
 
 class TestExtractPeaks:
@@ -149,6 +156,13 @@ class TestExtractPeaks:
         series = sine_series(10.0, duration=1.0)
         with pytest.raises(ValidationError, match="complete cycles"):
             extract_peaks(series, 0.1, 25)
+
+    @pytest.mark.parametrize("cycle_period", [1e-20, 1e-3 / 3, 0.0])
+    def test_cycle_not_a_whole_number_of_samples(self, cycle_period):
+        # 1e-20 s holds 1e-17 samples, which rounds to a whole zero.
+        series = sine_series(10.0, duration=1.0)
+        with pytest.raises(ValidationError, match="not a whole number of samples"):
+            extract_peaks(series, cycle_period, 2)
 
     def test_std_of_mean_scaling(self):
         rng = np.random.default_rng(5)
@@ -297,6 +311,21 @@ class TestSynthesizeRun:
     def test_photon_count_beyond_int64(self, physics):
         with pytest.raises(ValidationError, match="int64"):
             synthesize_run(1e6, 0.1, FS, physics, 1e30, 0)
+
+    def test_dark_count_mean_beyond_poisson_range(self, physics):
+        n_per_sample = physics.n_photons_per_sample()
+        n_detected = round(0.013 * n_per_sample)
+        largest = (POISSON_MEAN_MAX - n_detected) * FS
+        ok = synthesize_run(
+            0.0, 0.1, FS, physics, n_per_sample, 0,
+            extensions=NoiseExtensions(dark_count_rate=largest * (1 - 1e-9)),
+        )
+        assert np.all(np.isfinite(ok.samples))
+        with pytest.raises(ValidationError, match="exceed the Poisson draw's int64 range"):
+            synthesize_run(
+                0.0, 0.1, FS, physics, n_per_sample, 0,
+                extensions=NoiseExtensions(dark_count_rate=largest * (1 + 1e-9)),
+            )
 
     def test_kick_bound_names_offender(self, physics):
         from wvfreq.errors import WeakValueValidityError

@@ -31,7 +31,9 @@ from .signal_chain import (
     bandpass,
     extract_peaks,
     power_spectrum,
+    samples_per_cycle,
     slope_fit,
+    stage_coefficients,
     synthesize_run,
     timeseries_to_csv,
 )
@@ -78,6 +80,9 @@ class SlopeSweepResult:
 def run_slope_sweep(config):
     """Modulation-amplitude sweep with a weighted linear fit (deflection slope)."""
     physics = resolve(config)
+    # The chain's config-only checks run once, before any record is drawn.
+    stage_coefficients(physics.filter_spec, config.sample_rate)
+    samples_per_cycle(1.0 / config.mod_frequency, config.sample_rate)
     shifts = config.sweep_shifts()
     deflections = np.empty(shifts.size)
     errors = np.empty(shifts.size)

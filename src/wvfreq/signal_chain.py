@@ -242,19 +242,24 @@ def synthesize_run(
     return TimeSeries(sample_rate=sample_rate, samples=estimates)
 
 
+def samples_per_cycle(cycle_period, sample_rate):
+    """Number of samples in one cycle; refuses a cycle that is not a whole number."""
+    per_cycle = cycle_period * sample_rate
+    if not per_cycle >= 1 or abs(per_cycle - round(per_cycle)) > 1e-6:
+        raise ValidationError(
+            f"cycle period {cycle_period} s is not a whole number of samples "
+            f"at {sample_rate} Hz"
+        )
+    return int(round(per_cycle))
+
+
 def extract_peaks(series, cycle_period, n_cycles):
     """Mean and standard deviation of the mean of per-cycle signal maxima.
 
     Uses the final ``n_cycles`` complete cycles, which discards filter
     settling at the start of the record.
     """
-    per_cycle = cycle_period * series.sample_rate
-    if not per_cycle >= 1 or abs(per_cycle - round(per_cycle)) > 1e-6:
-        raise ValidationError(
-            f"cycle period {cycle_period} s is not a whole number of samples "
-            f"at {series.sample_rate} Hz"
-        )
-    per_cycle = int(round(per_cycle))
+    per_cycle = samples_per_cycle(cycle_period, series.sample_rate)
     available = series.samples.size // per_cycle
     if available < n_cycles:
         raise ValidationError(

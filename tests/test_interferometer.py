@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
+from scipy.special import dawsn
 
 from oracles import (
     amplified_deflection_closed_form,
@@ -15,6 +16,7 @@ from oracles import (
     split_probability,
     unamplified_deflection,
 )
+from wvfreq import interferometer
 from wvfreq.dispersion import OpticalCarrier
 from wvfreq.errors import (
     DarkPortEmptyError,
@@ -24,6 +26,7 @@ from wvfreq.errors import (
     WeakValueValidityError,
 )
 from wvfreq.interferometer import (
+    KICK_SIGMA_LIMIT,
     BeamProfile,
     InterferometerState,
     amplification_factor,
@@ -274,6 +277,44 @@ class TestExactDarkPortMean:
             ratio = exact_dark_port_mean(k, state) / amplified_deflection(k, state)
             bound = 1.01 * k_sigma**2 / np.sin(phi / 2) ** 2 + 1e-9
             assert abs(ratio - 1) <= bound
+
+
+class TestDawson:
+    """The numpy Dawson series against scipy's ``dawsn`` as the oracle."""
+
+    X_MAX = 0.7072  # just above sqrt(2) * KICK_SIGMA_LIMIT
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-12, 1e-9, 1e-8, 1e-7, 1e-6])
+    def test_bitwise_equal_to_scipy_at_the_operating_point(self, scale):
+        # |x| <= 1e-6 covers sqrt(2) k sigma at the published point (~1.1e-6
+        # at 7.4 MHz); the scales cover both the one- and two-term series.
+        x = scale * np.random.default_rng(7).uniform(-1.0, 1.0, 100_000)
+        x = np.concatenate([x, [0.0, -0.0, scale, -scale]])
+        assert np.array_equal(interferometer._dawson(x), dawsn(x))
+
+    def test_matches_scipy_over_the_kernel_range(self):
+        x = np.linspace(-self.X_MAX, self.X_MAX, 200_001)
+        np.testing.assert_allclose(interferometer._dawson(x), dawsn(x), rtol=1e-13, atol=0)
+        for xi in x[::997]:  # one point at a time picks its own term count
+            assert interferometer._dawson(xi) == pytest.approx(dawsn(xi), rel=1e-13, abs=0)
+
+    def test_exactly_odd(self):
+        x = np.linspace(0.0, self.X_MAX, 10_001)
+        assert np.array_equal(interferometer._dawson(-x), -interferometer._dawson(x))
+
+    def test_term_count(self):
+        # 2 terms at the operating point, at most 15 over the kernel's range.
+        bounds = interferometer._DAWSON_X2_BOUNDS
+        assert np.searchsorted(bounds, (1.2e-6) ** 2) + 1 == 2
+        assert np.searchsorted(bounds, 2.0 * KICK_SIGMA_LIMIT**2) + 1 == 15
+
+    def test_kernel_refuses_beyond_the_series_range(self):
+        state = make_state()
+        at_limit = dark_port_split_probability(KICK_SIGMA_LIMIT / SIGMA, state)
+        assert 0.5 < at_limit < 1.0
+        for ks in (np.nextafter(KICK_SIGMA_LIMIT, 1.0), 0.6, 1e300, np.inf, np.nan):
+            with pytest.raises(WeakValueValidityError, match="range of the dark-port kernel"):
+                dark_port_split_probability(np.array([0.0, -ks]) / SIGMA, state)
 
 
 class TestSplitProbabilityKernel:

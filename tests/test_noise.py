@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.constants
 from scipy.integrate import cumulative_trapezoid
+from scipy.optimize import brentq
 
 from oracles import dark_port_grid, dark_port_profile, split_calibration_constant
 from wvfreq import dispersion, noise
@@ -133,7 +136,57 @@ class TestSensitivities:
             )
 
 
+def usable_range_root_finds():
+    """(cfg, physics, excess, edge) of the usable-range root find on a grid of
+    288 configs: 2 materials x 3 wavelengths x 4 sigmas x 4 thresholds x 3
+    path lengths. Configs whose kick stays below threshold up to the edge are
+    skipped."""
+    grid = itertools.product(
+        ("fused_silica", "bk7"),
+        (633e-9, 780e-9, 1550e-9),
+        (0.1e-3, 0.388e-3, 1e-3, 5e-3),
+        (0.05, 0.2, 0.5, 1.0),
+        (0.05, 0.27, 2.0),
+    )
+    for material, wavelength, sigma, threshold, path_length in grid:
+        cfg = ExperimentConfig(
+            material=material, wavelength=wavelength, sigma=sigma,
+            range_threshold=threshold, path_length=path_length,
+        )
+        physics = resolve(cfg)
+
+        def excess(dnu, physics=physics, sigma=sigma, threshold=threshold):
+            carrier = physics.carrier
+            delta = dispersion.dispersive_deflection(physics.prism, carrier.wavelength, dnu)
+            return dispersion.momentum_kick(delta, carrier) * sigma - threshold
+
+        edge = dispersion.SPEED_OF_LIGHT / physics.material.valid_range[0]
+        edge = (edge - physics.carrier.frequency) * (1.0 - 1e-12)
+        if excess(edge) >= 0.0:
+            yield cfg, physics, excess, edge
+
+
 class TestUsableRange:
+    def test_brent_port_matches_scipy(self):
+        # Same root, flag and iteration count as scipy's brentq at its default
+        # cap, and the same root as usable_range at ROOT_FIND_MAXITER.
+        unconverged = compared = 0
+        for cfg, physics, excess, edge in usable_range_root_finds():
+            root, result = brentq(
+                excess, 0.0, edge, xtol=1e-3, rtol=1e-12, full_output=True, disp=False
+            )
+            port = noise._brentq(excess, 0.0, edge, xtol=1e-3, rtol=1e-12, maxiter=100)
+            assert port == (root, result.converged, result.iterations), cfg
+            unconverged += not result.converged
+            full = brentq(
+                excess, 0.0, edge, xtol=1e-3, rtol=1e-12, maxiter=noise.ROOT_FIND_MAXITER
+            )
+            span = usable_range(physics.carrier, cfg.sigma, physics.prism, cfg.range_threshold)
+            assert span == noise.UsableRange(frequency_span=full, clamped=False), cfg
+            compared += 1
+        assert compared > 250
+        assert unconverged >= 1  # the non-converged path is compared too
+
     def test_published_range(self, physics, carrier):
         span = usable_range(carrier, SIGMA, physics.prism, threshold=0.5)
         assert not span.clamped
@@ -160,9 +213,21 @@ class TestUsableRange:
         ]
         assert spans[0] < spans[1] < spans[2]
 
-    @pytest.mark.parametrize("sigma,threshold", [(1e300, 0.5), (SIGMA, 1e-300)])
-    def test_root_find_not_converged(self, physics, carrier, sigma, threshold):
-        with pytest.raises(NumericalError, match="did not converge"):
+    def test_root_find_not_converged(self, monkeypatch):
+        # This config needs 110 iterations, 10 more than scipy's default cap.
+        cfg = ExperimentConfig(sigma=5e-3, range_threshold=0.2, path_length=0.05)
+        physics = resolve(cfg)
+        span = usable_range(physics.carrier, cfg.sigma, physics.prism, cfg.range_threshold)
+        assert span.frequency_span == pytest.approx(2.728e10, rel=1e-3)
+        monkeypatch.setattr(noise, "ROOT_FIND_MAXITER", 100)
+        with pytest.raises(NumericalError, match="did not converge in 100 iterations"):
+            usable_range(physics.carrier, cfg.sigma, physics.prism, cfg.range_threshold)
+
+    @pytest.mark.parametrize("sigma,threshold", [(1e300, 0.5), (1e10, 0.5), (SIGMA, 1e-300)])
+    def test_root_below_frequency_resolution(self, physics, carrier, sigma, threshold):
+        # The true root lies far below the few-Hz step at which the Sellmeier
+        # index difference leaves zero, so the bracket closes on that step.
+        with pytest.raises(NumericalError, match="below the dispersion model's frequency"):
             usable_range(carrier, sigma, physics.prism, threshold=threshold)
 
     def test_clamped_at_validity_edge(self, physics, carrier):

@@ -144,6 +144,23 @@ def sellmeier_index(model, wavelength):
     return float(n) if np.isscalar(wavelength) else n
 
 
+def index_step_frequency(model, wavelength, n0, dn):
+    """Frequency offset at which the index rises from n0 = n(wavelength) to n0 + dn.
+
+    With u = (lambda / wavelength)^2 - 1 and c'_i = c_i / wavelength^2, the
+    Sellmeier sum gives n^2 - n0^2 = -u sum_i b_i c'_i / ((1 - c'_i)(1 - c'_i + u)),
+    a cubic in u. n falls strictly with lambda between the UV and IR poles,
+    so one root lies in the window; the other two lie beyond a pole, further
+    from u = 0. Solving for u, not lambda^2, keeps its precision at small dn.
+    """
+    c = np.asarray(model.c) / wavelength**2
+    cubic = dn * (2.0 * n0 + dn) * np.poly(c - 1.0)
+    for i, weight in enumerate(np.asarray(model.b) * c / (1.0 - c)):
+        cubic[:3] += weight * np.poly(np.delete(c - 1.0, i))
+    u = min(np.roots(cubic), key=abs).real
+    return SPEED_OF_LIGHT / wavelength * np.expm1(-0.5 * np.log1p(u))
+
+
 def min_deviation_angle(prism, wavelength):
     """Total deviation theta = 2*asin(n*sin(gamma/2)) - gamma at minimum deviation."""
     n = sellmeier_index(prism.material, wavelength)
@@ -157,7 +174,7 @@ def min_deviation_angle(prism, wavelength):
     return float(theta) if np.isscalar(wavelength) else theta
 
 
-def _deflection_denominator(prism, n):
+def deflection_denominator(prism, n):
     radicand = float(np.sin(prism.apex_angle / 2.0)) ** -2 - n**2
     if np.any(radicand <= 0.0):
         raise GrazingIncidenceError(
@@ -178,7 +195,7 @@ def dispersive_deflection(prism, wavelength, frequency_shift):
     nu0 = SPEED_OF_LIGHT / wavelength
     n0 = sellmeier_index(prism.material, wavelength)
     n_shifted = sellmeier_index(prism.material, SPEED_OF_LIGHT / (nu0 + dnu))
-    delta = 2.0 * (n_shifted - n0) / _deflection_denominator(prism, n0)
+    delta = 2.0 * (n_shifted - n0) / deflection_denominator(prism, n0)
     return float(delta) if np.isscalar(frequency_shift) else delta
 
 
@@ -211,7 +228,7 @@ def calibrate_apex_angle(target_slope, path_length, carrier, material):
 
     def forward(gamma):  # path_length * deflection_slope(...)
         prism = Prism(apex_angle=gamma, material=material)
-        return path_length * (2.0 * dn / _deflection_denominator(prism, n0)) / PROBE_SHIFT
+        return path_length * (2.0 * dn / deflection_denominator(prism, n0)) / PROBE_SHIFT
 
     lo, hi = MIN_APEX_ANGLE, gamma_max * (1.0 - 1e-12)
     f_lo, f_hi = forward(lo), forward(hi)

@@ -14,21 +14,25 @@ A split detector uses only the side of each hit, so its left/right counts
 are binomial with the probability ``p_right`` of landing at x > 0.
 ``split_estimate`` turns such counts into the calibrated difference-over-sum
 position estimate; it is the one estimator every simulated record uses.
+
+``usable_range`` inverts the Sellmeier sum in closed form, a cubic in
+lambda^2, at the index where the kick reaches the k*sigma threshold.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import SPEED_OF_LIGHT, deflection_slope, dispersive_deflection, momentum_kick
+from .dispersion import (
+    SPEED_OF_LIGHT,
+    deflection_denominator,
+    deflection_slope,
+    index_step_frequency,
+    sellmeier_index,
+)
 from .errors import NumericalError, ValidationError
 
 PLANCK = 6.62607015e-34  # J s, exact SI value
-# Iteration cap of the usable-range root find, a guard against a loop that
-# never ends. scipy's default of 100 stops a 5 mm beam at threshold 0.2 over
-# a 5 cm path one step short of the 110 it needs; sampled configs need at
-# most 120.
-ROOT_FIND_MAXITER = 500
 
 
 @dataclass(frozen=True)
@@ -121,93 +125,30 @@ def measured_sensitivity(min_shift, integration_time):
 def usable_range(carrier, sigma, prism, threshold=0.5):
     """Largest frequency offset keeping k(nu)*sigma below ``threshold``.
 
-    The kick grows monotonically with the offset under normal dispersion, so
-    a bracketed root find on [0, validity edge] suffices. If even the edge
-    of the Sellmeier window stays below threshold the result is clamped
-    there and flagged. A root where the kick is still exactly zero lies
-    below the frequency step the dispersion model resolves, so it is refused.
+    k sigma = 2 k0 sigma (n - n0) / sqrt(sin(gamma/2)**-2 - n0^2) reaches the
+    threshold at the index n_star, where the Sellmeier sum is inverted in
+    closed form. If n_star lies beyond the edge of the Sellmeier window the
+    result is clamped there and flagged. If n_star rounds to n0, the range
+    lies below the frequency step the dispersion model resolves: refused.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValidationError(f"threshold must lie in (0, 1], got {threshold}")
-
-    def kick_sigma(dnu):
-        delta = dispersive_deflection(prism, carrier.wavelength, dnu)
-        return momentum_kick(delta, carrier) * sigma
-
-    def excess(dnu):
-        return kick_sigma(dnu) - threshold
-
-    lambda_min = prism.material.valid_range[0]
-    edge = SPEED_OF_LIGHT / lambda_min - carrier.frequency
+    material = prism.material
+    n0 = sellmeier_index(material, carrier.wavelength)
+    dn = threshold * deflection_denominator(prism, n0) / (2.0 * carrier.wavenumber * sigma)
+    n_star = n0 + dn
+    edge = SPEED_OF_LIGHT / material.valid_range[0] - carrier.frequency
     edge *= 1.0 - 1e-12  # stay inside the validity window
-    if excess(edge) < 0.0:
+    if n_star >= sellmeier_index(material, SPEED_OF_LIGHT / (carrier.frequency + edge)):
         return UsableRange(frequency_span=edge, clamped=True)
-    span, converged, iterations = _brentq(
-        excess, 0.0, edge, xtol=1e-3, rtol=1e-12, maxiter=ROOT_FIND_MAXITER
-    )
-    if not converged:
+    if n_star == n0:
         raise NumericalError(
-            f"usable-range root find did not converge in {iterations} "
-            f"iterations (sigma = {sigma:.3g} m, threshold = {threshold:.3g})"
-        )
-    if kick_sigma(span) == 0.0:
-        raise NumericalError(
-            f"usable-range root find ended at {span:.3g} Hz with no kick: the range "
-            "lies below the dispersion model's frequency resolution "
+            f"usable range lies below the dispersion model's frequency resolution: "
+            f"its index step {dn:.3g} is lost in rounding n = {n0:.6f} "
             f"(sigma = {sigma:.3g} m, threshold = {threshold:.3g})"
         )
-    return UsableRange(frequency_span=span, clamped=False)
-
-
-def _brentq(f, xa, xb, xtol, rtol, maxiter):
-    """Root of ``f`` bracketed by [xa, xb] by Brent's method: (root, converged,
-    iterations).
-
-    A port of scipy's ``brentq`` (scipy/optimize/Zeros/brentq.c) with the
-    same operations in the same order, so it returns the same iterates; scipy
-    is its test oracle. The steps run in float64 with IEEE semantics, as in
-    C: an overflow or a 0/0 in a trial step makes it fail the step test and
-    bisect. The caller guarantees that f(xa) and f(xb) differ in sign.
-    """
-    xpre, xcur = np.float64(xa), np.float64(xb)
-    fpre, fcur = np.float64(f(xpre)), np.float64(f(xcur))
-    if fpre == 0.0:
-        return float(xpre), True, 0
-    if fcur == 0.0:
-        return float(xcur), True, 0
-    xblk = fblk = spre = scur = 0.0
-    for iteration in range(1, maxiter + 1):
-        with np.errstate(all="ignore"):
-            if fpre != 0.0 and fcur != 0.0 and np.signbit(fpre) != np.signbit(fcur):
-                xblk, fblk = xpre, fpre
-                spre = scur = xcur - xpre
-            if abs(fblk) < abs(fcur):
-                xpre, xcur, xblk = xcur, xblk, xcur
-                fpre, fcur, fblk = fcur, fblk, fcur
-            delta = (xtol + rtol * abs(xcur)) / 2.0
-            sbis = (xblk - xcur) / 2.0
-            if fcur == 0.0 or abs(sbis) < delta:
-                return float(xcur), True, iteration
-            if abs(spre) > delta and abs(fcur) < abs(fpre):
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-                if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                    spre, scur = scur, stry  # good short step
-                else:
-                    spre = scur = sbis  # bisect
-            else:
-                spre = scur = sbis  # bisect
-            xpre, fpre = xcur, fcur
-            if abs(scur) > delta:
-                xcur = xcur + scur
-            else:
-                xcur = xcur + (delta if sbis > 0 else -delta)
-        fcur = np.float64(f(xcur))
-    return float(xcur), False, maxiter
+    span = index_step_frequency(material, carrier.wavelength, n0, dn)
+    return UsableRange(frequency_span=float(span), clamped=False)
 
 
 def split_estimate(n_right, n_total, calibration):

@@ -142,7 +142,7 @@ def run_sensitivity(config):
     """Ideal and scaled sensitivities, SNR at the minimum sweep point, range."""
     physics = resolve(config)
     cfg = config
-    # The range first: a sigma too wide for its root find would overflow the SNR terms.
+    # The range first: it refuses a sigma wide enough to overflow the SNR terms.
     span = usable_range(physics.carrier, cfg.sigma, physics.prism, cfg.range_threshold)
     ideal = ideal_sensitivity(cfg.power, physics.carrier, cfg.sigma, physics.prism)
     min_shift = cfg.sweep_min

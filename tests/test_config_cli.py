@@ -324,16 +324,16 @@ class TestCli:
             assert cli.main([command, flag, value]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("numerical error: usable-range root find")
+        assert captured.err.startswith("numerical error: usable range lies below")
         assert captured.err.count("\n") == 1
 
-    def test_usable_range_beyond_scipy_iteration_cap(self, capsys):
-        # scipy's brentq stops this root find at its default 100 iterations; it needs 110.
+    def test_usable_range_wide_beam_short_path(self, capsys):
+        # scipy's brentq needs 110 iterations on this range, 10 more than its default cap.
         args = ["range", "--sigma", "5mm", "--range-threshold", "0.2", "--path-length", "0.05"]
         assert cli.main(args) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
-        assert captured.out.endswith("usable_range_hz,clamped\n27283730413.332275,0\n")
+        assert captured.out.endswith("usable_range_hz,clamped\n27283730408.020676,0\n")
 
     def test_apex_angle_too_small_exit_code(self, capsys):
         for value in ("1e-150", "1e-300"):

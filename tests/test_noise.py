@@ -167,25 +167,20 @@ def usable_range_root_finds():
 
 
 class TestUsableRange:
-    def test_brent_port_matches_scipy(self):
-        # Same root, flag and iteration count as scipy's brentq at its default
-        # cap, and the same root as usable_range at ROOT_FIND_MAXITER.
-        unconverged = compared = 0
+    def test_closed_form_matches_oracles(self):
+        # The kick map crosses the threshold within 1e-9 relative + 50 Hz of
+        # the closed-form span, and scipy's brentq on it lands there too.
+        compared = 0
         for cfg, physics, excess, edge in usable_range_root_finds():
-            root, result = brentq(
-                excess, 0.0, edge, xtol=1e-3, rtol=1e-12, full_output=True, disp=False
-            )
-            port = noise._brentq(excess, 0.0, edge, xtol=1e-3, rtol=1e-12, maxiter=100)
-            assert port == (root, result.converged, result.iterations), cfg
-            unconverged += not result.converged
-            full = brentq(
-                excess, 0.0, edge, xtol=1e-3, rtol=1e-12, maxiter=noise.ROOT_FIND_MAXITER
-            )
-            span = usable_range(physics.carrier, cfg.sigma, physics.prism, cfg.range_threshold)
-            assert span == noise.UsableRange(frequency_span=full, clamped=False), cfg
+            result = usable_range(physics.carrier, cfg.sigma, physics.prism, cfg.range_threshold)
+            assert not result.clamped, cfg
+            span = result.frequency_span
+            tol = 1e-9 * span + 50.0
+            assert excess(span - tol) < 0.0 <= excess(span + tol), cfg
+            root = brentq(excess, 0.0, edge, xtol=1e-3, rtol=1e-12, maxiter=500)
+            assert abs(span - root) <= tol, cfg
             compared += 1
-        assert compared > 250
-        assert unconverged >= 1  # the non-converged path is compared too
+        assert compared == 287  # one config of the grid is clamped
 
     def test_published_range(self, physics, carrier):
         span = usable_range(carrier, SIGMA, physics.prism, threshold=0.5)
@@ -195,6 +190,15 @@ class TestUsableRange:
     def test_tiny_threshold(self, physics, carrier):
         span = usable_range(carrier, SIGMA, physics.prism, threshold=1e-9)
         assert span.frequency_span < 1e5
+
+    def test_small_step_keeps_relative_precision(self, physics, carrier):
+        # Far below the kHz scale the span is linear in the index step, so
+        # 1000x less threshold gives 1000x less span, down to a few Hz.
+        spans = [
+            usable_range(carrier, SIGMA, physics.prism, th).frequency_span
+            for th in (1e-9, 1e-12)
+        ]
+        assert spans[0] == pytest.approx(1000.0 * spans[1], rel=1e-6)
 
     def test_threshold_validation(self, physics, carrier):
         with pytest.raises(ValidationError):
@@ -213,20 +217,16 @@ class TestUsableRange:
         ]
         assert spans[0] < spans[1] < spans[2]
 
-    def test_root_find_not_converged(self, monkeypatch):
-        # This config needs 110 iterations, 10 more than scipy's default cap.
+    def test_wide_beam_short_path(self):
+        # A bracketed root find on this config takes 110 Brent iterations.
         cfg = ExperimentConfig(sigma=5e-3, range_threshold=0.2, path_length=0.05)
         physics = resolve(cfg)
         span = usable_range(physics.carrier, cfg.sigma, physics.prism, cfg.range_threshold)
         assert span.frequency_span == pytest.approx(2.728e10, rel=1e-3)
-        monkeypatch.setattr(noise, "ROOT_FIND_MAXITER", 100)
-        with pytest.raises(NumericalError, match="did not converge in 100 iterations"):
-            usable_range(physics.carrier, cfg.sigma, physics.prism, cfg.range_threshold)
 
     @pytest.mark.parametrize("sigma,threshold", [(1e300, 0.5), (1e10, 0.5), (SIGMA, 1e-300)])
     def test_root_below_frequency_resolution(self, physics, carrier, sigma, threshold):
-        # The true root lies far below the few-Hz step at which the Sellmeier
-        # index difference leaves zero, so the bracket closes on that step.
+        # The index step that reaches the threshold is lost in rounding n0.
         with pytest.raises(NumericalError, match="below the dispersion model's frequency"):
             usable_range(carrier, sigma, physics.prism, threshold=threshold)
 

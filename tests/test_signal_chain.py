@@ -330,7 +330,7 @@ class TestSynthesizeRun:
     def test_kick_bound_names_offender(self, physics):
         from wvfreq.errors import WeakValueValidityError
 
-        with pytest.raises(WeakValueValidityError, match="frequency offset"):
+        with pytest.raises(WeakValueValidityError, match="range of the dark-port kernel"):
             synthesize_run(
                 6e12, 1.0, FS, physics, physics.n_photons_per_sample(), 0
             )

@@ -29,11 +29,12 @@ from .noise import (
 from .signal_chain import (
     ModulationConfig,
     bandpass,
+    cascade_response,
     extract_peaks,
     power_spectrum,
+    record_counts,
     samples_per_cycle,
     slope_fit,
-    stage_coefficients,
     synthesize_run,
     timeseries_to_csv,
 )
@@ -55,11 +56,11 @@ def _synthesize(physics, dnu_peak, duration, seed):
     )
 
 
-def _measure_point(physics, dnu_peak, seed):
+def _measure_point(physics, dnu_peak, duration, seed):
     """One sweep point: synthesize, filter, extract peaks, undo the gain."""
     cfg = physics.config
     cycle = 1.0 / cfg.mod_frequency
-    raw = _synthesize(physics, dnu_peak, (cfg.n_cycles + cfg.settle_cycles) * cycle, seed)
+    raw = _synthesize(physics, dnu_peak, duration, seed)
     spec = physics.filter_spec
     filtered = bandpass(raw, spec)
     mean, std_of_mean = extract_peaks(filtered, cycle, cfg.n_cycles)
@@ -80,15 +81,20 @@ class SlopeSweepResult:
 def run_slope_sweep(config):
     """Modulation-amplitude sweep with a weighted linear fit (deflection slope)."""
     physics = resolve(config)
+    duration = (config.n_cycles + config.settle_cycles) * (1.0 / config.mod_frequency)
     # The chain's config-only checks run once, before any record is drawn.
-    stage_coefficients(physics.filter_spec, config.sample_rate)
+    n_samples, _, _ = record_counts(
+        duration, config.sample_rate, physics, physics.n_photons_per_sample(),
+        config.mod_frequency, config.dark_count_rate,
+    )
+    cascade_response(physics.filter_spec, config.sample_rate, n_samples)
     samples_per_cycle(1.0 / config.mod_frequency, config.sample_rate)
     shifts = config.sweep_shifts()
     deflections = np.empty(shifts.size)
     errors = np.empty(shifts.size)
     for i, dnu in enumerate(shifts):
         try:
-            deflections[i], errors[i] = _measure_point(physics, dnu, config.seed + i)
+            deflections[i], errors[i] = _measure_point(physics, dnu, duration, config.seed + i)
         except SimulationError as exc:
             raise type(exc)(f"sweep point {i} (dnu={dnu:.6g} Hz): {exc}") from exc
     slope, slope_error = slope_fit(shifts, deflections, errors)

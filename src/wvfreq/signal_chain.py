@@ -11,17 +11,21 @@ prototype H(s) = (w0/Q) s / (s^2 + (w0/Q) s + w0^2): one zero at DC, one
 pole pair, 6 dB/octave asymptotic skirts. The stage Q is 1 (bandwidth equal
 to the center frequency) and each stage is renormalized to unity gain at
 the center frequency on the digital grid, so the cascade attenuates a tone
-two octaves out by about 24 dB. Filtering is causal (lfilter), so the
-output carries the prototype's phase response: zero at the center
-frequency, approaching +90 deg per stage below and -90 deg per stage above.
-``lfilter`` is imported on the first filter call, so a request that never
-filters (``simulate``, ``spectrum``) does not load ``scipy.signal``.
+two octaves out by about 24 dB. The filter is causal and starts from zero
+state, so the output carries the prototype's phase response: zero at the
+center frequency, approaching +90 deg per stage below and -90 deg per stage
+above. It is applied as the cascade's exact frequency response on an FFT
+grid padded past the length over which the impulse response decays below
+1e-20, so the circular convolution equals the recursive filter to rounding;
+numpy's FFT is all it needs.
 
 Determinism: all randomness flows through one generator seeded by the run
 seed and is drawn as whole-series calls in a fixed order, so a fixed seed
 reproduces the output byte for byte in the same software environment.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +40,7 @@ from .noise import split_estimate
 from .units import csv_columns, csv_text
 
 STAGE_Q = 1.0  # first-order prototype: bandwidth = center frequency
+IMPULSE_TAIL = 1e-20  # the FFT padding outlasts the impulse response's decay to this level
 # The largest mean numpy's Poisson draw accepts: 10 standard deviations below int64's limit.
 POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
 
@@ -143,17 +148,102 @@ def _polyresp(b, a, freq, sample_rate):
     return num / den
 
 
-def bandpass(series, spec):
-    """Apply the stage cascade and gain to a series."""
-    from scipy.signal import lfilter
+def fft_length(n):
+    """Smallest 2^a 3^b 5^c >= n: numpy's FFT is fastest on such lengths."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
-    b, a = stage_coefficients(spec, series.sample_rate)
-    out = series.samples
-    for _ in range(spec.stages):
-        out = lfilter(b, a, out)
-    return TimeSeries(
-        sample_rate=series.sample_rate, samples=out * spec.gain, t0=series.t0
-    )
+
+@functools.lru_cache(maxsize=4)
+def cascade_response(spec, sample_rate, n_samples):
+    """FFT length and gain * H^stages on its rfft grid, for an n_samples record.
+
+    The padding L = ceil(ln IMPULSE_TAIL / ln|pole|) * (stages + 1) outlasts the
+    cascade's impulse response (a pole pair of multiplicity ``stages``), so the
+    wrapped-around tail of the circular convolution is below IMPULSE_TAIL.
+    """
+    b, a = stage_coefficients(spec, sample_rate)
+    disc = a[1] ** 2 - 4.0 * a[2]
+    # Largest |root| of z^2 + a1 z + a2: a complex pair has |pole|^2 = a2.
+    pole = math.sqrt(a[2]) if disc < 0 else (abs(a[1]) + math.sqrt(disc)) / 2.0
+    tail = math.log(IMPULSE_TAIL) / math.log(pole) * (spec.stages + 1) if pole < 1 else math.inf
+    if n_samples + tail > np.iinfo(np.intp).max:
+        raise ValidationError(
+            f"a {spec.stages}-stage {spec.center} Hz bandpass at {sample_rate} Hz has a "
+            f"pole at |z| = {pole:.17g}: its response does not decay within an array's length"
+        )
+    n_fft = fft_length(n_samples + math.ceil(tail))
+    half = np.pi * np.arange(n_fft // 2 + 1) / n_fft  # omega / 2 on the rfft grid
+    return n_fft, spec.gain * (_zpoly(b, half) / _zpoly(a, half)) ** spec.stages
+
+
+def _zpoly(c, half):
+    """z * (c0 + c1/z + c2/z^2) at z = exp(2i half), without cancellation near z = 1.
+
+    Its real part is (c0 + c1 + c2) - 2 (c0 + c2) sin^2(half). For the stage
+    denominator, 1 + a1 + a2 is exact in float64 (Sterbenz), so the response
+    keeps its relative precision where the poles crowd z = 1.
+    """
+    return (c[0] + c[1] + c[2]) - 2.0 * (c[0] + c[2]) * np.sin(half) ** 2 + 1j * (
+        c[0] - c[2]
+    ) * np.sin(2.0 * half)
+
+
+def bandpass(series, spec):
+    """Apply the stage cascade and gain to a series: causal, from zero state."""
+    n = series.samples.size
+    n_fft, response = cascade_response(spec, series.sample_rate, n)
+    out = np.fft.irfft(np.fft.rfft(series.samples, n_fft) * response, n_fft)[:n]
+    return TimeSeries(sample_rate=series.sample_rate, samples=out, t0=series.t0)
+
+
+def record_counts(duration, sample_rate, physics, n_per_sample, mod_frequency, dark_count_rate):
+    """Check a record's configuration before anything is drawn.
+
+    Returns (samples, detected photons per sample, dark counts per sample).
+    Every check depends only on the configuration, so a sweep runs them once
+    before its first point.
+    """
+    cycles = duration * mod_frequency
+    if not 1 <= cycles < np.inf or abs(cycles - round(cycles)) > 1e-9:
+        raise ValidationError(
+            f"duration {duration} s is not a whole number of {mod_frequency} Hz cycles"
+        )
+    p_ps = postselection_probability(physics.state.phi)
+    n_detected = int(round((p_ps + physics.config.background_fraction) * n_per_sample))
+    if n_detected > np.iinfo(np.int64).max:
+        raise ValidationError(
+            f"{n_detected:.3g} detected photons per sample exceed the binomial "
+            "draw's int64 range"
+        )
+    if p_ps * n_per_sample < 10:
+        raise ValidationError(
+            f"P_ps * n_per_sample = {p_ps * n_per_sample:.2f} < 10: too few "
+            "postselected photons per sample for a meaningful estimate"
+        )
+
+    if duration * sample_rate > np.iinfo(np.intp).max:
+        raise ValidationError(
+            f"a {duration} s record at {sample_rate} Hz holds more samples than "
+            "an array can index"
+        )
+    n_samples = int(round(duration * sample_rate))
+    if n_samples < 1:
+        raise ValidationError(f"a {duration} s record at {sample_rate} Hz holds no sample")
+    dark_mean = dark_count_rate / sample_rate
+    if dark_mean > 0.0 and n_detected + dark_mean > POISSON_MEAN_MAX:
+        # The photon and dark counts are summed in int64 too.
+        raise ValidationError(
+            f"{dark_mean:.3g} dark counts per sample exceed the Poisson draw's int64 range"
+        )
+    return n_samples, n_detected, dark_mean
 
 
 def synthesize_run(
@@ -178,44 +268,15 @@ def synthesize_run(
     position estimates in meters (unfiltered). Deterministic for a fixed seed.
     """
     modulation = modulation or ModulationConfig()
-    mod_frequency = modulation.mod_frequency
     extensions = extensions or NoiseExtensions()
-    cycles = duration * mod_frequency
-    if not 1 <= cycles < np.inf or abs(cycles - round(cycles)) > 1e-9:
-        raise ValidationError(
-            f"duration {duration} s is not a whole number of {mod_frequency} Hz cycles"
-        )
+    n_samples, n_detected, dark_mean = record_counts(
+        duration, sample_rate, physics, n_per_sample, modulation.mod_frequency,
+        extensions.dark_count_rate,
+    )
     state = physics.state
-    p_ps = postselection_probability(state.phi)
     beta = physics.config.background_fraction
-    n_detected = int(round((p_ps + beta) * n_per_sample))
-    if n_detected > np.iinfo(np.int64).max:
-        raise ValidationError(
-            f"{n_detected:.3g} detected photons per sample exceed the binomial "
-            "draw's int64 range"
-        )
-    if p_ps * n_per_sample < 10:
-        raise ValidationError(
-            f"P_ps * n_per_sample = {p_ps * n_per_sample:.2f} < 10: too few "
-            "postselected photons per sample for a meaningful estimate"
-        )
-
-    if duration * sample_rate > np.iinfo(np.intp).max:
-        raise ValidationError(
-            f"a {duration} s record at {sample_rate} Hz holds more samples than "
-            "an array can index"
-        )
-    n_samples = int(round(duration * sample_rate))
-    if n_samples < 1:
-        raise ValidationError(f"a {duration} s record at {sample_rate} Hz holds no sample")
-    dark_mean = extensions.dark_count_rate / sample_rate
-    if dark_mean > 0.0 and n_detected + dark_mean > POISSON_MEAN_MAX:
-        # The photon and dark counts are summed in int64 too.
-        raise ValidationError(
-            f"{dark_mean:.3g} dark counts per sample exceed the Poisson draw's int64 range"
-        )
     t = np.arange(n_samples) / sample_rate
-    dnu = dnu_peak * np.sin(2.0 * np.pi * mod_frequency * t)
+    dnu = dnu_peak * np.sin(2.0 * np.pi * modulation.mod_frequency * t)
     # The kernel refuses |k sigma| above its limit (WeakValueValidityError).
     p_right = dark_port_split_probability(physics.kick_of_shift(dnu), state, beta)
     calibration = dark_port_split_calibration(state, beta)

@@ -3,11 +3,14 @@
 The package computes the split detector and the dark-port centroid in
 closed form. The oracles here evaluate the same quantities by trapezoid
 quadrature on a tabulated detector-plane profile, or write out the formula
-a test compares against. None is used by a request.
+a test compares against. The bandpass, which the package applies as a
+frequency response on an FFT grid, is checked against scipy's recursive
+``lfilter``. None is used by a request.
 """
 
 import numpy as np
 from scipy.integrate import trapezoid
+from scipy.signal import lfilter
 
 from wvfreq.errors import DarkPortEmptyError, GrazingIncidenceError, ValidationError
 from wvfreq.interferometer import DEFAULT_GRID_HALF_WIDTH
@@ -118,3 +121,12 @@ def frequency_response(spec, freqs, sample_rate):
     zi = 1.0 / np.exp(2j * np.pi * np.asarray(freqs, dtype=float) / sample_rate)
     stage = sum(c * zi**i for i, c in enumerate(b)) / sum(c * zi**i for i, c in enumerate(a))
     return spec.gain * stage**spec.stages
+
+
+def lfilter_cascade(series, spec):
+    """The bandpass by recursion: ``lfilter`` applied ``stages`` times, then the gain."""
+    b, a = stage_coefficients(spec, series.sample_rate)
+    out = series.samples
+    for _ in range(spec.stages):
+        out = lfilter(b, a, out)
+    return out * spec.gain

@@ -215,8 +215,7 @@ class TestCli:
             ),
             (
                 ["slope", "--n-cycles", "1e20"],
-                "sweep point 0 (dnu=743000 Hz): a 1e+19 s record at 1000.0 Hz holds "
-                "more samples than an array can index",
+                "a 1e+19 s record at 1000.0 Hz holds more samples than an array can index",
             ),
             (
                 ["slope", "--sweep-points", "1e20"],
@@ -269,10 +268,25 @@ class TestCli:
                 "--sample-rate=1024Hz",
                 "cycle period 0.1 s is not a whole number of samples at 1024.0 Hz",
             ),
+            (
+                "--filter-center=2.04e-13Hz",
+                "a 2-stage 2.04e-13 Hz bandpass at 1000.0 Hz has a pole at "
+                "|z| = 1.0000000105367115: its response does not decay within an array's length",
+            ),
+            (
+                "--power=1e-15",
+                "P_ps * n_per_sample = 0.05 < 10: too few postselected photons per sample "
+                "for a meaningful estimate",
+            ),
+            (
+                "--dark-count-rate=1e30",
+                "1e+27 dark counts per sample exceed the Poisson draw's int64 range",
+            ),
         ],
     )
     def test_slope_sampling_refused_before_any_record(self, capsys, flag, message):
-        # The filter chain's cross-field checks: slope only, and before point 0.
+        # The record's and the filter chain's cross-field checks run before
+        # point 0, so no message carries a "sweep point 0" prefix.
         with mock.patch.object(recipes, "synthesize_run", side_effect=AssertionError) as draw:
             assert cli.main(["slope", flag]) == 2
         assert draw.call_count == 0
@@ -537,7 +551,7 @@ class TestParserReuse:
 
 
 # One process runs these steps in order and lists the scipy modules loaded
-# after each step. No step before slope may load any scipy module.
+# after each step. No step may load any scipy module.
 _IMPORT_SCRIPT = """
 import json, sys
 out = sys.argv[1]
@@ -565,19 +579,62 @@ _IMPORT_STEPS = (
     "slope",
 )
 
+# Runs each subcommand at its defaults, in a fresh interpreter, with stdout
+# and stderr in files; argv[2] == "block" makes every scipy import fail.
+_SUBCOMMAND_SCRIPT = """
+import contextlib, sys
+out = sys.argv[1]
+if sys.argv[2] == "block":
+    sys.modules["scipy"] = None
+from wvfreq import cli
+from wvfreq.calibration import load_reference_lines
+with open(out + "/positions.txt", "w") as handle:
+    handle.writelines(f"{i}.0\\n" for i in range(len(load_reference_lines())))
+for name, argv in (
+    ("slope", ["slope"]),
+    ("spectrum", ["spectrum"]),
+    ("sensitivity", ["sensitivity", "-o", out + "/sensitivity.csv"]),
+    ("range", ["range"]),
+    ("simulate", ["simulate", "--dnu-peak", "7.4MHz"]),
+    ("calibrate", ["calibrate", out + "/positions.txt", "--propagate", "129kHz"]),
+):
+    with open(f"{out}/{name}.out", "w") as stdout, open(f"{out}/{name}.err", "w") as stderr:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+    print(name, code)
+"""
+
+
+def _run_script(script, *args):
+    src = Path(cli.__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ).stdout
+
 
 class TestLazyImports:
     def test_each_request_loads_only_what_it_runs(self, tmp_path):
-        src = Path(cli.__file__).resolve().parent.parent
-        out = subprocess.run(
-            [sys.executable, "-c", _IMPORT_SCRIPT, str(tmp_path)],
-            capture_output=True,
-            text=True,
-            check=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-        ).stdout
-        steps = json.loads(out.splitlines()[-1])
+        steps = json.loads(_run_script(_IMPORT_SCRIPT, tmp_path).splitlines()[-1])
         assert len(steps) == len(_IMPORT_STEPS)
-        for loaded, step in zip(steps[:-1], _IMPORT_STEPS):
+        for loaded, step in zip(steps, _IMPORT_STEPS):
             assert loaded == [], step
-        assert "scipy.signal" in steps[-1]
+
+    def test_every_subcommand_runs_with_scipy_blocked(self, tmp_path):
+        outputs = {}
+        for mode in ("block", "allow"):
+            out = tmp_path / mode
+            out.mkdir()
+            codes = _run_script(_SUBCOMMAND_SCRIPT, out, mode)
+            assert codes.split() == [
+                "slope", "0", "spectrum", "0", "sensitivity", "0",
+                "range", "0", "simulate", "0", "calibrate", "0",
+            ], mode
+            outputs[mode] = {
+                path.name: path.read_bytes() for path in out.iterdir() if path.suffix != ".txt"
+            }
+        assert len(outputs["block"]) == 13  # six stdouts, six stderrs, one CSV
+        assert outputs["block"] == outputs["allow"]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import bilinear, get_window
 
-from oracles import dark_port_grid, dark_port_profile, frequency_response
+from oracles import dark_port_grid, dark_port_profile, frequency_response, lfilter_cascade
 from wvfreq.config import ExperimentConfig, resolve
 from wvfreq.errors import AliasingError, ValidationError
 from wvfreq.signal_chain import (
@@ -17,7 +17,9 @@ from wvfreq.signal_chain import (
     TimeSeries,
     _polyresp,
     bandpass,
+    cascade_response,
     extract_peaks,
+    fft_length,
     hann_window,
     power_spectrum,
     slope_fit,
@@ -45,6 +47,13 @@ def sine_series(freq, amplitude=1.0, duration=10.0, fs=FS, phase=0.0):
 def steady_amplitude(series, settle_fraction=0.5):
     tail = series.samples[int(series.samples.size * settle_fraction) :]
     return np.abs(tail).max()
+
+
+def _is_5_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
 
 
 class TestBandpass:
@@ -119,6 +128,91 @@ class TestBandpass:
     def test_aliasing_guard(self):
         with pytest.raises(AliasingError):
             bandpass(TimeSeries(sample_rate=100.0, samples=np.zeros(64)), FilterSpec())
+
+    @pytest.mark.parametrize(
+        "sample_rate,duration,stages",
+        [
+            (FS, 3.0, 2),  # the default sweep-point record
+            (FS, 100.0, 2),
+            (1024.0, 3.0, 2),
+            (FS, 3.0, 1),
+            (FS, 3.0, 3),
+            (FS, 3.0, 4),
+        ],
+    )
+    def test_matches_lfilter_oracle(self, physics, sample_rate, duration, stages):
+        # A drawn record at the smallest sweep amplitude, noise and all.
+        raw = synthesize_run(
+            physics.config.sweep_min, duration, sample_rate, physics,
+            physics.n_photons_per_sample(), seed=12,
+        )
+        spec = FilterSpec(stages=stages)
+        expected = lfilter_cascade(raw, spec)
+        out = bandpass(raw, spec)
+        assert out.samples.shape == expected.shape
+        assert (out.sample_rate, out.t0) == (raw.sample_rate, raw.t0)
+        assert np.abs(out.samples - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("stages", [1, 2, 3, 4])
+    def test_causal_from_zero_state(self, stages):
+        spec = FilterSpec(stages=stages)
+        n = 3000
+        n_fft, _ = cascade_response(spec, FS, n)
+        # The padding outlasts the recursive impulse response: every sample the
+        # circular convolution can wrap onto the record is below IMPULSE_TAIL.
+        impulse = np.zeros(n_fft)
+        impulse[0] = 1.0
+        h = lfilter_cascade(TimeSeries(sample_rate=FS, samples=impulse), spec)
+        peak = np.abs(h).max()
+        assert np.abs(h[n_fft - n :]).max() <= 1e-20 * peak
+        # So the output before an impulse is rounding only, and after it the
+        # impulse response.
+        for j in (1, 1500, n - 1):
+            x = np.zeros(n)
+            x[j] = 1.0
+            y = bandpass(TimeSeries(sample_rate=FS, samples=x), spec).samples
+            assert np.abs(y[:j]).max() <= 1e-14 * peak
+            assert np.abs(y[j:] - h[: n - j]).max() <= 1e-13 * peak
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended-precision long double"
+    )
+    @pytest.mark.parametrize("sample_rate", [FS, 1e4])
+    def test_response_keeps_relative_precision_near_dc(self, sample_rate):
+        # At 1e3x oversampling the poles crowd z = 1, and B(1/z)/A(1/z) summed
+        # term by term in float64 is off by about 7e-12; in long double, by
+        # about 5e-15.
+        spec = FilterSpec()
+        n_fft, response = cascade_response(spec, sample_rate, 3 * int(sample_rate))
+        b, a = stage_coefficients(spec, sample_rate)
+        zi = np.exp(-2j * np.pi * np.arange(n_fft // 2 + 1, dtype=np.longdouble) / n_fft)
+        stage = sum(c * zi**i for i, c in enumerate(b.astype(np.longdouble))) / sum(
+            c * zi**i for i, c in enumerate(a.astype(np.longdouble))
+        )
+        reference = spec.gain * stage**spec.stages
+        assert np.abs(response - reference).max() <= 1e-13 * np.abs(reference).max()
+
+    def test_response_is_cached_per_record_length(self):
+        spec = FilterSpec()
+        cascade_response.cache_clear()
+        for n in (3000, 3000, 5000, 3000):
+            bandpass(TimeSeries(sample_rate=FS, samples=np.ones(n)), spec)
+        info = cascade_response.cache_info()
+        assert (info.hits, info.misses) == (2, 2)
+
+    def test_refuses_a_response_that_does_not_decay(self):
+        # At this ratio the rounded stage denominator has a real root just outside
+        # the unit circle, so no padding makes the circular convolution causal.
+        spec = FilterSpec(center=2.04e-13)
+        with pytest.raises(ValidationError, match="does not decay"):
+            cascade_response(spec, FS, 3000)
+
+    def test_fft_length_is_the_next_5_smooth_number(self):
+        smooth = [m for m in range(1, 5000) if _is_5_smooth(m)]
+        for n in range(1, 4000):
+            assert fft_length(n) == next(m for m in smooth if m >= n)
+        assert fft_length(3000 + 4398) == 7500
+        assert fft_length(100_000 + 4398) == 104_976
 
     def test_spec_validation(self):
         for kwargs, message in (

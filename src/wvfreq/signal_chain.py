@@ -19,6 +19,16 @@ grid padded past the length over which the impulse response decays below
 1e-20, so the circular convolution equals the recursive filter to rounding;
 numpy's FFT is all it needs.
 
+The sampled drive repeats every P samples (``modulation_period``), so the
+dark-port kernel runs over one period and ``synthesize_run`` repeats it.
+Later periods reuse the first period's values instead of their own phases,
+whose rounding grows with t. The kernel sees the offset only through the
+rounded optical frequency nu0 + dnu (a 0.0625 Hz step at 780 nm), so at MHz
+drives this is bit-identical to a per-sample evaluation. At GHz drives some
+late samples land on a neighbouring step (about 3 in 1e4 over 100 s at
+1 GHz, 1-2% at 100 GHz); the repeated value, from the smaller phase, is the
+more accurate one.
+
 Determinism: all randomness flows through one generator seeded by the run
 seed and is drawn as whole-series calls in a fixed order, so a fixed seed
 reproduces the output byte for byte in the same software environment.
@@ -122,7 +132,13 @@ class NoiseExtensions:
 
 
 def stage_coefficients(spec, sample_rate):
-    """Digital (b, a) for one peak-normalized bandpass stage."""
+    """Digital (b, a) for one peak-normalized bandpass stage.
+
+    Refuses a stage whose rounded denominator has a pole on or outside the
+    unit circle, or so close to it that the cascade's response does not
+    decay within an array's length; the normalization would divide by the
+    vanishing denominator there.
+    """
     if sample_rate < 20.0 * spec.center:
         raise AliasingError(
             f"sample rate {sample_rate} Hz too low for a {spec.center} Hz "
@@ -136,8 +152,33 @@ def stage_coefficients(spec, sample_rate):
     d = k**2 + bk + w0**2
     b = np.array([bk, 0.0, -bk]) / d
     a = np.array([1.0, 2.0 * (w0**2 - k**2) / d, (k**2 - bk + w0**2) / d])
+    pole, tail = _decay(a, spec.stages)
+    if not tail <= np.iinfo(np.intp).max:
+        raise ValidationError(
+            f"a {spec.stages}-stage {spec.center} Hz bandpass at {sample_rate} Hz has a "
+            f"pole at |z| = {pole:.17g}: its response does not decay within an array's length"
+        )
     peak = abs(_polyresp(b, a, spec.center, sample_rate))
     return b / peak, a
+
+
+def _decay(a, stages):
+    """Largest |pole| of one stage and the samples a cascade of ``stages`` takes
+    to decay below IMPULSE_TAIL: ceil(ln IMPULSE_TAIL / ln|pole|) * (stages + 1)
+    outlasts the impulse response of a pole pair of that multiplicity.
+
+    A complex pair has |pole|^2 = a2. A real pair (near z = 1, since a1 < 0) is
+    solved for u = 1 - z: u^2 - (2 + a1) u + (1 + a1 + a2) = 0, whose
+    coefficients are exact in float64 (Sterbenz), so a root on z = 1 is found.
+    """
+    q, s = 2.0 + a[1], 1.0 + a[1] + a[2]
+    if q * q < 4.0 * s:
+        pole = math.sqrt(a[2])
+    else:
+        root = q + math.sqrt(q * q - 4.0 * s)  # twice the larger u; s / that is the smaller
+        pole = 1.0 - (2.0 * s / root if root > 0.0 else 0.0)
+    tail = math.log(IMPULSE_TAIL) / math.log(pole) * (stages + 1) if pole < 1 else math.inf
+    return pole, tail
 
 
 def _polyresp(b, a, freq, sample_rate):
@@ -165,20 +206,11 @@ def fft_length(n):
 def cascade_response(spec, sample_rate, n_samples):
     """FFT length and gain * H^stages on its rfft grid, for an n_samples record.
 
-    The padding L = ceil(ln IMPULSE_TAIL / ln|pole|) * (stages + 1) outlasts the
-    cascade's impulse response (a pole pair of multiplicity ``stages``), so the
+    The padding (``_decay``) outlasts the cascade's impulse response, so the
     wrapped-around tail of the circular convolution is below IMPULSE_TAIL.
     """
     b, a = stage_coefficients(spec, sample_rate)
-    disc = a[1] ** 2 - 4.0 * a[2]
-    # Largest |root| of z^2 + a1 z + a2: a complex pair has |pole|^2 = a2.
-    pole = math.sqrt(a[2]) if disc < 0 else (abs(a[1]) + math.sqrt(disc)) / 2.0
-    tail = math.log(IMPULSE_TAIL) / math.log(pole) * (spec.stages + 1) if pole < 1 else math.inf
-    if n_samples + tail > np.iinfo(np.intp).max:
-        raise ValidationError(
-            f"a {spec.stages}-stage {spec.center} Hz bandpass at {sample_rate} Hz has a "
-            f"pole at |z| = {pole:.17g}: its response does not decay within an array's length"
-        )
+    _, tail = _decay(a, spec.stages)
     n_fft = fft_length(n_samples + math.ceil(tail))
     half = np.pi * np.arange(n_fft // 2 + 1) / n_fft  # omega / 2 on the rfft grid
     return n_fft, spec.gain * (_zpoly(b, half) / _zpoly(a, half)) ** spec.stages
@@ -246,6 +278,18 @@ def record_counts(duration, sample_rate, physics, n_per_sample, mod_frequency, d
     return n_samples, n_detected, dark_mean
 
 
+def modulation_period(mod_frequency, sample_rate):
+    """Samples in one exact period of a sampled sine: the least P with P f / R whole.
+
+    Computed exactly on the float inputs: with f = a/b and R = c/d in lowest
+    terms, P = b c / gcd(a d, b c). A rate that shares no short period with
+    the modulation gives a very large P.
+    """
+    a, b = float(mod_frequency).as_integer_ratio()
+    c, d = float(sample_rate).as_integer_ratio()
+    return b * c // math.gcd(a * d, b * c)
+
+
 def synthesize_run(
     dnu_peak,
     duration,
@@ -258,14 +302,17 @@ def synthesize_run(
 ):
     """Simulate the raw split-detector record for a modulated run.
 
-    For every sample time, the instantaneous frequency offset maps through
-    the prism deflection to a momentum kick, and the split detector sees
-    round((P_ps + beta) * n_per_sample) photons of the kicked dark-port
-    profile, split by the closed-form ``dark_port_split_probability`` (the
-    grid quadrature is only its test oracle), so a record costs O(samples)
-    at any sample rate. ``dnu_peak`` overrides the amplitude in
-    ``modulation`` (default: 10 Hz sine). Output samples are calibrated
-    position estimates in meters (unfiltered). Deterministic for a fixed seed.
+    The instantaneous frequency offset maps through the prism deflection to a
+    momentum kick, and the split detector sees round((P_ps + beta) *
+    n_per_sample) photons of the kicked dark-port profile, split by the
+    closed-form ``dark_port_split_probability`` (the grid quadrature is only
+    its test oracle). The sampled drive repeats every P =
+    ``modulation_period`` samples, so the kernel runs on min(P, N) sample
+    times and its split probability is repeated to the record length N:
+    kernel work is O(min(P, N)) and the photon draws are O(N). ``dnu_peak``
+    overrides the amplitude in ``modulation`` (default: 10 Hz sine). Output
+    samples are calibrated position estimates in meters (unfiltered).
+    Deterministic for a fixed seed.
     """
     modulation = modulation or ModulationConfig()
     extensions = extensions or NoiseExtensions()
@@ -275,16 +322,21 @@ def synthesize_run(
     )
     state = physics.state
     beta = physics.config.background_fraction
-    t = np.arange(n_samples) / sample_rate
+    m = min(modulation_period(modulation.mod_frequency, sample_rate), n_samples)
+    t = np.arange(m) / sample_rate
     dnu = dnu_peak * np.sin(2.0 * np.pi * modulation.mod_frequency * t)
     # The kernel refuses |k sigma| above its limit (WeakValueValidityError).
-    p_right = dark_port_split_probability(physics.kick_of_shift(dnu), state, beta)
+    profile = dark_port_split_probability(physics.kick_of_shift(dnu), state, beta)
+    p_right = np.empty(n_samples)
+    whole = n_samples - n_samples % m
+    p_right[:whole].reshape(-1, m)[...] = profile
+    p_right[whole:] = profile[: n_samples - whole]
     calibration = dark_port_split_calibration(state, beta)
 
     # All draws from one stream, whole-series calls in a fixed order.
     rng = np.random.default_rng(seed)
     n_right = rng.binomial(n_detected, p_right)
-    total = np.full(n_samples, float(n_detected))
+    total = float(n_detected)
     if extensions.dark_count_rate > 0.0:
         dark = rng.poisson(dark_mean, n_samples)
         n_right = n_right + rng.binomial(dark, 0.5)

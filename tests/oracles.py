@@ -5,7 +5,9 @@ closed form. The oracles here evaluate the same quantities by trapezoid
 quadrature on a tabulated detector-plane profile, or write out the formula
 a test compares against. The bandpass, which the package applies as a
 frequency response on an FFT grid, is checked against scipy's recursive
-``lfilter``. None is used by a request.
+``lfilter``, and the record synthesis, which evaluates the dark-port kernel
+over one period of the sampled drive, against a per-sample evaluation.
+None is used by a request.
 """
 
 import numpy as np
@@ -13,8 +15,19 @@ from scipy.integrate import trapezoid
 from scipy.signal import lfilter
 
 from wvfreq.errors import DarkPortEmptyError, GrazingIncidenceError, ValidationError
-from wvfreq.interferometer import DEFAULT_GRID_HALF_WIDTH
-from wvfreq.signal_chain import stage_coefficients
+from wvfreq.interferometer import (
+    DEFAULT_GRID_HALF_WIDTH,
+    dark_port_split_calibration,
+    dark_port_split_probability,
+)
+from wvfreq.noise import split_estimate
+from wvfreq.signal_chain import (
+    ModulationConfig,
+    NoiseExtensions,
+    TimeSeries,
+    record_counts,
+    stage_coefficients,
+)
 
 DEFAULT_GRID_POINTS = 4097  # tail error of the +-8 sigma grid ~ exp(-32)
 
@@ -130,3 +143,36 @@ def lfilter_cascade(series, spec):
     for _ in range(spec.stages):
         out = lfilter(b, a, out)
     return out * spec.gain
+
+
+def direct_synthesize_run(
+    dnu_peak, duration, sample_rate, physics, n_per_sample, seed, modulation=None, extensions=None
+):
+    """``synthesize_run`` with the kernel evaluated at every sample time.
+
+    The same draws from the same generator in the same order, over a split
+    probability computed sample by sample instead of over one period.
+    """
+    modulation = modulation or ModulationConfig()
+    extensions = extensions or NoiseExtensions()
+    n_samples, n_detected, dark_mean = record_counts(
+        duration, sample_rate, physics, n_per_sample, modulation.mod_frequency,
+        extensions.dark_count_rate,
+    )
+    state = physics.state
+    beta = physics.config.background_fraction
+    t = np.arange(n_samples) / sample_rate
+    dnu = dnu_peak * np.sin(2.0 * np.pi * modulation.mod_frequency * t)
+    p_right = dark_port_split_probability(physics.kick_of_shift(dnu), state, beta)
+    calibration = dark_port_split_calibration(state, beta)
+    rng = np.random.default_rng(seed)
+    n_right = rng.binomial(n_detected, p_right)
+    total = np.full(n_samples, float(n_detected))
+    if extensions.dark_count_rate > 0.0:
+        dark = rng.poisson(dark_mean, n_samples)
+        n_right = n_right + rng.binomial(dark, 0.5)
+        total = total + dark
+    estimates = split_estimate(n_right, total, calibration)
+    if extensions.electronic_noise > 0.0:
+        estimates = estimates + rng.normal(0.0, extensions.electronic_noise, n_samples)
+    return TimeSeries(sample_rate=sample_rate, samples=estimates)

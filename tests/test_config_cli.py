@@ -273,6 +273,23 @@ class TestCli:
                 "a 2-stage 2.04e-13 Hz bandpass at 1000.0 Hz has a pole at "
                 "|z| = 1.0000000105367115: its response does not decay within an array's length",
             ),
+            # Below these centres the rounded stage denominator has a root on z = 1,
+            # so its unity-gain normalization would divide by zero.
+            (
+                "--filter-center=5e-14Hz",
+                "a 2-stage 5e-14 Hz bandpass at 1000.0 Hz has a pole at "
+                "|z| = 1: its response does not decay within an array's length",
+            ),
+            (
+                "--filter-center=1e-14Hz",
+                "a 2-stage 1e-14 Hz bandpass at 1000.0 Hz has a pole at "
+                "|z| = 1: its response does not decay within an array's length",
+            ),
+            (
+                "--filter-center=1e-30",
+                "a 2-stage 1e-30 Hz bandpass at 1000.0 Hz has a pole at "
+                "|z| = 1: its response does not decay within an array's length",
+            ),
             (
                 "--power=1e-15",
                 "P_ps * n_per_sample = 0.05 < 10: too few postselected photons per sample "
@@ -298,7 +315,6 @@ class TestCli:
             ["slope", "--electronic-noise=1e200m"],
             ["slope", "--filter-gain=1e300"],
             ["simulate", "--duration", "0.1s", "--background-fraction=1e300"],
-            ["slope", "--filter-center=1e-30"],
             ["simulate", "--sigma=1e300"],  # a Python float overflow, not a numpy one
         ],
     )
@@ -375,6 +391,27 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: Unable to allocate")
         assert captured.err.count("\n") == 1
+
+    def test_simulated_record_too_long_exit_code(self, tmp_path, capsys):
+        # The kernel runs over one period; the refusal comes from the
+        # full-length split probability, before any draw.
+        assert cli.main(["simulate", "--duration", "1e15s", "-o", str(tmp_path / "x.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Unable to allocate")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_sweep_kick_beyond_kernel_range_names_point(self, tmp_path, capsys):
+        args = ["slope", "--sweep-max", "6THz", "--sweep-points", "2"]
+        assert cli.main(args + ["-o", str(tmp_path / "x.csv")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "physics validity error: sweep point 1 (dnu=6e+12 Hz): k*sigma = 0.632 exceeds "
+            "0.5, the range of the dark-port kernel\n"
+        )
+        assert not (tmp_path / "x.csv").exists()
 
     def test_negative_seed_exit_code(self, tmp_path, capsys):
         code = cli.main(

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -6,21 +7,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import bilinear, get_window
 
-from oracles import dark_port_grid, dark_port_profile, frequency_response, lfilter_cascade
+from oracles import (
+    dark_port_grid,
+    dark_port_profile,
+    direct_synthesize_run,
+    frequency_response,
+    lfilter_cascade,
+)
 from wvfreq.config import ExperimentConfig, resolve
 from wvfreq.errors import AliasingError, ValidationError
 from wvfreq.signal_chain import (
     POISSON_MEAN_MAX,
     STAGE_Q,
     FilterSpec,
+    ModulationConfig,
     NoiseExtensions,
     TimeSeries,
+    _decay,
     _polyresp,
     bandpass,
     cascade_response,
     extract_peaks,
     fft_length,
     hann_window,
+    modulation_period,
     power_spectrum,
     slope_fit,
     stage_coefficients,
@@ -206,6 +216,16 @@ class TestBandpass:
         spec = FilterSpec(center=2.04e-13)
         with pytest.raises(ValidationError, match="does not decay"):
             cascade_response(spec, FS, 3000)
+
+    def test_finds_a_rounded_root_on_the_unit_circle(self):
+        # z^2 + a1 z + a2 = (z - 1)(z - 1 + 2^-52) exactly: the rounded stage
+        # denominator of a 5e-14 Hz centre at 1 kHz. a1^2 - 4 a2 cancels to 0 in
+        # float64 and would put the larger root at 1 - 2^-53; solved for u = 1 - z,
+        # the root on z = 1 is found, so the stage is refused (see the CLI tests).
+        eps = 2.0**-52
+        a = np.array([1.0, -2.0 + eps, 1.0 - eps])
+        assert 1 + Fraction(a[1]) + Fraction(a[2]) == 0
+        assert _decay(a, 2) == (1.0, np.inf)
 
     def test_fft_length_is_the_next_5_smooth_number(self):
         smooth = [m for m in range(1, 5000) if _is_5_smooth(m)]
@@ -428,6 +448,48 @@ class TestSynthesizeRun:
             synthesize_run(
                 6e12, 1.0, FS, physics, physics.n_photons_per_sample(), 0
             )
+
+    @pytest.mark.parametrize(
+        "sample_rate,duration,mod_frequency,period",
+        [
+            (FS, 3.0, 10.0, 100),  # 30 whole periods
+            (1024.0, 2.0, 10.0, 512),  # 4 whole periods
+            (1024.0, 1.1, 10.0, 512),  # 1126 samples: 2 periods and 102 samples
+            (1000.5, 1.0, 10.0, 2001),  # 1000 samples, shorter than one period
+            (1000.5, 3.0, 10.0, 2001),  # 3002 samples: 1 period and 1001 samples
+            (FS, 10.0, 0.1, 1000 * 2**55),  # 0.1 is not dyadic: the period outlasts the record
+        ],
+    )
+    def test_matches_direct_oracle(self, physics, sample_rate, duration, mod_frequency, period):
+        # The kernel runs over one period of the sampled drive; the record is
+        # byte-identical to the kernel evaluated at every sample time.
+        assert modulation_period(mod_frequency, sample_rate) == period
+        modulation = ModulationConfig(mod_frequency=mod_frequency)
+        args = (7.4e6, duration, sample_rate, physics, physics.n_photons_per_sample(), 17)
+        fast = synthesize_run(*args, modulation=modulation)
+        direct = direct_synthesize_run(*args, modulation=modulation)
+        assert fast.samples.size == round(duration * sample_rate)
+        assert fast.samples.tobytes() == direct.samples.tobytes()
+
+    @pytest.mark.parametrize("sample_rate,duration", [(FS, 2.0), (1024.0, 1.1), (1000.5, 3.0)])
+    def test_noise_terms_match_direct_oracle(self, sample_rate, duration):
+        # Stray light, dark counts and electronic noise: the same draws in the same order.
+        physics = resolve(ExperimentConfig(background_fraction=0.02))
+        extensions = NoiseExtensions(electronic_noise=1e-9, dark_count_rate=1e5)
+        args = (7.4e6, duration, sample_rate, physics, physics.n_photons_per_sample(), 23)
+        fast = synthesize_run(*args, extensions=extensions)
+        direct = direct_synthesize_run(*args, extensions=extensions)
+        assert fast.samples.tobytes() == direct.samples.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    def test_modulation_period_is_the_exact_period(self, mod_frequency, sample_rate):
+        # The least P with P * f / R whole is the denominator of f / R in lowest terms.
+        expected = (Fraction(mod_frequency) / Fraction(sample_rate)).denominator
+        assert modulation_period(mod_frequency, sample_rate) == expected
 
     @pytest.mark.parametrize("sample_rate", [FS, 1000.5])
     def test_deterministic(self, physics, sample_rate):

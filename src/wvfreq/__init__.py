@@ -1,5 +1,7 @@
 """Weak-value amplified optical frequency measurement simulator."""
 
+__version__ = "0.1.0"  # set before the submodules load: config_hash reads it
+
 from .calibration import (
     ReferenceLine,
     ScanCalibration,
@@ -9,6 +11,7 @@ from .calibration import (
 )
 from .config import ExperimentConfig, ResolvedPhysics, config_from_file, resolve
 from .dispersion import (
+    OperatingPoint,
     OpticalCarrier,
     Prism,
     SellmeierModel,
@@ -16,15 +19,14 @@ from .dispersion import (
     deflection_slope,
     dispersive_deflection,
     get_material,
-    min_deviation_angle,
     momentum_kick,
+    operating_point,
     sellmeier_index,
 )
 from .interferometer import (
     BeamProfile,
     InterferometerState,
     amplification_factor,
-    amplified_deflection,
     phi_for_postselection,
     postselection_probability,
     weak_value_magnitude,
@@ -48,5 +50,3 @@ from .signal_chain import (
     slope_fit,
     synthesize_run,
 )
-
-__version__ = "0.1.0"

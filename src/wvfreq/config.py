@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import dispersion, interferometer
+from . import __version__, dispersion, interferometer
 from .errors import ValidationError
 from .signal_chain import FilterSpec, NoiseExtensions
 from .units import data_lines, fmt, parse_quantity
@@ -172,21 +172,18 @@ class ResolvedPhysics:
 
     config: ExperimentConfig
     carrier: dispersion.OpticalCarrier
-    material: dispersion.SellmeierModel
-    prism: dispersion.Prism
+    point: dispersion.OperatingPoint
     state: interferometer.InterferometerState
     filter_spec: FilterSpec
     extensions: NoiseExtensions
 
     def kick_of_shift(self, frequency_shift):
         """Transverse momentum kick (rad/m) for a carrier frequency shift."""
-        delta = dispersion.dispersive_deflection(
-            self.prism, self.carrier.wavelength, frequency_shift
-        )
+        delta = dispersion.dispersive_deflection(self.point, frequency_shift)
         return dispersion.momentum_kick(delta, self.carrier)
 
     def deflection_slope(self):
-        return dispersion.deflection_slope(self.prism, self.carrier)
+        return dispersion.deflection_slope(self.point)
 
     def n_photons_per_sample(self):
         from .noise import photon_number
@@ -205,19 +202,18 @@ def resolve(config):
     else:
         phi = interferometer.phi_for_postselection(config.postselection)
     if config.apex_angle is not None:
-        gamma = config.apex_angle
+        prism = dispersion.Prism(apex_angle=config.apex_angle, material=material)
+        point = dispersion.operating_point(prism, carrier)
     else:
-        gamma = dispersion.calibrate_apex_angle(
+        point = dispersion.calibrate_apex_angle(
             config.unamplified_slope, config.path_length, carrier, material
         )
-
-    prism = dispersion.Prism(apex_angle=gamma, material=material)
     beam = interferometer.BeamProfile(sigma=config.sigma, carrier=carrier)
     state = interferometer.InterferometerState(
         phi=phi, path_length=config.path_length, beam=beam
     )
     return ResolvedPhysics(
-        config=config, carrier=carrier, material=material, prism=prism, state=state,
+        config=config, carrier=carrier, point=point, state=state,
         filter_spec=FilterSpec(config.filter_center, config.filter_stages, config.filter_gain),
         extensions=NoiseExtensions(config.electronic_noise, config.dark_count_rate),
     )
@@ -235,7 +231,7 @@ def resolved_metadata(physics):
     meta["derived_postselection"] = interferometer.postselection_probability(
         physics.state.phi
     )
-    meta["derived_apex_angle"] = physics.prism.apex_angle
+    meta["derived_apex_angle"] = physics.point.prism.apex_angle
     meta["derived_unamplified_slope_m_per_hz"] = (
         cfg.path_length * physics.deflection_slope()
     )
@@ -245,11 +241,12 @@ def resolved_metadata(physics):
 
 
 def config_hash(meta):
-    """Short digest of the resolved configuration; identical hash means an
-    identical run."""
+    """Short digest of the resolved configuration and the package version;
+    identical hash means an identical run."""
     payload = "\n".join(
         f"{key}={fmt(value) if isinstance(value, float) else value}"
         for key, value in sorted(meta.items())
         if key != "config_hash"
     )
+    payload += f"\nwvfreq={__version__}"
     return hashlib.sha256(payload.encode()).hexdigest()[:12]

@@ -11,8 +11,11 @@ index change Delta_n into an angular deflection
     delta = 2 Delta_n / sqrt(sin(gamma/2)**-2 - n**2),
 
 and the transverse momentum kick on the beam is k = delta * k0. Delta_n is
-always evaluated by two-point index evaluation (no analytic dn/dlambda), so
-the chain stays exact over multi-THz frequency offsets.
+the Sellmeier sum's own difference in closed form (``index_step``), never
+the difference of two rounded indices, so it keeps its relative precision
+from 1 Hz to multi-THz offsets; the slope d(delta)/d(nu) is its dnu -> 0
+limit (``index_slope``). The prism's ``OperatingPoint`` holds n0, dn/dnu
+and the denominator r, evaluated once, and every deflection reads them.
 
 All functions are pure; wavelength/frequency arguments accept scalars or
 numpy arrays.
@@ -27,7 +30,6 @@ from .errors import (
     DomainError,
     GrazingIncidenceError,
     NumericalError,
-    TotalInternalReflectionError,
     UnreachableSlopeError,
     ValidationError,
 )
@@ -35,7 +37,6 @@ from .units import data_lines, finite_number
 
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact SI value
 TWO_PI = 2.0 * np.pi
-PROBE_SHIFT = 1e6  # Hz: the two-point probe behind every local deflection slope
 MIN_APEX_ANGLE = 1e-9  # rad: the smallest prism, and the low end of the calibration bracket
 
 _CATALOG_RESOURCE = "sellmeier_coefficients.txt"
@@ -124,15 +125,19 @@ def get_material(name):
     return catalog[name]
 
 
-def sellmeier_index(model, wavelength):
-    """Refractive index n(lambda) from the three-term Sellmeier sum."""
-    lam = np.asarray(wavelength, dtype=float)
+def _check_window(model, lam):
     lo, hi = model.valid_range
     if np.any(lam < lo) or np.any(lam > hi):
         raise DomainError(
             f"wavelength outside {model.name} validity range "
             f"[{lo:.3e}, {hi:.3e}] m: {np.min(lam):.6e}..{np.max(lam):.6e} m"
         )
+
+
+def sellmeier_index(model, wavelength):
+    """Refractive index n(lambda) from the three-term Sellmeier sum."""
+    lam = np.asarray(wavelength, dtype=float)
+    _check_window(model, lam)
     lam2 = lam**2
     n2 = 1.0 + sum(b * lam2 / (lam2 - c) for b, c in zip(model.b, model.c))
     if np.any(n2 <= 0.0):
@@ -142,6 +147,36 @@ def sellmeier_index(model, wavelength):
         )
     n = np.sqrt(n2)
     return float(n) if np.isscalar(wavelength) else n
+
+
+def index_step(model, wavelength, n0, frequency_shift):
+    """Index change Delta_n = n(nu0 + dnu) - n0, with n0 = n(wavelength), nu0 = c/wavelength.
+
+    The Sellmeier sum gives the difference without subtracting two indices:
+    n^2 - n0^2 = sum_i b_i c_i (lambda0^2 - lambda^2) / ((lambda^2 - c_i)(lambda0^2 - c_i)),
+    lambda0^2 - lambda^2 = lambda0^2 dnu (2 nu0 + dnu) / (nu0 + dnu)^2, and
+    Delta_n = (n^2 - n0^2) / (n + n0). Every factor keeps its relative
+    precision, so Delta_n does too at any offset inside the validity window.
+    ``index_step_frequency`` inverts this map.
+    """
+    dnu = np.asarray(frequency_shift, dtype=float)
+    nu0 = SPEED_OF_LIGHT / wavelength
+    nu = nu0 + dnu
+    lam = SPEED_OF_LIGHT / nu
+    _check_window(model, lam)
+    lam2, lam02 = lam**2, wavelength**2
+    gap = lam02 * dnu * (nu0 + nu) / nu**2  # lambda0^2 - lambda^2
+    dn2 = sum(b * c * gap / ((lam2 - c) * (lam02 - c)) for b, c in zip(model.b, model.c))
+    step = dn2 / (np.sqrt(n0**2 + dn2) + n0)
+    return float(step) if np.isscalar(frequency_shift) else step
+
+
+def index_slope(model, wavelength, n0):
+    """dn/dnu at nu0 = c/wavelength, the dnu -> 0 limit of ``index_step``:
+    lambda0^3 / (n0 c) * sum_i b_i c_i / (lambda0^2 - c_i)^2."""
+    lam02 = wavelength**2
+    total = sum(b * c / (lam02 - c) ** 2 for b, c in zip(model.b, model.c))
+    return wavelength**3 / (n0 * SPEED_OF_LIGHT) * total
 
 
 def index_step_frequency(model, wavelength, n0, dn):
@@ -161,42 +196,46 @@ def index_step_frequency(model, wavelength, n0, dn):
     return SPEED_OF_LIGHT / wavelength * np.expm1(-0.5 * np.log1p(u))
 
 
-def min_deviation_angle(prism, wavelength):
-    """Total deviation theta = 2*asin(n*sin(gamma/2)) - gamma at minimum deviation."""
-    n = sellmeier_index(prism.material, wavelength)
-    s = n * np.sin(prism.apex_angle / 2.0)
-    if np.any(s > 1.0):
-        raise TotalInternalReflectionError(
-            f"n*sin(gamma/2) = {np.max(s):.6f} > 1 for {prism.material.name}; "
-            "beam does not traverse the prism"
-        )
-    theta = 2.0 * np.arcsin(s) - prism.apex_angle
-    return float(theta) if np.isscalar(wavelength) else theta
-
-
-def deflection_denominator(prism, n):
-    radicand = float(np.sin(prism.apex_angle / 2.0)) ** -2 - n**2
-    if np.any(radicand <= 0.0):
+def deflection_denominator(prism, n0):
+    """r = sqrt(sin(gamma/2)**-2 - n0^2), the denominator of the deflection."""
+    radicand = float(np.sin(prism.apex_angle / 2.0)) ** -2 - n0**2
+    if radicand <= 0.0:
         raise GrazingIncidenceError(
             "sin(gamma/2)**-2 - n^2 <= 0: grazing-incidence regime, deflection "
-            f"formula invalid (gamma={prism.apex_angle:.4f}, n={np.max(n):.4f})"
+            f"formula invalid (gamma={prism.apex_angle:.4f}, n={n0:.4f})"
         )
-    return np.sqrt(radicand)
+    return float(np.sqrt(radicand))
 
 
-def dispersive_deflection(prism, wavelength, frequency_shift):
-    """Angular deflection delta for a frequency change of the carrier.
+@dataclass(frozen=True)
+class OperatingPoint:
+    """A prism at its carrier: n0 = n(lambda0), dn/dnu there (1/Hz) and the
+    deflection denominator r = sqrt(sin(gamma/2)**-2 - n0^2), each evaluated
+    once. Built by ``operating_point`` or ``calibrate_apex_angle``."""
 
-    delta = 2 * Delta_n / sqrt(sin(gamma/2)**-2 - n^2), with Delta_n taken
-    from two-point index evaluation at nu and nu + frequency_shift. With
-    normal dispersion, positive shifts give positive deflections.
-    """
-    dnu = np.asarray(frequency_shift, dtype=float)
-    nu0 = SPEED_OF_LIGHT / wavelength
-    n0 = sellmeier_index(prism.material, wavelength)
-    n_shifted = sellmeier_index(prism.material, SPEED_OF_LIGHT / (nu0 + dnu))
-    delta = 2.0 * (n_shifted - n0) / deflection_denominator(prism, n0)
-    return float(delta) if np.isscalar(frequency_shift) else delta
+    prism: Prism
+    carrier: OpticalCarrier
+    n0: float
+    index_slope: float
+    denominator: float
+
+
+def operating_point(prism, carrier):
+    """The operating point of a prism with a given apex angle."""
+    material, wavelength = prism.material, carrier.wavelength
+    n0 = sellmeier_index(material, wavelength)
+    return OperatingPoint(
+        prism, carrier, n0, index_slope(material, wavelength, n0),
+        deflection_denominator(prism, n0),
+    )
+
+
+def dispersive_deflection(point, frequency_shift):
+    """Angular deflection delta = 2 Delta_n / r for a frequency change of the
+    carrier, with Delta_n from ``index_step``. With normal dispersion,
+    positive shifts give positive deflections."""
+    step = index_step(point.prism.material, point.carrier.wavelength, point.n0, frequency_shift)
+    return 2.0 * step / point.denominator
 
 
 def momentum_kick(deflection, carrier):
@@ -204,46 +243,36 @@ def momentum_kick(deflection, carrier):
     return deflection * carrier.wavenumber
 
 
-def deflection_slope(prism, carrier):
-    """Local deflection slope d(delta)/d(nu) in rad/Hz, from a two-point probe."""
-    return dispersive_deflection(prism, carrier.wavelength, PROBE_SHIFT) / PROBE_SHIFT
+def deflection_slope(point):
+    """Local deflection slope d(delta)/d(nu) = 2 (dn/dnu) / r in rad/Hz."""
+    return 2.0 * point.index_slope / point.denominator
 
 
 def calibrate_apex_angle(target_slope, path_length, carrier, material):
-    """Recover the apex angle that reproduces a target unamplified slope.
+    """The operating point of the prism that gives a target unamplified slope.
 
     ``target_slope`` is the free deflection per unit frequency (m/Hz) at
-    distance ``path_length``, i.e. path_length * delta(nu)/nu. Delta_n does
-    not depend on gamma, so target = 2 L Delta_n / (probe r) with
-    r = sqrt(sin(gamma/2)**-2 - n0^2) inverts in closed form:
-    gamma = 2*asin(1/sqrt(n0^2 + r^2)). The forward map is strictly
-    increasing in gamma on (0, 2*asin(1/n0)), so a target outside its range
-    on that bracket is provably unreachable.
+    distance ``path_length``: target = 2 L (dn/dnu) / r. dn/dnu does not
+    depend on gamma, so r = 2 L (dn/dnu) / target is carried as is, and the
+    apex angle gamma = 2*asin(1/sqrt(n0^2 + r^2)) only describes the prism.
+    Getting r back from gamma would cancel near grazing incidence, where r is
+    small. r falls strictly with gamma on (0, 2*asin(1/n0)), so a target
+    outside the slopes of that bracket is provably unreachable.
     """
     if path_length <= 0:
         raise ValidationError(f"path length must be positive, got {path_length}")
-    n0 = sellmeier_index(material, carrier.wavelength)
-    dn = sellmeier_index(material, SPEED_OF_LIGHT / (carrier.frequency + PROBE_SHIFT)) - n0
-    gamma_max = 2.0 * np.arcsin(1.0 / n0)
-
-    def forward(gamma):  # path_length * deflection_slope(...)
-        prism = Prism(apex_angle=gamma, material=material)
-        return path_length * (2.0 * dn / deflection_denominator(prism, n0)) / PROBE_SHIFT
-
-    lo, hi = MIN_APEX_ANGLE, gamma_max * (1.0 - 1e-12)
-    f_lo, f_hi = forward(lo), forward(hi)
+    wavelength = carrier.wavelength
+    n0 = sellmeier_index(material, wavelength)
+    slope = index_slope(material, wavelength, n0)
+    f_lo, f_hi = (
+        2.0 * path_length * slope / deflection_denominator(Prism(gamma, material), n0)
+        for gamma in (MIN_APEX_ANGLE, 2.0 * np.arcsin(1.0 / n0) * (1.0 - 1e-12))
+    )
     if not f_lo <= target_slope <= f_hi:
         raise UnreachableSlopeError(
             f"target slope {target_slope:.6e} m/Hz outside achievable range "
-            f"[{f_lo:.6e}, {f_hi:.6e}] m/Hz for {material.name} at "
-            f"{carrier.wavelength:.4e} m"
+            f"[{f_lo:.6e}, {f_hi:.6e}] m/Hz for {material.name} at {wavelength:.4e} m"
         )
-    r = 2.0 * path_length * dn / (PROBE_SHIFT * target_slope)
-    gamma_star = float(2.0 * np.arcsin(1.0 / np.sqrt(n0**2 + r**2)))
-    achieved = forward(gamma_star)
-    if abs(achieved - target_slope) > 1e-6 * abs(target_slope):
-        raise NumericalError(
-            f"apex-angle calibration missed target: got {achieved:.9e} m/Hz "
-            f"for {target_slope:.9e} m/Hz"
-        )
-    return gamma_star
+    r = 2.0 * path_length * slope / target_slope
+    gamma = float(2.0 * np.arcsin(1.0 / np.sqrt(n0**2 + r**2)))
+    return OperatingPoint(Prism(gamma, material), carrier, n0, slope, r)

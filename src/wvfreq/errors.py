@@ -25,10 +25,6 @@ class PhysicsValidityError(SimulationError):
     """Inputs valid but outside the regime where the model applies."""
 
 
-class TotalInternalReflectionError(PhysicsValidityError):
-    """n(lambda) * sin(gamma/2) > 1: the minimum-deviation formula is complex."""
-
-
 class GrazingIncidenceError(PhysicsValidityError):
     """sin(gamma/2)**-2 <= n**2: the deflection denominator vanishes."""
 
@@ -47,7 +43,3 @@ class UnreachableSlopeError(PhysicsValidityError):
 
 class NumericalError(SimulationError):
     """A numerical routine failed to converge or produced an inconsistent value."""
-
-
-class WeakValueApproximationWarning(UserWarning):
-    """k*sigma is large enough that the linearized deflection is degrading."""

@@ -19,7 +19,6 @@ precision, and at the published operating point (|x| ~ 1e-6) two terms give
 scipy's ``dawsn`` bit for bit. scipy's ``dawsn`` is the test oracle.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +28,10 @@ from .errors import (
     DarkPortEmptyError,
     DomainError,
     ValidationError,
-    WeakValueApproximationWarning,
     WeakValueValidityError,
 )
 
-# Linearization bookkeeping: warn above the soft bound, refuse above the hard one.
-KICK_SIGMA_WARN = 0.1
-KICK_SIGMA_LIMIT = 0.5
+KICK_SIGMA_LIMIT = 0.5  # largest |k sigma| the dark-port kernel accepts
 
 DEFAULT_GRID_HALF_WIDTH = 8.0  # detector half-width in units of sigma
 
@@ -132,29 +128,6 @@ def phi_for_postselection(p_ps):
     if not 0.0 < p_ps <= 1.0:
         raise DomainError(f"postselection probability must lie in (0, 1], got {p_ps}")
     return 2.0 * np.arcsin(np.sqrt(p_ps))
-
-
-def _check_kick_validity(k, sigma):
-    ks = np.max(np.abs(k)) * sigma
-    if ks > KICK_SIGMA_LIMIT:
-        raise WeakValueValidityError(
-            f"weak value condition k*sigma << 1 violated: k*sigma = {ks:.3g} "
-            f"> {KICK_SIGMA_LIMIT}"
-        )
-    if ks > KICK_SIGMA_WARN:
-        warnings.warn(
-            f"k*sigma = {ks:.3g} exceeds {KICK_SIGMA_WARN}; linearized deflection "
-            "is a degraded approximation",
-            WeakValueApproximationWarning,
-            stacklevel=3,
-        )
-
-
-def amplified_deflection(k, state):
-    """Linearized dark-port centroid shift 2 k sigma^2 cot(phi/2) in meters."""
-    sigma = state.beam.sigma
-    _check_kick_validity(k, sigma)
-    return 2.0 * k * sigma**2 * weak_value_magnitude(state.phi)
 
 
 def amplification_factor(state):

@@ -16,20 +16,15 @@ are binomial with the probability ``p_right`` of landing at x > 0.
 position estimate; it is the one estimator every simulated record uses.
 
 ``usable_range`` inverts the Sellmeier sum in closed form, a cubic in
-lambda^2, at the index where the kick reaches the k*sigma threshold.
+lambda^2, at the index where the kick reaches the k*sigma threshold. It and
+``ideal_sensitivity`` read the prism's ``dispersion.OperatingPoint``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import (
-    SPEED_OF_LIGHT,
-    deflection_denominator,
-    deflection_slope,
-    index_step_frequency,
-    sellmeier_index,
-)
+from .dispersion import SPEED_OF_LIGHT, deflection_slope, index_step, index_step_frequency
 from .errors import NumericalError, ValidationError
 
 PLANCK = 6.62607015e-34  # J s, exact SI value
@@ -97,17 +92,18 @@ def shot_noise_snr(n_photons, k0, sigma, deflection):
     return np.sqrt(8.0 * n_photons / np.pi) * k0 * sigma * deflection
 
 
-def ideal_sensitivity(power, carrier, sigma, prism):
-    """Shot-noise-limited sensitivity in Hz/sqrt(Hz).
+def ideal_sensitivity(power, point, sigma):
+    """Shot-noise-limited sensitivity in Hz/sqrt(Hz) at an operating point.
 
     Sets R = 1 at one second of integration, solves for the minimum
     deflection and converts through the local dispersion slope.
     """
+    carrier = point.carrier
     n = photon_number(power, carrier, 1.0)
     if n <= 0:
         raise ValidationError("zero photon budget: sensitivity is unbounded")
     delta_min = 1.0 / (np.sqrt(8.0 * n / np.pi) * carrier.wavenumber * sigma)
-    return delta_min / deflection_slope(prism, carrier)
+    return delta_min / deflection_slope(point)
 
 
 def measured_sensitivity(min_shift, integration_time):
@@ -122,33 +118,33 @@ def measured_sensitivity(min_shift, integration_time):
     return min_shift * np.sqrt(integration_time)
 
 
-def usable_range(carrier, sigma, prism, threshold=0.5):
+def usable_range(point, sigma, threshold=0.5):
     """Largest frequency offset keeping k(nu)*sigma below ``threshold``.
 
-    k sigma = 2 k0 sigma (n - n0) / sqrt(sin(gamma/2)**-2 - n0^2) reaches the
-    threshold at the index n_star, where the Sellmeier sum is inverted in
-    closed form. If n_star lies beyond the edge of the Sellmeier window the
-    result is clamped there and flagged. If n_star rounds to n0, the range
-    lies below the frequency step the dispersion model resolves: refused.
+    k sigma = 2 k0 sigma Delta_n / r reaches the threshold at the index step
+    dn = threshold r / (2 k0 sigma), where the Sellmeier sum is inverted in
+    closed form. If dn lies beyond the step at the edge of the Sellmeier
+    window the result is clamped there and flagged. A root that does not
+    give back dn through ``index_step`` to 1e-9 is refused: below a step of
+    about 1.5e-33 (fused silica at 780 nm) ``np.roots`` returns that root as 0.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValidationError(f"threshold must lie in (0, 1], got {threshold}")
-    material = prism.material
-    n0 = sellmeier_index(material, carrier.wavelength)
-    dn = threshold * deflection_denominator(prism, n0) / (2.0 * carrier.wavenumber * sigma)
-    n_star = n0 + dn
+    material, carrier = point.prism.material, point.carrier
+    wavelength, n0 = carrier.wavelength, point.n0
+    dn = threshold * point.denominator / (2.0 * carrier.wavenumber * sigma)
     edge = SPEED_OF_LIGHT / material.valid_range[0] - carrier.frequency
     edge *= 1.0 - 1e-12  # stay inside the validity window
-    if n_star >= sellmeier_index(material, SPEED_OF_LIGHT / (carrier.frequency + edge)):
+    if dn >= index_step(material, wavelength, n0, edge):
         return UsableRange(frequency_span=edge, clamped=True)
-    if n_star == n0:
+    span = float(index_step_frequency(material, wavelength, n0, dn))
+    if not (dn > 0.0 and abs(index_step(material, wavelength, n0, span) - dn) <= 1e-9 * dn):
         raise NumericalError(
-            f"usable range lies below the dispersion model's frequency resolution: "
-            f"its index step {dn:.3g} is lost in rounding n = {n0:.6f} "
+            f"usable range not resolved: the root {span:.3g} Hz of the index step "
+            f"{dn:.3g} does not give that step back "
             f"(sigma = {sigma:.3g} m, threshold = {threshold:.3g})"
         )
-    span = index_step_frequency(material, carrier.wavelength, n0, dn)
-    return UsableRange(frequency_span=float(span), clamped=False)
+    return UsableRange(frequency_span=span, clamped=False)
 
 
 def split_estimate(n_right, n_total, calibration):

@@ -149,8 +149,8 @@ def run_sensitivity(config):
     physics = resolve(config)
     cfg = config
     # The range first: it refuses a sigma wide enough to overflow the SNR terms.
-    span = usable_range(physics.carrier, cfg.sigma, physics.prism, cfg.range_threshold)
-    ideal = ideal_sensitivity(cfg.power, physics.carrier, cfg.sigma, physics.prism)
+    span = usable_range(physics.point, cfg.sigma, cfg.range_threshold)
+    ideal = ideal_sensitivity(cfg.power, physics.point, cfg.sigma)
     min_shift = cfg.sweep_min
     scaled = measured_sensitivity(min_shift, cfg.integration_time)
     slope = physics.deflection_slope()
@@ -199,9 +199,7 @@ def sensitivity_text(report):
 
 def run_range(config):
     physics = resolve(config)
-    span = usable_range(
-        physics.carrier, config.sigma, physics.prism, config.range_threshold
-    )
+    span = usable_range(physics.point, config.sigma, config.range_threshold)
     return span, resolved_metadata(physics)
 
 

@@ -3,22 +3,28 @@
 The package computes the split detector and the dark-port centroid in
 closed form. The oracles here evaluate the same quantities by trapezoid
 quadrature on a tabulated detector-plane profile, or write out the formula
-a test compares against. The bandpass, which the package applies as a
+a test compares against; the Sellmeier index steps are summed in exact
+rational arithmetic. The bandpass, which the package applies as a
 frequency response on an FFT grid, is checked against scipy's recursive
 ``lfilter``, and the record synthesis, which evaluates the dark-port kernel
 over one period of the sampled drive, against a per-sample evaluation.
 None is used by a request.
 """
 
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
 import numpy as np
 from scipy.integrate import trapezoid
 from scipy.signal import lfilter
 
+from wvfreq.dispersion import SPEED_OF_LIGHT, sellmeier_index
 from wvfreq.errors import DarkPortEmptyError, GrazingIncidenceError, ValidationError
 from wvfreq.interferometer import (
     DEFAULT_GRID_HALF_WIDTH,
     dark_port_split_calibration,
     dark_port_split_probability,
+    weak_value_magnitude,
 )
 from wvfreq.noise import split_estimate
 from wvfreq.signal_chain import (
@@ -82,6 +88,11 @@ def exact_dark_port_mean(k, state):
     return trapezoid(x * intensity, x) / norm
 
 
+def amplified_deflection(k, state):
+    """Linearized dark-port centroid shift 2 k sigma^2 cot(phi/2) in meters."""
+    return 2.0 * k * state.beam.sigma**2 * weak_value_magnitude(state.phi)
+
+
 def amplified_deflection_closed_form(dn, gamma, n, phi, sigma, k0):
     """Small-phi closed form 8 k0 sigma^2 (dn/phi) / sqrt(sin(gamma/2)**-2 - n^2).
 
@@ -94,6 +105,47 @@ def amplified_deflection_closed_form(dn, gamma, n, phi, sigma, k0):
             f"sin(gamma/2)**-2 - n^2 = {radicand:.3e} <= 0 in closed-form deflection"
         )
     return 8.0 * k0 * sigma**2 * (dn / phi) / np.sqrt(radicand)
+
+
+def min_deviation_angle(prism, wavelength):
+    """Total deviation theta = 2*asin(n*sin(gamma/2)) - gamma at minimum deviation.
+
+    n sin(gamma/2) > 1 is the grazing condition sin(gamma/2)**-2 - n^2 < 0.
+    """
+    n = sellmeier_index(prism.material, wavelength)
+    s = n * np.sin(prism.apex_angle / 2.0)
+    if np.any(s > 1.0):
+        raise GrazingIncidenceError(
+            f"n*sin(gamma/2) = {np.max(s):.6f} > 1 for {prism.material.name}; "
+            "beam does not traverse the prism"
+        )
+    theta = 2.0 * np.arcsin(s) - prism.apex_angle
+    return float(theta) if np.isscalar(wavelength) else theta
+
+
+def exact_index_square(model, wavelength, frequency_shift=0):
+    """n^2 at nu0 + dnu as an exact fraction, with nu0 = c/wavelength taken exactly:
+    the Sellmeier sum is rational in wavelength and frequency_shift."""
+    c_light = Fraction(SPEED_OF_LIGHT)
+    lam2 = (c_light / (c_light / Fraction(wavelength) + Fraction(frequency_shift))) ** 2
+    return 1 + sum(
+        Fraction(b) * lam2 / (lam2 - Fraction(c)) for b, c in zip(model.b, model.c)
+    )
+
+
+def exact_index_step(model, wavelength, frequency_shift, digits=50):
+    """n(nu0 + dnu) - n0 rounded to a float: the difference of two exact
+    Sellmeier sums, with the square roots taken to ``digits`` decimal digits."""
+    n0_sq = exact_index_square(model, wavelength)
+    dn_sq = exact_index_square(model, wavelength, frequency_shift) - n0_sq
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+
+        def dec(f):
+            return Decimal(f.numerator) / Decimal(f.denominator)
+
+        n0 = dec(n0_sq).sqrt()
+        return float(dec(dn_sq) / (dec(n0_sq + dn_sq).sqrt() + n0))
 
 
 def unamplified_deflection(k, path_length, k0):

@@ -19,7 +19,7 @@ from wvfreq.config import (
 )
 from wvfreq.errors import ValidationError
 from wvfreq.signal_chain import timeseries_from_csv
-from wvfreq.units import parse_quantity
+from wvfreq.units import csv_columns, parse_quantity
 
 
 class TestUnits:
@@ -63,7 +63,27 @@ class TestConfig:
     def test_defaults_resolve_to_operating_point(self):
         physics = resolve(ExperimentConfig())
         assert physics.state.phi == pytest.approx(0.22853207394762412, rel=1e-12)
-        assert physics.prism.apex_angle == pytest.approx(0.7822230716277206, rel=1e-9)
+        assert physics.point.prism.apex_angle == pytest.approx(0.7822222992740858, rel=1e-12)
+
+    @pytest.mark.parametrize("apex", [{}, {"apex_angle": "60deg"}])
+    def test_index_evaluated_once_per_resolve(self, monkeypatch, apex):
+        # Kick, slope, range, ideal sensitivity and metadata all read the operating point.
+        from wvfreq import dispersion
+        from wvfreq.noise import ideal_sensitivity, usable_range
+
+        calls = []
+        original = dispersion.sellmeier_index
+        monkeypatch.setattr(
+            dispersion, "sellmeier_index", lambda *args: calls.append(args) or original(*args)
+        )
+        physics = resolve(config_from_mapping(apex))
+        assert len(calls) == 1
+        physics.kick_of_shift(np.linspace(-7.4e6, 7.4e6, 5))
+        physics.deflection_slope()
+        usable_range(physics.point, 388e-6)
+        ideal_sensitivity(2e-3, physics.point, 388e-6)
+        resolved_metadata(physics)
+        assert len(calls) == 1
 
     def test_file_and_overrides(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -102,13 +122,13 @@ class TestConfig:
                 ExperimentConfig(**kwargs)
             assert str(info.value) == message
         cfg = ExperimentConfig(phi=0.2, postselection=None, apex_angle=1.0, unamplified_slope=None)
-        assert resolve(cfg).prism.apex_angle == 1.0
+        assert resolve(cfg).point.prism.apex_angle == 1.0
 
     def test_direct_apex_angle(self):
         cfg = config_from_mapping({"apex_angle": "60deg"})
         assert cfg.unamplified_slope is None
         physics = resolve(cfg)
-        assert physics.prism.apex_angle == pytest.approx(np.pi / 3, rel=1e-9)
+        assert physics.point.prism.apex_angle == pytest.approx(np.pi / 3, rel=1e-9)
 
     def test_unknown_key(self):
         with pytest.raises(ValidationError, match="unknown config key"):
@@ -340,7 +360,6 @@ class TestCli:
     @pytest.mark.parametrize(
         "flag,value",
         [
-            ("--sigma", "1e10"),
             ("--sigma", "1e294"),
             ("--sigma", "1e300"),
             ("--range-threshold", "1e-300"),
@@ -354,8 +373,32 @@ class TestCli:
             assert cli.main([command, flag, value]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("numerical error: usable range lies below")
+        assert captured.err.startswith("numerical error: usable range not resolved: the root")
         assert captured.err.count("\n") == 1
+
+    def test_usable_range_of_a_wide_beam(self, capsys):
+        # The index step, 6.8e-18, is below one ulp of n0 and still resolved.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["range", "--sigma", "1e10"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        _, table = csv_columns(captured.out, ("usable_range_hz", "clamped"))
+        span = table[0][0]
+        assert 0.18 < span < 0.19
+        physics = resolve(config_from_mapping({"sigma": "1e10"}))
+        assert physics.kick_of_shift(span) * 1e10 == pytest.approx(0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("path_length", ["3e-7", "2.7e-7"])
+    def test_calibration_next_to_grazing_incidence(self, capsys, path_length):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["range", "--path-length", path_length]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        meta, _ = csv_columns(captured.out, ("usable_range_hz", "clamped"))
+        slope = float(meta["derived_unamplified_slope_m_per_hz"])
+        assert slope == pytest.approx(9.1e-18, rel=1e-15)
 
     def test_usable_range_wide_beam_short_path(self, capsys):
         # scipy's brentq needs 110 iterations on this range, 10 more than its default cap.
@@ -363,7 +406,7 @@ class TestCli:
         assert cli.main(args) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
-        assert captured.out.endswith("usable_range_hz,clamped\n27283730408.020676,0\n")
+        assert captured.out.endswith("usable_range_hz,clamped\n27283767284.34103,0\n")
 
     def test_apex_angle_too_small_exit_code(self, capsys):
         for value in ("1e-150", "1e-300"):

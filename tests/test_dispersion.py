@@ -7,23 +7,26 @@ from hypothesis import strategies as st
 from scipy.constants import c as C_LIGHT
 from scipy.optimize import brentq
 
+from oracles import exact_index_step, min_deviation_angle
 from wvfreq.dispersion import (
     MIN_APEX_ANGLE,
-    PROBE_SHIFT,
     OpticalCarrier,
     Prism,
     SellmeierModel,
     calibrate_apex_angle,
+    deflection_slope,
     dispersive_deflection,
     get_material,
+    index_slope,
+    index_step,
     load_material_catalog,
-    min_deviation_angle,
     momentum_kick,
+    operating_point,
     sellmeier_index,
 )
 from wvfreq.errors import (
     DomainError,
-    TotalInternalReflectionError,
+    GrazingIncidenceError,
     UnreachableSlopeError,
     ValidationError,
 )
@@ -50,6 +53,10 @@ def hand_index(lam_m):
     for b, c in zip(MALITSON_B, MALITSON_C_UM2):
         total += b * l2 / (l2 - c)
     return np.sqrt(total)
+
+
+def deflection(prism, wavelength, dnu):
+    return dispersive_deflection(operating_point(prism, OpticalCarrier(wavelength)), dnu)
 
 
 class TestSellmeierIndex:
@@ -124,10 +131,13 @@ class TestMinDeviation:
         assert np.all(np.diff(thetas) > 0)
         assert thetas[0] < 1e-3
 
-    def test_total_internal_reflection(self, fused_silica):
+    def test_total_internal_reflection(self, fused_silica, carrier):
+        # n sin(gamma/2) > 1 is the grazing condition sin(gamma/2)**-2 < n^2.
         prism = Prism(apex_angle=1.6, material=fused_silica)
-        with pytest.raises(TotalInternalReflectionError):
+        with pytest.raises(GrazingIncidenceError):
             min_deviation_angle(prism, 780e-9)
+        with pytest.raises(GrazingIncidenceError):
+            operating_point(prism, carrier)
 
     def test_apex_angle_validation(self, fused_silica):
         with pytest.raises(ValidationError):
@@ -140,19 +150,26 @@ class TestMinDeviation:
 class TestDispersiveDeflection:
     def test_zero_shift(self, fused_silica):
         prism = Prism(apex_angle=np.pi / 3, material=fused_silica)
-        assert dispersive_deflection(prism, 780e-9, 0.0) == 0.0
+        assert deflection(prism, 780e-9, 0.0) == 0.0
 
     def test_hand_evaluated_magnitude(self, fused_silica):
-        # Hand chain: two-point Delta_n over the closed-form denominator.
+        # Hand chain: exact Delta_n over the closed-form denominator.
         prism = Prism(apex_angle=np.pi / 3, material=fused_silica)
-        nu0 = C_LIGHT / 780e-9
-        dn = hand_index(C_LIGHT / (nu0 + 1e6)) - hand_index(780e-9)
+        dn = exact_index_step(fused_silica, 780e-9, 1e6)
         n0 = hand_index(780e-9)
         expected = 2 * dn / np.sqrt(np.sin(np.pi / 6) ** -2 - n0**2)
-        delta = dispersive_deflection(prism, 780e-9, 1e6)
-        assert delta == pytest.approx(expected, rel=1e-9)
-        assert delta == pytest.approx(5.3576581440039446e-11, rel=1e-9)
+        delta = deflection(prism, 780e-9, 1e6)
+        assert delta == pytest.approx(expected, rel=1e-14)
+        assert delta == pytest.approx(5.3576653848732426e-11, rel=1e-12)
         assert delta > 0  # positive shift, normal dispersion
+
+    def test_one_hertz_is_resolved(self, fused_silica, carrier):
+        # The difference of two rounded indices is exactly 0 below a few Hz.
+        point = operating_point(Prism(np.pi / 3, fused_silica), carrier)
+        for dnu in (1.0, -1.0, 1e-3):
+            assert dispersive_deflection(point, dnu) == pytest.approx(
+                deflection_slope(point) * dnu, rel=1e-9
+            )
 
     def test_formula_denominator(self):
         # 2 dn / sqrt(4 - n^2) at n = 1.4537 for a controlled index step dn = 1e-6.
@@ -166,7 +183,7 @@ class TestDispersiveDeflection:
         dtheta = min_deviation_angle(prism, C_LIGHT / (nu0 + dnu)) - min_deviation_angle(
             prism, 780e-9
         )
-        delta = dispersive_deflection(prism, 780e-9, dnu)
+        delta = deflection(prism, 780e-9, dnu)
         assert abs(delta - dtheta) <= 1e-3 * abs(delta)
 
     @settings(max_examples=30, deadline=None)
@@ -178,11 +195,53 @@ class TestDispersiveDeflection:
         prism = Prism(apex_angle=np.pi / 3, material=fused_silica)
         lam = lam_nm * 1e-9
         nu0 = C_LIGHT / lam
-        delta = dispersive_deflection(prism, lam, dnu)
+        delta = deflection(prism, lam, dnu)
         dtheta = min_deviation_angle(prism, C_LIGHT / (nu0 + dnu)) - min_deviation_angle(
             prism, lam
         )
         assert abs(delta - dtheta) <= 1e-3 * abs(delta)
+
+
+CATALOG = sorted(load_material_catalog())
+OFFSETS = (1.0, -1.0, 743e3, -743e3, 1e6, -1e6, 7.4e6, -7.4e6, 1e12, 4.7e12)
+
+
+class TestIndexStep:
+    """The closed-form Delta_n and dn/dnu against exact rational Sellmeier sums."""
+
+    @pytest.mark.parametrize("name", CATALOG)
+    @pytest.mark.parametrize("dnu", OFFSETS)
+    def test_matches_exact_oracle(self, name, dnu):
+        model = get_material(name)
+        n0 = sellmeier_index(model, 780e-9)
+        exact = exact_index_step(model, 780e-9, dnu)
+        assert index_step(model, 780e-9, n0, dnu) == pytest.approx(exact, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("name", CATALOG)
+    @pytest.mark.parametrize("wavelength", [633e-9, 780e-9, 1550e-9])
+    def test_slope_matches_exact_secant(self, name, wavelength):
+        # The central secant's own error is O(h^2), about 1e-23 at 1 kHz.
+        model = get_material(name)
+        secant = (
+            exact_index_step(model, wavelength, 1e3) - exact_index_step(model, wavelength, -1e3)
+        ) / 2e3
+        n0 = sellmeier_index(model, wavelength)
+        assert index_slope(model, wavelength, n0) == pytest.approx(secant, rel=1e-12, abs=0)
+
+    def test_array_matches_scalars(self, fused_silica):
+        n0 = sellmeier_index(fused_silica, 780e-9)
+        steps = index_step(fused_silica, 780e-9, n0, np.array(OFFSETS))
+        assert steps.tolist() == [index_step(fused_silica, 780e-9, n0, d) for d in OFFSETS]
+
+    def test_shift_outside_window_refused(self, fused_silica, carrier):
+        # 1.1e15 Hz above 780 nm is 202 nm, past the window's 0.21 um edge.
+        n0 = sellmeier_index(fused_silica, 780e-9)
+        point = operating_point(Prism(np.pi / 3, fused_silica), carrier)
+        for dnu in (1.1e15, np.array([0.0, 1.1e15])):
+            with pytest.raises(DomainError, match="validity range"):
+                index_step(fused_silica, 780e-9, n0, dnu)
+            with pytest.raises(DomainError, match="validity range"):
+                dispersive_deflection(point, dnu)
 
 
 class TestMomentumKick:
@@ -210,36 +269,43 @@ class TestCalibrateApexAngle:
             calibrate_apex_angle(0.0, 0.27, carrier, fused_silica)
 
     def test_roundtrip_to_published_slope(self, fused_silica, carrier):
-        gamma = calibrate_apex_angle(self.TARGET, 0.27, carrier, fused_silica)
+        point = calibrate_apex_angle(self.TARGET, 0.27, carrier, fused_silica)
+        gamma = point.prism.apex_angle
         assert 0 < gamma < np.pi
-        prism = Prism(apex_angle=gamma, material=fused_silica)
-        slope = 0.27 * dispersive_deflection(prism, 780e-9, 1e6) / 1e6
-        assert abs(slope - self.TARGET) <= 1e-6 * self.TARGET
+        assert 0.27 * deflection_slope(point) == pytest.approx(self.TARGET, rel=1e-15)
+        # The apex angle it reports gives the same slope back.
+        again = operating_point(Prism(gamma, fused_silica), carrier)
+        assert 0.27 * deflection_slope(again) == pytest.approx(self.TARGET, rel=1e-14)
         # regression pin for the default operating point
-        assert gamma == pytest.approx(0.7822230716277206, rel=1e-9)
+        assert gamma == pytest.approx(0.7822222992740858, rel=1e-12)
 
     def test_longer_arm_needs_smaller_apex(self, fused_silica, carrier):
-        g1 = calibrate_apex_angle(self.TARGET, 0.27, carrier, fused_silica)
-        g2 = calibrate_apex_angle(self.TARGET, 0.54, carrier, fused_silica)
+        g1 = calibrate_apex_angle(self.TARGET, 0.27, carrier, fused_silica).prism.apex_angle
+        g2 = calibrate_apex_angle(self.TARGET, 0.54, carrier, fused_silica).prism.apex_angle
         assert g2 < g1
+
+    @pytest.mark.parametrize("path_length", [3e-7, 2.7e-7])
+    def test_near_grazing_carries_the_denominator(self, fused_silica, carrier, path_length):
+        # gamma lies next to 2 asin(1/n0), where sin(gamma/2)**-2 - n0^2
+        # cancels; the calibrated r does not go through that difference.
+        point = calibrate_apex_angle(self.TARGET, path_length, carrier, fused_silica)
+        assert point.prism.apex_angle > 0.998 * 2 * np.arcsin(1 / point.n0)
+        assert path_length * deflection_slope(point) == pytest.approx(self.TARGET, rel=1e-15)
 
     @settings(max_examples=20, deadline=None)
     @given(target_pm_per_mhz=st.floats(min_value=0.5, max_value=400.0))
     def test_roundtrip_property(self, fused_silica, carrier, target_pm_per_mhz):
         target = target_pm_per_mhz * 1e-18
-        gamma = calibrate_apex_angle(target, 0.27, carrier, fused_silica)
-        prism = Prism(apex_angle=gamma, material=fused_silica)
-        slope = 0.27 * dispersive_deflection(prism, 780e-9, 1e6) / 1e6
-        assert abs(slope - target) <= 1e-6 * target
+        point = calibrate_apex_angle(target, 0.27, carrier, fused_silica)
+        assert 0.27 * deflection_slope(point) == pytest.approx(target, rel=1e-15)
 
 
 def brentq_apex_angle(target_slope, path_length, carrier, material):
     """Oracle: bracketed root find of the forward slope map over gamma."""
 
     def forward(gamma):
-        prism = Prism(apex_angle=gamma, material=material)
-        delta = dispersive_deflection(prism, carrier.wavelength, PROBE_SHIFT)
-        return path_length * delta / PROBE_SHIFT
+        point = operating_point(Prism(apex_angle=gamma, material=material), carrier)
+        return path_length * deflection_slope(point)
 
     n0 = sellmeier_index(material, carrier.wavelength)
     lo, hi = 1e-9, 2.0 * np.arcsin(1.0 / n0) * (1.0 - 1e-12)
@@ -266,7 +332,7 @@ class TestClosedFormApexAngle:
             with pytest.raises(UnreachableSlopeError):
                 calibrate_apex_angle(target, path_length, carrier, model)
             return
-        gamma = calibrate_apex_angle(target, path_length, carrier, model)
+        gamma = calibrate_apex_angle(target, path_length, carrier, model).prism.apex_angle
         assert gamma == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_unreachable_target_beyond_bracket(self, fused_silica, carrier):

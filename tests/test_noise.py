@@ -79,26 +79,26 @@ class TestShotNoiseSnr:
         snr = shot_noise_snr(n, carrier.wavenumber, SIGMA, delta)
         assert snr == pytest.approx(1.917, abs=0.01)
         ratio = measured_sensitivity(743e3, 0.03) / ideal_sensitivity(
-            2e-3, carrier, SIGMA, physics.prism
+            2e-3, physics.point, SIGMA
         )
         assert snr == pytest.approx(ratio, rel=1e-9)
 
 
 class TestSensitivities:
-    def test_ideal_published_value(self, physics, carrier):
-        sens = ideal_sensitivity(2e-3, carrier, SIGMA, physics.prism)
+    def test_ideal_published_value(self, physics):
+        sens = ideal_sensitivity(2e-3, physics.point, SIGMA)
         assert sens == pytest.approx(67e3, rel=0.05)
         assert sens == pytest.approx(67129.18745499518, rel=1e-9)
 
-    def test_ideal_power_scaling(self, physics, carrier):
-        base = ideal_sensitivity(2e-3, carrier, SIGMA, physics.prism)
-        assert ideal_sensitivity(8e-3, carrier, SIGMA, physics.prism) == pytest.approx(
+    def test_ideal_power_scaling(self, physics):
+        base = ideal_sensitivity(2e-3, physics.point, SIGMA)
+        assert ideal_sensitivity(8e-3, physics.point, SIGMA) == pytest.approx(
             base / 2, rel=1e-12
         )
 
-    def test_ideal_sigma_scaling(self, physics, carrier):
-        base = ideal_sensitivity(2e-3, carrier, SIGMA, physics.prism)
-        assert ideal_sensitivity(2e-3, carrier, 2 * SIGMA, physics.prism) == pytest.approx(
+    def test_ideal_sigma_scaling(self, physics):
+        base = ideal_sensitivity(2e-3, physics.point, SIGMA)
+        assert ideal_sensitivity(2e-3, physics.point, 2 * SIGMA) == pytest.approx(
             base / 2, rel=1e-12
         )
 
@@ -118,9 +118,9 @@ class TestSensitivities:
             measured_sensitivity(5e5, 0.03) / 2, rel=1e-12
         )
 
-    def test_zero_power_unreachable(self, physics, carrier):
+    def test_zero_power_unreachable(self, physics):
         with pytest.raises(ValidationError):
-            ideal_sensitivity(0.0, carrier, SIGMA, physics.prism)
+            ideal_sensitivity(0.0, physics.point, SIGMA)
 
     def test_report_invariant(self):
         with pytest.raises(ValidationError):
@@ -156,11 +156,10 @@ def usable_range_root_finds():
         physics = resolve(cfg)
 
         def excess(dnu, physics=physics, sigma=sigma, threshold=threshold):
-            carrier = physics.carrier
-            delta = dispersion.dispersive_deflection(physics.prism, carrier.wavelength, dnu)
-            return dispersion.momentum_kick(delta, carrier) * sigma - threshold
+            delta = dispersion.dispersive_deflection(physics.point, dnu)
+            return dispersion.momentum_kick(delta, physics.carrier) * sigma - threshold
 
-        edge = dispersion.SPEED_OF_LIGHT / physics.material.valid_range[0]
+        edge = dispersion.SPEED_OF_LIGHT / physics.point.prism.material.valid_range[0]
         edge = (edge - physics.carrier.frequency) * (1.0 - 1e-12)
         if excess(edge) >= 0.0:
             yield cfg, physics, excess, edge
@@ -168,14 +167,14 @@ def usable_range_root_finds():
 
 class TestUsableRange:
     def test_closed_form_matches_oracles(self):
-        # The kick map crosses the threshold within 1e-9 relative + 50 Hz of
-        # the closed-form span, and scipy's brentq on it lands there too.
+        # The kick map crosses the threshold within 1e-11 relative of the
+        # closed-form span, and scipy's brentq on it lands there too.
         compared = 0
         for cfg, physics, excess, edge in usable_range_root_finds():
-            result = usable_range(physics.carrier, cfg.sigma, physics.prism, cfg.range_threshold)
+            result = usable_range(physics.point, cfg.sigma, cfg.range_threshold)
             assert not result.clamped, cfg
             span = result.frequency_span
-            tol = 1e-9 * span + 50.0
+            tol = 1e-11 * span
             assert excess(span - tol) < 0.0 <= excess(span + tol), cfg
             root = brentq(excess, 0.0, edge, xtol=1e-3, rtol=1e-12, maxiter=500)
             assert abs(span - root) <= tol, cfg
@@ -183,36 +182,36 @@ class TestUsableRange:
         assert compared == 287  # one config of the grid is clamped
 
     def test_published_range(self, physics, carrier):
-        span = usable_range(carrier, SIGMA, physics.prism, threshold=0.5)
+        span = usable_range(physics.point, SIGMA, threshold=0.5)
         assert not span.clamped
         assert span.frequency_span == pytest.approx(5e12, rel=0.30)
 
     def test_tiny_threshold(self, physics, carrier):
-        span = usable_range(carrier, SIGMA, physics.prism, threshold=1e-9)
+        span = usable_range(physics.point, SIGMA, threshold=1e-9)
         assert span.frequency_span < 1e5
 
     def test_small_step_keeps_relative_precision(self, physics, carrier):
         # Far below the kHz scale the span is linear in the index step, so
         # 1000x less threshold gives 1000x less span, down to a few Hz.
         spans = [
-            usable_range(carrier, SIGMA, physics.prism, th).frequency_span
+            usable_range(physics.point, SIGMA, th).frequency_span
             for th in (1e-9, 1e-12)
         ]
         assert spans[0] == pytest.approx(1000.0 * spans[1], rel=1e-6)
 
     def test_threshold_validation(self, physics, carrier):
         with pytest.raises(ValidationError):
-            usable_range(carrier, SIGMA, physics.prism, threshold=0.0)
+            usable_range(physics.point, SIGMA, threshold=0.0)
 
     def test_sigma_scaling(self, physics, carrier):
-        base = usable_range(carrier, SIGMA, physics.prism, 0.5).frequency_span
-        halved = usable_range(carrier, SIGMA / 2, physics.prism, 0.5).frequency_span
+        base = usable_range(physics.point, SIGMA, 0.5).frequency_span
+        halved = usable_range(physics.point, SIGMA / 2, 0.5).frequency_span
         assert halved == pytest.approx(2 * base, rel=0.05)
         assert halved > base  # monotone decreasing in sigma
 
     def test_threshold_monotonicity(self, physics, carrier):
         spans = [
-            usable_range(carrier, SIGMA, physics.prism, th).frequency_span
+            usable_range(physics.point, SIGMA, th).frequency_span
             for th in (0.1, 0.3, 0.5)
         ]
         assert spans[0] < spans[1] < spans[2]
@@ -221,18 +220,33 @@ class TestUsableRange:
         # A bracketed root find on this config takes 110 Brent iterations.
         cfg = ExperimentConfig(sigma=5e-3, range_threshold=0.2, path_length=0.05)
         physics = resolve(cfg)
-        span = usable_range(physics.carrier, cfg.sigma, physics.prism, cfg.range_threshold)
+        span = usable_range(physics.point, cfg.sigma, cfg.range_threshold)
         assert span.frequency_span == pytest.approx(2.728e10, rel=1e-3)
 
-    @pytest.mark.parametrize("sigma,threshold", [(1e300, 0.5), (1e10, 0.5), (SIGMA, 1e-300)])
-    def test_root_below_frequency_resolution(self, physics, carrier, sigma, threshold):
-        # The index step that reaches the threshold is lost in rounding n0.
-        with pytest.raises(NumericalError, match="below the dispersion model's frequency"):
-            usable_range(carrier, sigma, physics.prism, threshold=threshold)
+    @pytest.mark.parametrize(
+        "sigma,threshold",
+        [(1e300, 0.5), (1e294, 0.5), (1e26, 0.5), (SIGMA, 1e-300), (1e300, 1e-30)],
+    )
+    def test_root_below_frequency_resolution(self, physics, sigma, threshold):
+        # np.roots returns the cubic's smallest root as 0 below an index step
+        # of about 1.5e-33, and a span of -0 Hz gives no step back. At
+        # (1e300, 1e-30) the step itself underflows to 0.
+        with pytest.raises(NumericalError, match="usable range not resolved: the root -0 Hz"):
+            usable_range(physics.point, sigma, threshold=threshold)
+
+    @pytest.mark.parametrize("sigma,expected", [(1e10, 0.184165), (1e20, 1.84165e-11)])
+    def test_wide_beam_span_round_trips(self, physics, sigma, expected):
+        # The index step at sigma = 1e10 m is 6.8e-18, below one ulp of n0;
+        # the closed-form forward map still gives it back.
+        span = usable_range(physics.point, sigma, threshold=0.5)
+        assert not span.clamped
+        assert span.frequency_span == pytest.approx(expected, rel=1e-5)
+        kick = physics.kick_of_shift(span.frequency_span)
+        assert kick * sigma == pytest.approx(0.5, rel=1e-12)
 
     def test_clamped_at_validity_edge(self, physics, carrier):
         # A needle-thin beam never reaches the kick bound inside the window.
-        span = usable_range(carrier, 1e-9, physics.prism, threshold=0.5)
+        span = usable_range(physics.point, 1e-9, threshold=0.5)
         assert span.clamped
 
 
@@ -347,7 +361,7 @@ class TestSplitDetection:
             2 * physics.kick_of_shift(1e6) * SIGMA**2
             / np.tan(physics.state.phi / 2) / 1e6
         )
-        ideal = ideal_sensitivity(2e-3, physics.carrier, SIGMA, physics.prism)
+        ideal = ideal_sensitivity(2e-3, physics.point, SIGMA)
         n_per_sample = physics.n_photons_per_sample()
 
         def simulated_ratio(extensions, seed):

@@ -8,11 +8,17 @@ through unchanged.
 Every CSV the package writes is ``# key = value`` metadata lines, one
 column line and numeric rows; ``csv_text`` writes that layout and
 ``csv_columns`` reads it back, both a block or a whole body at a time
-rather than row by row. The line-oriented data files (config files,
+rather than row by row. ``csv_text`` formats the float cells of a block in
+numpy, byte for byte what ``'%.17g' % x`` gives. It knows |x| scaled to 17
+integer digits to within 5e-15; a cell whose rounding that leaves in doubt
+(within 1e-12 of a tie, exact decimal ties among them), and zeros,
+non-finite values and |x| outside [1e-280, 1e280), are written by
+``'%.17g' % x`` itself. The line-oriented data files (config files,
 positions, reference lines, the Sellmeier catalog) are read by
 ``data_lines``, and their numbers parsed by ``finite_number``.
 """
 
+import functools
 import re
 from pathlib import Path
 
@@ -124,19 +130,191 @@ def fmt(value):
     return str(value)
 
 
-CSV_BLOCK_ROWS = 4096  # rows per ``%`` operation; bounds the temporary cell tuple
+CSV_BLOCK_ROWS = 4096  # rows per formatting step; bounds every per-cell temporary
 _NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b",\n")))
+
+# The %.17g kernel. A cell with |x| in [1e-280, 1e280) has X = floor(log10|x|)
+# in [_X_MIN, _X_MAX] (one to spare for log10's rounding), and its 17 digits
+# are y = |x|·10^(16 - X) rounded to an integer.
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+_X_MIN, _X_MAX = -281, 280
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into two 26-bit halves
+_TIE_BAND = 1e-12  # y is known to 5e-15; a fraction this close to 1/2 takes '%.17g'
+# Each cell is laid out in a row of _CELL bytes, and its layout code picks the
+# bytes that stay:
+#   0 '-' | 1-2 '0.' | 3-5 '000' | 6-39 d0 '.' d1 '.' ... d16 '.' | 40 'e' | 41 sign
+#   | 42-44 exponent digits | 45 separator
+# The code is (sign·23 + notation)·17 + significant digits - 1. Notations 0-20
+# are fixed point with X = notation - 4, 21 and 22 exponent notation with two
+# and three exponent digits. Codes from _LAYOUTS on keep the first
+# code - _LAYOUTS bytes: a cell written by '%.17g' or '%d' (24 bytes at most).
+_CELL = 48
+_LAYOUTS = 2 * 23 * 17
+_VERBATIM = 24
+
+
+@functools.cache
+def _powers_of_ten():
+    """10^(16 - X) = hi + lo for X = _X_MIN.._X_MAX, each part correctly rounded
+    from exact integers, as (hi, hi's two Veltkamp halves, lo); built on first use."""
+    hi = np.empty(_X_MAX - _X_MIN + 1)
+    lo = np.empty_like(hi)
+    for i, k in enumerate(range(16 - _X_MIN, 15 - _X_MAX, -1)):
+        if k >= 0:
+            hi[i] = 10**k
+            lo[i] = 10**k - int(hi[i])
+        else:
+            scale = 10**-k
+            hi[i] = 1 / scale
+            num, den = hi[i].as_integer_ratio()
+            lo[i] = (den - num * scale) / (den * scale)
+    c = _SPLIT * hi
+    head = c - (c - hi)
+    return hi, head, hi - head, lo
+
+
+def _seventeen_digits(x):
+    """``(digits, X - _X_MIN, fast)`` for a float array ``x``.
+
+    Where ``fast``, ``digits``·10^(X - 16) is |x| rounded to 17 significant
+    digits, and ``digits`` lies in [1e16, 1e17). Every other cell must be
+    written by ``'%.17g' % x`` (see ``csv_text`` for which those are).
+    """
+    hi, hi_head, hi_tail, lo = _powers_of_ten()
+    a = np.abs(x)
+    fast = (a >= _FAST_MIN) & (a < _FAST_MAX)
+    a = np.where(fast, a, 1.0)  # keeps log10 and the table indices in range
+    X = np.floor(np.log10(a)).astype(np.intp) - _X_MIN
+    # y = a·(hi + lo) = p + r: p = fl(a·hi) is a whole number near [1e16, 1e17],
+    # Dekker's TwoProduct gives its exact error, and a·lo adds the rest.
+    p = a * hi.take(X)
+    c = _SPLIT * a
+    a_head = c - (c - a)
+    a_tail = a - a_head
+    head, tail = hi_head.take(X), hi_tail.take(X)
+    r = (((a_head * head - p) + a_head * tail + a_tail * head) + a_tail * tail) + a * lo.take(X)
+    whole = np.floor(r)
+    frac = r - whole
+    floor_y = p.astype(np.int64) + whole.astype(np.int64)
+    digits = floor_y + (frac > 0.5)
+    fast &= (np.abs(frac - 0.5) > _TIE_BAND) & (floor_y >= 10**16) & (digits < 10**17)
+    return digits, X, fast
+
+
+def _keep_masks():
+    """(layout code, byte) -> whether that byte of the cell's row is written."""
+    code = np.arange(_LAYOUTS)
+    negative, notation, digits = code // (23 * 17), code // 17 % 23, code % 17 + 1
+    x = notation - 4
+    fixed = notation <= 20
+    # Fixed point keeps the integer part's zeros and puts the point after dX;
+    # exponent notation puts it after d0. No point when no decimal is left.
+    n_digits = np.where(fixed, np.maximum(digits, x + 1), digits)
+    point = np.where(fixed, np.where(digits > x + 1, x, -1), np.where(digits > 1, 0, -1))
+    keep = np.zeros((_LAYOUTS + _VERBATIM + 1, _CELL), bool)
+    keep[:_LAYOUTS, 0] = negative == 1
+    keep[:_LAYOUTS, 1:3] = (fixed & (x < 0))[:, None]
+    keep[:_LAYOUTS, 3:6] = np.arange(3) < (-x - 1)[:, None]
+    keep[:_LAYOUTS, 6:40:2] = np.arange(17) < n_digits[:, None]
+    keep[:_LAYOUTS, 7:40:2] = np.arange(17) == point[:, None]
+    keep[:_LAYOUTS, 40:45] = ~fixed[:, None]
+    keep[:_LAYOUTS, 42] &= notation == 22
+    keep[_LAYOUTS:, :_VERBATIM] = np.arange(_VERBATIM) < np.arange(_VERBATIM + 1)[:, None]
+    keep[:, 45] = True
+    return keep
+
+
+@functools.cache
+def _layout_tables():
+    """Lookup tables of the layout, built on first use.
+
+    Per top digit t (0 and 10 occur only in cells that take the fallback):
+    bytes 0-7. Per four digits g: bytes "d.d.d.d." and g's trailing zeros (4
+    for 0000). Per X - _X_MIN: bytes 40-47 for a middle and for a last
+    column, and the layout code of a positive cell with 17 significant
+    digits. Then the keep masks, as 8-byte words.
+    """
+    g = np.arange(10000)
+    pairs = np.full((10000, 8), ord("."), np.uint8)
+    for i, unit in enumerate((1000, 100, 10, 1)):
+        pairs[:, 2 * i] = g // unit % 10 + ord("0")
+    trailing = (g % 10 == 0).astype(np.intp) + (g % 100 == 0) + (g % 1000 == 0) + (g == 0)
+    lead = np.tile(np.frombuffer(b"-0.0000.", np.uint8), (11, 1))
+    lead[:, 6] += np.arange(11, dtype=np.uint8)
+    xs = np.arange(_X_MIN, _X_MAX + 1)
+    expo = np.zeros((xs.size, 2, 8), np.uint8)
+    expo[..., 0] = ord("e")
+    expo[..., 1] = np.where(xs < 0, ord("-"), ord("+"))[:, None]
+    for i, unit in enumerate((100, 10, 1)):
+        expo[..., 2 + i] = (np.abs(xs) // unit % 10 + ord("0"))[:, None]
+    expo[..., 5] = (ord(","), ord("\n"))
+    notation = np.where((xs >= -4) & (xs < 17), xs + 4, np.where(np.abs(xs) < 100, 21, 22))
+    return (
+        lead.view(np.uint64).ravel(), pairs.view(np.uint64).ravel(), trailing,
+        expo.view(np.uint64).ravel(), notation * 17 + 16, _keep_masks().view(np.uint64),
+    )
+
+
+def _block_text(block):
+    """The CSV rows of ``block`` (one array per column) as ASCII bytes, uint8."""
+    lead, pairs, trailing, expo, code_base, keep = _layout_tables()
+    n_rows, width = block[0].size, len(block)
+    is_int = [column.dtype.kind in "biu" for column in block]
+    cells = np.empty((n_rows, width))
+    for j, column in enumerate(block):
+        cells[:, j] = 1.0 if is_int[j] else column
+    x = cells.ravel()
+    digits, X, fast = _seventeen_digits(x)
+    fast.reshape(n_rows, width)[:, is_int] = False
+    high = digits // 10**8
+    low = digits - high * 10**8
+    top = high // 10**8
+    high -= top * 10**8
+    groups = [high // 10000, high % 10000, low // 10000, low % 10000]
+    rows = np.empty((x.size, _CELL), np.uint8)
+    words = rows.view(np.uint64)
+    words[:, 0] = lead.take(top)
+    for j, group in enumerate(groups, start=1):
+        words[:, j] = pairs.take(group)
+    last = np.arange(width) == width - 1
+    words[:, 5] = expo.take((2 * X.reshape(n_rows, width) + last).ravel())
+    g1, g2, g3, g4 = groups
+    zeros = trailing.take(g4) + (g4 == 0) * (
+        trailing.take(g3) + (g3 == 0) * (trailing.take(g2) + (g2 == 0) * trailing.take(g1))
+    )
+    code = code_base.take(X) + np.signbit(x) * (23 * 17) - zeros
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = [
+            ("%d" if is_int[j] else "%.17g") % block[j][i]
+            for i, j in (divmod(cell, width) for cell in slow.tolist())
+        ]
+        verbatim = np.array([cell.encode() for cell in text], dtype=f"S{_VERBATIM}")
+        rows[slow, :_VERBATIM] = verbatim.view(np.uint8).reshape(slow.size, _VERBATIM)
+        code[slow] = _LAYOUTS + np.array([len(cell) for cell in text])
+    return np.compress(keep.take(code, axis=0).view(bool).ravel(), rows.ravel())
 
 
 def csv_text(metadata, columns, *values):
     """CSV text: ``# key = value`` metadata lines, the column line, then rows.
 
     ``values`` holds one 1-D array (or scalar) per name in ``columns``.
-    Integer and bool columns are written with ``%d``, all others with
-    ``%.17g``, which is byte-identical to ``f"{x:.17g}"`` and round-trips
-    bit-exactly. Rows are formatted ``CSV_BLOCK_ROWS`` at a time, one ``%``
-    operation per block, so the temporary cells stay small however long the
-    record is.
+    Integer and bool columns are written with ``%d``, all others as
+    ``'%.17g' % x``, byte for byte, which round-trips bit-exactly. Rows are
+    formatted ``CSV_BLOCK_ROWS`` at a time, so the temporaries stay small
+    however long the record is.
+
+    Float cells are formatted in numpy, a block at once. With X =
+    floor(log10|x|), y = |x|·10^(16 - X) is computed as p + r from a
+    double-double power of ten and Dekker's exact product, to within 5e-15;
+    its 17 digits are y rounded to an integer, cut into four-digit groups,
+    and laid out by Python's ``g`` rules (fixed point for -4 <= X < 17,
+    trailing zeros and a bare point dropped). A cell whose rounding is in
+    doubt, i.e. whose fraction of y lies within 1e-12 of 1/2 (every exact
+    decimal tie among them, which Python rounds half to even), is written
+    by ``'%.17g' % x`` itself. So are cells whose y does not round into
+    [1e16, 1e17) at that X (next to a power of ten, where the digits start
+    one place off), zeros, non-finite values and |x| outside [1e-280, 1e280).
     """
     arrays = [np.atleast_1d(value) for value in values]
     if len(arrays) != len(columns) or any(a.ndim != 1 for a in arrays):
@@ -144,17 +322,12 @@ def csv_text(metadata, columns, *values):
     n_rows = arrays[0].size
     if any(a.size != n_rows for a in arrays):
         raise ValidationError(f"columns {columns} differ in length")
-    width = len(arrays)
-    row = ",".join("%d" if a.dtype.kind in "biu" else "%.17g" for a in arrays) + "\n"
-    parts = [f"# {key} = {fmt(value)}\n" for key, value in metadata.items()]
-    parts.append(",".join(columns) + "\n")
+    lines = [f"# {key} = {fmt(value)}\n" for key, value in metadata.items()]
+    lines.append(",".join(columns) + "\n")
+    text = bytearray("".join(lines).encode())
     for start in range(0, n_rows, CSV_BLOCK_ROWS):
-        block = [a[start : start + CSV_BLOCK_ROWS].tolist() for a in arrays]
-        cells = [None] * (len(block[0]) * width)
-        for j, column in enumerate(block):
-            cells[j::width] = column  # row-major interleave, native int/float kept
-        parts.append(row * len(block[0]) % tuple(cells))
-    return "".join(parts)
+        text += _block_text([a[start : start + CSV_BLOCK_ROWS] for a in arrays]).data
+    return text.decode()
 
 
 def csv_columns(text, columns):

@@ -8,7 +8,8 @@ rational arithmetic. The bandpass, which the package applies as a
 frequency response on an FFT grid, is checked against scipy's recursive
 ``lfilter``, and the record synthesis, which evaluates the dark-port kernel
 over one period of the sampled drive, against a per-sample evaluation.
-None is used by a request.
+The CSV writer, which formats a block of cells in numpy, is checked against
+a per-row f-string writer. None is used by a request.
 """
 
 from decimal import Decimal, localcontext
@@ -34,6 +35,7 @@ from wvfreq.signal_chain import (
     record_counts,
     stage_coefficients,
 )
+from wvfreq.units import fmt
 
 DEFAULT_GRID_POINTS = 4097  # tail error of the +-8 sigma grid ~ exp(-32)
 
@@ -228,3 +230,13 @@ def direct_synthesize_run(
     if extensions.electronic_noise > 0.0:
         estimates = estimates + rng.normal(0.0, extensions.electronic_noise, n_samples)
     return TimeSeries(sample_rate=sample_rate, samples=estimates)
+
+
+def per_row_csv(metadata, columns, *values):
+    """The per-row f-string writer the CSV outputs used before ``csv_text``."""
+    lines = [f"# {key} = {fmt(value)}\n" for key, value in metadata.items()]
+    lines.append(",".join(columns) + "\n")
+    for row in zip(*values):
+        cells = (f"{v:.17g}" if isinstance(v, np.floating) else f"{int(v)}" for v in row)
+        lines.append(",".join(cells) + "\n")
+    return "".join(lines)

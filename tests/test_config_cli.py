@@ -630,13 +630,18 @@ class TestParserReuse:
         assert out == "0\n"
 
 
-# One process runs these steps in order and lists the scipy modules loaded
-# after each step. No step may load any scipy module.
+# One process runs these steps in order and lists the scipy, fractions and
+# decimal modules loaded after each step. No step may load any of them. It
+# also counts the CSV writer's lookup tables built after the import: none.
 _IMPORT_SCRIPT = """
 import json, sys
 out = sys.argv[1]
-loaded = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+loaded = lambda: sorted(
+    m for m in sys.modules if m in ("scipy", "fractions", "decimal") or m.startswith("scipy.")
+)
 import wvfreq.cli as cli
+from wvfreq import units
+built = units._powers_of_ten.cache_info().currsize + units._layout_tables.cache_info().currsize
 steps = [loaded()]
 from wvfreq.calibration import load_reference_lines
 with open(out + "/positions.txt", "w") as handle:
@@ -650,7 +655,7 @@ assert cli.main(["sensitivity", "-o", out + "/sensitivity.csv"]) == 0
 steps.append(loaded())
 assert cli.main(["slope", "-o", out + "/slope.csv"]) == 0
 steps.append(loaded())
-print(json.dumps(steps))
+print(json.dumps([built, steps]))
 """
 _IMPORT_STEPS = (
     "import wvfreq.cli",
@@ -698,7 +703,8 @@ def _run_script(script, *args):
 
 class TestLazyImports:
     def test_each_request_loads_only_what_it_runs(self, tmp_path):
-        steps = json.loads(_run_script(_IMPORT_SCRIPT, tmp_path).splitlines()[-1])
+        built, steps = json.loads(_run_script(_IMPORT_SCRIPT, tmp_path).splitlines()[-1])
+        assert built == 0
         assert len(steps) == len(_IMPORT_STEPS)
         for loaded, step in zip(steps, _IMPORT_STEPS):
             assert loaded == [], step

@@ -13,6 +13,7 @@ from oracles import (
     direct_synthesize_run,
     frequency_response,
     lfilter_cascade,
+    per_row_csv,
 )
 from wvfreq.config import ExperimentConfig, resolve
 from wvfreq.errors import AliasingError, ValidationError
@@ -39,7 +40,7 @@ from wvfreq.signal_chain import (
     timeseries_to_csv,
 )
 from wvfreq import units
-from wvfreq.units import CSV_BLOCK_ROWS, csv_columns, csv_text, fmt
+from wvfreq.units import CSV_BLOCK_ROWS, csv_columns, csv_text
 
 FS = 1000.0
 
@@ -631,16 +632,6 @@ class TestCsvRoundTrip:
         parsed, meta = timeseries_from_csv(text.rstrip("\n"))
         assert np.array_equal(parsed.samples, series.samples)
         assert meta == timeseries_from_csv(text)[1]
-
-
-def per_row_csv(metadata, columns, *values):
-    """The per-row f-string writer the CSV outputs used before ``csv_text``."""
-    lines = [f"# {key} = {fmt(value)}\n" for key, value in metadata.items()]
-    lines.append(",".join(columns) + "\n")
-    for row in zip(*values):
-        cells = (f"{v:.17g}" if isinstance(v, np.floating) else f"{int(v)}" for v in row)
-        lines.append(",".join(cells) + "\n")
-    return "".join(lines)
 
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e300, -1e300, 1e-300, -1e-300]

@@ -47,7 +47,7 @@ from .interferometer import (
     postselection_probability,
 )
 from .noise import split_estimate
-from .units import csv_columns, csv_text
+from .units import csv_columns, csv_text, finite_number
 
 STAGE_Q = 1.0  # first-order prototype: bandwidth = center frequency
 IMPULSE_TAIL = 1e-20  # the FFT padding outlasts the impulse response's decay to this level
@@ -462,8 +462,8 @@ def timeseries_to_csv(series, metadata=None):
 def timeseries_from_csv(text):
     header, (_, samples) = csv_columns(text, _TIMESERIES_COLUMNS)
     series = TimeSeries(
-        sample_rate=float(header["sample_rate"]),
+        sample_rate=finite_number(header.get("sample_rate", ""), "CSV metadata 'sample_rate'"),
         samples=samples,
-        t0=float(header.get("t0", 0.0)),
+        t0=finite_number(header.get("t0", "0"), "CSV metadata 't0'"),
     )
     return series, header

@@ -13,8 +13,16 @@ numpy, byte for byte what ``'%.17g' % x`` gives. It knows |x| scaled to 17
 integer digits to within 5e-15; a cell whose rounding that leaves in doubt
 (within 1e-12 of a tie, exact decimal ties among them), and zeros,
 non-finite values and |x| outside [1e-280, 1e280), are written by
-``'%.17g' % x`` itself. The line-oriented data files (config files,
-positions, reference lines, the Sellmeier catalog) are read by
+``'%.17g' % x`` itself. ``csv_columns`` reads each cell of the grammar
+``[+-]digits[.digits][(e|E)[+-]digits]`` (one digit run of the mantissa
+may be empty) as an integer mantissa M and exponent E, with numpy's int64
+parser, and computes M·10^E from the same double-double table to within
+2^-100; a cell within 2^-80 of a rounding midpoint, or that reads as zero, a
+power of two, |M| >= 1e18 or E outside [-280, 262], is read by
+``np.fromstring`` itself. A body with any other byte (whitespace, ``nan``,
+``inf``) or cell is read by ``np.fromstring`` whole. Either way every value
+is the one ``np.fromstring`` gives. The line-oriented data files (config
+files, positions, reference lines, the Sellmeier catalog) are read by
 ``data_lines``, and their numbers parsed by ``finite_number``.
 """
 
@@ -96,12 +104,13 @@ def _finite(value, text):
 
 def data_lines(source):
     """``(where, line)`` for each line of a UTF-8 text file, a path or a packaged
-    resource, that is neither blank nor a '#' comment. ``where`` is
-    ``source:lineno``, the prefix of any message about that line."""
+    resource, that is neither blank nor a '#' comment; a leading byte-order
+    mark is dropped. ``where`` is ``source:lineno``, the prefix of any message
+    about that line."""
     if not hasattr(source, "read_bytes"):
         source = Path(source)
     try:
-        text = source.read_bytes().decode("utf-8")
+        text = source.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{source}: not UTF-8 text (byte {exc.start})") from None
     records = []
@@ -131,7 +140,6 @@ def fmt(value):
 
 
 CSV_BLOCK_ROWS = 4096  # rows per formatting step; bounds every per-cell temporary
-_NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b",\n")))
 
 # The %.17g kernel. A cell with |x| in [1e-280, 1e280) has X = floor(log10|x|)
 # in [_X_MIN, _X_MAX] (one to spare for log10's rounding), and its 17 digits
@@ -152,14 +160,24 @@ _CELL = 48
 _LAYOUTS = 2 * 23 * 17
 _VERBATIM = 24
 
+# The reader (see csv_columns): body bytes per block, the byte classes (the
+# events are the bytes not of class _DIGIT), the exponents E that keep M·10^E
+# in [_FAST_MIN, _FAST_MAX) for 1 <= |M| < 1e18, and the midpoint band.
+_BLOCK_BYTES = 1 << 17
+_DIGIT, _COMMA, _NEWLINE, _DOT, _EXP, _OTHER = range(6)
+_E_MIN, _E_MAX = -280, 262
+_MIDPOINT_BAND = 2.0**-80
+
 
 @functools.cache
 def _powers_of_ten():
-    """10^(16 - X) = hi + lo for X = _X_MIN.._X_MAX, each part correctly rounded
-    from exact integers, as (hi, hi's two Veltkamp halves, lo); built on first use."""
-    hi = np.empty(_X_MAX - _X_MIN + 1)
+    """10^k = hi + lo for k = 16 - _X_MIN down to _E_MIN, each part correctly
+    rounded from exact integers, as (hi, hi's two Veltkamp halves, lo); built on
+    first use. Entry i is 10^(16 - X) for the writer's X = i + _X_MIN, and 10^E
+    for the reader's E = 16 - _X_MIN - i."""
+    hi = np.empty(16 - _X_MIN - _E_MIN + 1)
     lo = np.empty_like(hi)
-    for i, k in enumerate(range(16 - _X_MIN, 15 - _X_MAX, -1)):
+    for i, k in enumerate(range(16 - _X_MIN, _E_MIN - 1, -1)):
         if k >= 0:
             hi[i] = 10**k
             lo[i] = 10**k - int(hi[i])
@@ -173,6 +191,20 @@ def _powers_of_ten():
     return hi, head, hi - head, lo
 
 
+def _times_power(a, i):
+    """a·(hi + lo) = p + r for the table entries ``i`` of ``_powers_of_ten``:
+    p = fl(a·hi), Dekker's TwoProduct gives its exact error, and a·lo adds the
+    rest. ``a`` and the entries must keep every product normal."""
+    hi, hi_head, hi_tail, lo = _powers_of_ten()
+    p = a * hi.take(i)
+    c = _SPLIT * a
+    a_head = c - (c - a)
+    a_tail = a - a_head
+    head, tail = hi_head.take(i), hi_tail.take(i)
+    r = (((a_head * head - p) + a_head * tail + a_tail * head) + a_tail * tail) + a * lo.take(i)
+    return p, r
+
+
 def _seventeen_digits(x):
     """``(digits, X - _X_MIN, fast)`` for a float array ``x``.
 
@@ -180,19 +212,12 @@ def _seventeen_digits(x):
     digits, and ``digits`` lies in [1e16, 1e17). Every other cell must be
     written by ``'%.17g' % x`` (see ``csv_text`` for which those are).
     """
-    hi, hi_head, hi_tail, lo = _powers_of_ten()
     a = np.abs(x)
     fast = (a >= _FAST_MIN) & (a < _FAST_MAX)
     a = np.where(fast, a, 1.0)  # keeps log10 and the table indices in range
     X = np.floor(np.log10(a)).astype(np.intp) - _X_MIN
-    # y = a·(hi + lo) = p + r: p = fl(a·hi) is a whole number near [1e16, 1e17],
-    # Dekker's TwoProduct gives its exact error, and a·lo adds the rest.
-    p = a * hi.take(X)
-    c = _SPLIT * a
-    a_head = c - (c - a)
-    a_tail = a - a_head
-    head, tail = hi_head.take(X), hi_tail.take(X)
-    r = (((a_head * head - p) + a_head * tail + a_tail * head) + a_tail * tail) + a * lo.take(X)
+    # y = a·10^(16 - X) = p + r, and p = fl(y) is a whole number near [1e16, 1e17].
+    p, r = _times_power(a, X)
     whole = np.floor(r)
     frac = r - whole
     floor_y = p.astype(np.int64) + whole.astype(np.int64)
@@ -330,13 +355,158 @@ def csv_text(metadata, columns, *values):
     return text.decode()
 
 
+@functools.cache
+def _reader_tables():
+    """The byte-class table, and the table that turns the events that end a
+    token (commas, newlines, 'e' and 'E') into commas; built on first use."""
+    classes = bytearray([_OTHER]) * 256
+    for chars, kind in (
+        (b"0123456789+-", _DIGIT), (b",", _COMMA), (b"\n", _NEWLINE), (b".", _DOT), (b"eE", _EXP)
+    ):
+        for char in chars:
+            classes[char] = kind
+    return bytes(classes), bytes.maketrans(b"eE\n", b",,,")
+
+
+def _row_separators(kinds, width):
+    """Mask of the commas and newlines among the event classes ``kinds``.
+
+    A ValidationError is raised unless they are the row pattern: width - 1
+    commas before each newline, and a newline last.
+    """
+    is_separator = kinds <= _NEWLINE
+    separators = kinds[is_separator]
+    n_rows, short = divmod(separators.size, width)
+    # Once n_rows newlines fill the slots that end rows, the rest are commas.
+    if short or np.count_nonzero(separators == _NEWLINE) != n_rows or not (
+        separators[width - 1 :: width] == _NEWLINE
+    ).all():
+        raise ValidationError(f"CSV rows must hold {width} comma-separated values")
+    return is_separator
+
+
+def _parse_floats(data, count):
+    """``np.fromstring`` of comma-separated cells; None unless ``count`` numbers."""
+    try:
+        values = np.fromstring(data, sep=",")
+    except ValueError:  # raised on an unparsable cell; older numpy truncates instead
+        return None
+    return values if values.size == count else None
+
+
+def _whole_body(data, width):
+    """The table of the body, parsed in one ``np.fromstring`` call: the
+    reader's fallback."""
+    codes = np.frombuffer(data.translate(_reader_tables()[0]), np.uint8)
+    _row_separators(codes[codes != _DIGIT], width)
+    values = _parse_floats(data.replace(b"\n", b","), data.count(b"\n") * width)
+    if values is None:
+        raise ValidationError("CSV body holds a value that is not a number")
+    return np.ascontiguousarray(values.reshape(-1, width).T)
+
+
+def _scale(M, E):
+    """``(s, fast)``: where ``fast``, s is M·10^E correctly rounded."""
+    fast = (M != 0) & (M > -(10**18)) & (M < 10**18) & (E >= _E_MIN) & (E <= _E_MAX)
+    M = np.where(fast, M, 1)  # safe operands: no product under- or overflows
+    i = np.where(fast, 16 - _X_MIN - E, 16 - _X_MIN)
+    a = M.astype(float)
+    b = (M - a.astype(np.int64)).astype(float)  # M = a + b exactly, |b| <= 64
+    p, r = _times_power(a, i)
+    r += b * _powers_of_ten()[0].take(i)
+    s = p + r
+    t = r - (s - p)  # Fast2Sum: s + t = p + r exactly
+    magnitude = np.abs(s)
+    fast &= np.abs(np.abs(t) - 0.5 * np.spacing(magnitude)) > _MIDPOINT_BAND * magnitude
+    fast &= (s.view(np.int64) & (2**52 - 1)) != 0  # a power of two has a finer ulp below
+    return s, fast
+
+
+def _mantissas(block, width):
+    """``(M, E, ends)`` for the cells of ``block``, whole rows of a body, in
+    reading order: each is M·10^E and ends at byte ``ends``. None when
+    ``block`` is outside the integer route's grammar."""
+    classes, to_int = _reader_tables()
+    codes = np.frombuffer(block.translate(classes), np.uint8)
+    events = np.flatnonzero(codes != _DIGIT)
+    kinds = codes[events]
+    is_separator = _row_separators(kinds, width)
+    # Tokens are the digit runs between commas, newlines and e's, dots deleted.
+    # Every event but a dot should end one; an _OTHER byte ends none, so it
+    # leaves fewer tokens than that, as does an empty token at the end.
+    try:
+        tokens = np.fromstring(block.translate(to_int, b"."), dtype=np.int64, sep=",")
+    except ValueError:
+        return None
+    exps = np.flatnonzero(kinds == _EXP)
+    dots = np.flatnonzero(kinds == _DOT)
+    if tokens.size != kinds.size - dots.size:
+        return None
+    # Before event x end x - (dots before x) tokens: an 'e' there is followed
+    # by exponent token x - (dots before x) + 1, and a dot lies inside token
+    # x - (dots before x).
+    exp_token = exps + 1 - np.searchsorted(dots, exps)
+    dot_token = dots - np.arange(dots.size)
+    mantissa = np.ones(tokens.size, bool)
+    mantissa[exp_token] = False
+    short = events[exps[events[exps + 1] - events[exps] == 2]]  # 'e' and one byte
+    if (
+        (np.diff(exp_token) == 1).any()  # a second 'e'
+        or not mantissa[dot_token].all()  # a dot in an exponent
+        or (np.diff(dot_token) == 0).any()  # a second dot
+        or (np.frombuffer(block, np.uint8)[short + 1] < ord("0")).any()  # a bare sign reads 0
+    ):
+        return None
+    exponent = np.zeros(tokens.size, np.int64)
+    exponent[exp_token - 1] = tokens[exp_token]
+    exponent[dot_token] -= events[dots + 1] - events[dots] - 1  # fraction digits
+    return tokens[mantissa], exponent[mantissa], events[is_separator]
+
+
+def _read_block(block, width):
+    """The cells of ``block``, whole rows of a body, in reading order; None
+    when ``block`` is outside the integer route's grammar."""
+    # Two calls, so that the parse's temporaries are freed before _scale
+    # allocates its own: together they raised the peak resident memory.
+    cells = _mantissas(block, width)
+    if cells is None:
+        return None
+    M, E, ends = cells
+    values, fast = _scale(M, E)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        starts = np.append(0, ends[:-1] + 1)
+        text = b",".join(block[starts[j] : ends[j]] for j in slow.tolist())
+        exact = _parse_floats(text, slow.size)
+        if exact is None:
+            return None
+        values[slow] = exact
+    return values
+
+
 def csv_columns(text, columns):
     """Parse ``csv_text`` output into ``({key: value string}, table)``.
 
     ``table`` is a float array of shape (len(columns), rows): ``table[j]`` is
-    column j. The ``#`` lines above the column line are the metadata. The
-    body is parsed in one vectorised call; a ValidationError is raised
-    unless every row holds exactly one number per column.
+    column j. The ``#`` lines above the column line are the metadata. A
+    ValidationError is raised unless every row holds exactly one number per
+    column. Every value is bit for bit what ``np.fromstring`` gives.
+
+    The body is read ``_BLOCK_BYTES`` at a time, cut at a newline. One
+    ``bytes.translate`` classes each byte and checks the row pattern; a
+    second deletes the dots and turns 'e', 'E' and newlines into commas, and
+    numpy's int64 parser reads every mantissa and exponent. A cell is then
+    M·10^E, with E the exponent less the digits after the dot, computed as
+    p + r from the double-double 10^E and Dekker's exact product, to within
+    2^-100. s = fl(p + r) is the correctly rounded value unless its rest
+    lies within 2^-80·|s| of half an ulp. Those cells, and cells with M = 0
+    (so -0.0 stays), |M| >= 1e18 (the int parser saturates there), a power
+    of two as s (the ulp below it is finer) or E outside [-280, 262] (so
+    every product stays normal), are read by ``np.fromstring`` one by one.
+    The whole body is read by one ``np.fromstring`` call when a block holds
+    a byte other than digits, signs, ``,.eE`` and newlines, a cell the int
+    parser refuses (an empty cell, a bare sign or ``e``), or a cell with
+    two dots, two e's or a dot in its exponent.
     """
     column_line = ",".join(columns) + "\n"
     mismatch = f"CSV header mismatch: expected {column_line.strip()!r}"
@@ -354,17 +524,18 @@ def csv_columns(text, columns):
     data = text[start + len(column_line) :].rstrip().encode()
     if not data:
         raise ValidationError("CSV has no data rows")
+    data += b"\n"  # so that every row, the last too, ends with one
     width = len(columns)
-    # Every row holds width - 1 commas: what remains of the body once all
-    # but its separators are deleted is that row pattern, once per row.
-    separators = data.translate(None, _NOT_SEPARATOR) + b"\n"
-    n_rows = separators.count(b"\n")
-    if separators != (b"," * (width - 1) + b"\n") * n_rows:
-        raise ValidationError(f"CSV rows must hold {width} comma-separated values")
-    try:
-        values = np.fromstring(data.replace(b"\n", b","), sep=",")
-    except ValueError:  # raised on an unparsable cell; older numpy truncates instead
-        values = np.empty(0)
-    if values.size != n_rows * width:
-        raise ValidationError("CSV body holds a value that is not a number")
-    return metadata, np.ascontiguousarray(values.reshape(n_rows, width).T)
+    n_rows = data.count(b"\n")
+    table = np.empty((width, n_rows))
+    row = start = 0
+    while start < len(data):
+        end = data.find(b"\n", min(start + _BLOCK_BYTES, len(data) - 1)) + 1
+        values = _read_block(data[start:end], width)
+        if values is None:
+            return metadata, _whole_body(data, width)
+        rows = values.size // width
+        table[:, row : row + rows] = values.reshape(rows, width).T
+        row += rows
+        start = end
+    return metadata, table

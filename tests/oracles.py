@@ -9,7 +9,9 @@ frequency response on an FFT grid, is checked against scipy's recursive
 ``lfilter``, and the record synthesis, which evaluates the dark-port kernel
 over one period of the sampled drive, against a per-sample evaluation.
 The CSV writer, which formats a block of cells in numpy, is checked against
-a per-row f-string writer. None is used by a request.
+a per-row f-string writer, and the reader, which parses cells as integers
+and scales them, against one ``np.fromstring`` call on the whole body. None
+is used by a request.
 """
 
 from decimal import Decimal, localcontext
@@ -240,3 +242,39 @@ def per_row_csv(metadata, columns, *values):
         cells = (f"{v:.17g}" if isinstance(v, np.floating) else f"{int(v)}" for v in row)
         lines.append(",".join(cells) + "\n")
     return "".join(lines)
+
+
+_NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b",\n")))
+
+
+def fromstring_columns(text, columns):
+    """The whole-body reader ``csv_columns`` used before its integer route:
+    the same header checks, then one ``np.fromstring`` call on the body."""
+    column_line = ",".join(columns) + "\n"
+    mismatch = f"CSV header mismatch: expected {column_line.strip()!r}"
+    start = text.find("\n" + column_line) + 1
+    if not text.startswith(column_line, start):
+        raise ValidationError(mismatch)
+    metadata = {}
+    for line in text[:start].splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            raise ValidationError(mismatch)
+        key, equals, value = line[1:].partition("=")
+        if equals:
+            metadata[key.strip()] = value.strip()
+    data = text[start + len(column_line) :].rstrip().encode()
+    if not data:
+        raise ValidationError("CSV has no data rows")
+    width = len(columns)
+    separators = data.translate(None, _NOT_SEPARATOR) + b"\n"
+    n_rows = separators.count(b"\n")
+    if separators != (b"," * (width - 1) + b"\n") * n_rows:
+        raise ValidationError(f"CSV rows must hold {width} comma-separated values")
+    try:
+        values = np.fromstring(data.replace(b"\n", b","), sep=",")
+    except ValueError:
+        values = np.empty(0)
+    if values.size != n_rows * width:
+        raise ValidationError("CSV body holds a value that is not a number")
+    return metadata, np.ascontiguousarray(values.reshape(n_rows, width).T)

@@ -532,6 +532,22 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"error: {bad}: not UTF-8 text (byte 2)\n"
 
+    def test_input_files_with_byte_order_mark(self, tmp_path, capsys):
+        from wvfreq.calibration import load_reference_lines
+
+        positions = "".join(f"{l.relative_frequency / 2.3e8!r}\n" for l in load_reference_lines())
+        outputs = []
+        for mark in ("", "\ufeff"):
+            config = tmp_path / "run.cfg"
+            config.write_text(mark + "seed = 3\n", encoding="utf-8")
+            pos_file = tmp_path / "positions.txt"
+            pos_file.write_text(mark + positions, encoding="utf-8")
+            assert cli.main(["range", "--config", str(config)]) == 0
+            assert cli.main(["calibrate", str(pos_file)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].err == ""
+
     def test_calibrate_duplicate_positions(self, tmp_path, capsys):
         pos_file = tmp_path / "positions.txt"
         pos_file.write_text("1.0\n1.0\n2.0\n3.0\n4.0\n5.0\n")
@@ -631,8 +647,10 @@ class TestParserReuse:
 
 
 # One process runs these steps in order and lists the scipy, fractions and
-# decimal modules loaded after each step. No step may load any of them. It
-# also counts the CSV writer's lookup tables built after the import: none.
+# decimal modules loaded after each step. No step may load any of them; the
+# first step after the import also reads its simulated record back. The
+# script also counts the CSV writer's and reader's tables built by the
+# import: none.
 _IMPORT_SCRIPT = """
 import json, sys
 out = sys.argv[1]
@@ -640,13 +658,18 @@ loaded = lambda: sorted(
     m for m in sys.modules if m in ("scipy", "fractions", "decimal") or m.startswith("scipy.")
 )
 import wvfreq.cli as cli
-from wvfreq import units
-built = units._powers_of_ten.cache_info().currsize + units._layout_tables.cache_info().currsize
+from wvfreq import signal_chain, units
+built = sum(
+    table.cache_info().currsize
+    for table in (units._powers_of_ten, units._layout_tables, units._reader_tables)
+)
 steps = [loaded()]
 from wvfreq.calibration import load_reference_lines
 with open(out + "/positions.txt", "w") as handle:
     handle.writelines(f"{i}.0\\n" for i in range(len(load_reference_lines())))
 assert cli.main(["simulate", "-o", out + "/raw.csv"]) == 0
+with open(out + "/raw.csv") as handle:
+    signal_chain.timeseries_from_csv(handle.read())
 assert cli.main(["spectrum", "-o", out + "/spectrum.csv"]) == 0
 assert cli.main(["calibrate", out + "/positions.txt", "-o", out + "/calibration.txt"]) == 0
 steps.append(loaded())
@@ -659,7 +682,7 @@ print(json.dumps([built, steps]))
 """
 _IMPORT_STEPS = (
     "import wvfreq.cli",
-    "simulate, spectrum, calibrate",
+    "simulate and its read-back, spectrum, calibrate",
     "range, sensitivity",
     "slope",
 )

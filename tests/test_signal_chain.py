@@ -622,6 +622,22 @@ class TestCsvRoundTrip:
         with pytest.raises(ValidationError):
             timeseries_from_csv("# sample_rate = 1000\ntime_s,position_m\n" + body)
 
+    @pytest.mark.parametrize(
+        "metadata, name, value",
+        [
+            ("# t0 = 0\n", "sample_rate", ""),
+            ("# sample_rate = abc\n", "sample_rate", "abc"),
+            ("# sample_rate = inf\n", "sample_rate", "inf"),
+            ("# sample_rate = nan\n", "sample_rate", "nan"),
+            ("# sample_rate = 1000\n# t0 = nan\n", "t0", "nan"),
+            ("# sample_rate = 1000\n# t0 = -1e999\n", "t0", "-1e999"),
+        ],
+    )
+    def test_bad_metadata_rejected(self, metadata, name, value):
+        with pytest.raises(ValidationError) as info:
+            timeseries_from_csv(metadata + "time_s,position_m\n0,1e-9\n")
+        assert str(info.value) == f"CSV metadata {name!r}: not a finite number: {value!r}"
+
     def test_missing_column_line_rejected(self):
         with pytest.raises(ValidationError, match="header"):
             timeseries_from_csv("# sample_rate = 1000\n0,1e-9\n0.001,2e-9\n")

@@ -151,6 +151,8 @@ def split_estimate(n_right, n_total, calibration):
     """Calibrated difference-over-sum position estimate, elementwise.
 
     ``calibration`` * (2 n_right - n_total) / n_total, in the units of the
-    calibration constant (meters per unit asymmetry).
+    calibration constant (meters per unit asymmetry). The array is the left
+    operand of each product, so numpy reuses the temporaries in place: the
+    estimate needs one array of the counts' length beside them, not two.
     """
-    return calibration * (2.0 * n_right - n_total) / n_total
+    return (2.0 * n_right - n_total) * calibration / n_total

@@ -1,9 +1,12 @@
 """Experiment recipes behind the CLI subcommands.
 
 Each recipe runs one of the canonical measurements end to end on a resolved
-configuration and returns plain data plus CSV text. Sweep points are seeded
-``seed + point_index`` so sweeps can be scheduled in any order (or in
-parallel) without changing the result.
+configuration and returns plain data plus CSV text. Every record has its own
+generator: sweep points are seeded ``seed + point_index`` and the spectrum's
+undriven record ``seed + 1``, so the order in which records are drawn never
+changes the result. The sweep draws its points one after another; the
+spectrum draws its undriven record's photon counts on a worker thread while
+the calling thread synthesizes the driven record.
 """
 
 from dataclasses import dataclass
@@ -28,6 +31,7 @@ from .noise import (
 )
 from .signal_chain import (
     ModulationConfig,
+    PhotonDraw,
     bandpass,
     cascade_response,
     extract_peaks,
@@ -41,19 +45,25 @@ from .signal_chain import (
 from .units import csv_text, data_lines, finite_number, fmt
 
 
-def _synthesize(physics, dnu_peak, duration, seed):
-    """Raw record with the config's sample rate, photon budget, modulation and noise."""
+def _record_args(physics, dnu_peak, duration, seed):
+    """``synthesize_run`` arguments for a record with the config's sample rate,
+    photon budget, modulation and noise."""
     cfg = physics.config
-    return synthesize_run(
+    return (
         dnu_peak,
         duration,
         cfg.sample_rate,
         physics,
         physics.n_photons_per_sample(),
         seed,
-        modulation=ModulationConfig(mod_frequency=cfg.mod_frequency, amplitude=dnu_peak),
-        extensions=physics.extensions,
+        ModulationConfig(mod_frequency=cfg.mod_frequency, amplitude=dnu_peak),
+        physics.extensions,
     )
+
+
+def _synthesize(physics, dnu_peak, duration, seed):
+    """Raw record with the config's sample rate, photon budget, modulation and noise."""
+    return synthesize_run(*_record_args(physics, dnu_peak, duration, seed))
 
 
 def _measure_point(physics, dnu_peak, duration, seed):
@@ -121,8 +131,11 @@ def run_spectrum_pair(config):
     """Driven and undriven raw-signal spectra on a shared dB reference."""
     physics = resolve(config)
     cfg = config
-    driven = _synthesize(physics, cfg.spectrum_dnu, cfg.spectrum_duration, cfg.seed)
-    undriven = _synthesize(physics, 0.0, cfg.spectrum_duration, cfg.seed + 1)
+    undriven_args = _record_args(physics, 0.0, cfg.spectrum_duration, cfg.seed + 1)
+    undriven = PhotonDraw(*undriven_args)
+    with undriven.drawn_ahead():
+        driven = _synthesize(physics, cfg.spectrum_dnu, cfg.spectrum_duration, cfg.seed)
+    undriven = synthesize_run(*undriven_args, ahead=undriven)
     spec_driven = power_spectrum(driven, segments=cfg.spectrum_segments)
     spec_undriven = power_spectrum(undriven, segments=cfg.spectrum_segments)
     # Re-reference both traces to the driven fundamental (0 dB).

@@ -29,13 +29,21 @@ late samples land on a neighbouring step (about 3 in 1e4 over 100 s at
 1 GHz, 1-2% at 100 GHz); the repeated value, from the smaller phase, is the
 more accurate one.
 
-Determinism: all randomness flows through one generator seeded by the run
-seed and is drawn as whole-series calls in a fixed order, so a fixed seed
-reproduces the output byte for byte in the same software environment.
+Determinism: each record's randomness flows through one generator seeded by
+the run seed, in a fixed order: the photon counts in blocks of at most
+DRAW_BLOCK samples, which give the same stream as one whole-record call,
+then any noise-extension draws as whole-record calls. A fixed seed
+therefore reproduces the output byte for byte in the same software
+environment, whichever thread draws the counts: ``run_spectrum_pair`` draws
+the undriven record's counts on a worker thread while the calling thread
+synthesizes the driven record (``PhotonDraw.drawn_ahead``).
 """
 
+import contextlib
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +61,9 @@ STAGE_Q = 1.0  # first-order prototype: bandwidth = center frequency
 IMPULSE_TAIL = 1e-20  # the FFT padding outlasts the impulse response's decay to this level
 # The largest mean numpy's Poisson draw accepts: 10 standard deviations below int64's limit.
 POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
+# Samples per binomial call: bounds the draw's temporaries, and a record longer
+# than this may draw its counts on a worker thread.
+DRAW_BLOCK = 1 << 16
 
 
 @dataclass
@@ -290,6 +301,97 @@ def modulation_period(mod_frequency, sample_rate):
     return b * c // math.gcd(a * d, b * c)
 
 
+class PhotonDraw:
+    """One record's right-hand photon counts, planned on the calling thread.
+
+    The plan runs the configuration checks (``record_counts``) and the
+    dark-port kernel on min(P, N) sample times, tiles the split probability
+    to whole periods of at most DRAW_BLOCK samples (one period, if that is
+    longer; the record, if that is shorter), seeds the record's generator
+    and allocates its int64 count buffer. ``draw`` then fills the buffer
+    with one binomial call per block and allocates nothing of the record's
+    length, so it can run on a worker thread (``drawn_ahead``); numpy
+    releases the GIL inside the draw.
+    """
+
+    def __init__(
+        self, dnu_peak, duration, sample_rate, physics, n_per_sample, seed,
+        modulation=None, extensions=None,
+    ):
+        modulation = modulation or ModulationConfig()
+        self.sample_rate = sample_rate
+        self.extensions = extensions or NoiseExtensions()
+        n_samples, self.n_detected, self.dark_mean = record_counts(
+            duration, sample_rate, physics, n_per_sample, modulation.mod_frequency,
+            self.extensions.dark_count_rate,
+        )
+        state = physics.state
+        beta = physics.config.background_fraction
+        m = min(modulation_period(modulation.mod_frequency, sample_rate), n_samples)
+        t = np.arange(m) / sample_rate
+        dnu = dnu_peak * np.sin(2.0 * np.pi * modulation.mod_frequency * t)
+        # The kernel refuses |k sigma| above its limit (WeakValueValidityError).
+        profile = dark_port_split_probability(physics.kick_of_shift(dnu), state, beta)
+        if n_samples <= DRAW_BLOCK:
+            self.tile = np.resize(profile, n_samples)
+        else:
+            self.tile = np.resize(profile, max(DRAW_BLOCK - DRAW_BLOCK % m, m))
+        self.counts = np.empty(n_samples, dtype=np.int64)
+        self.calibration = dark_port_split_calibration(state, beta)
+        self.rng = np.random.default_rng(seed)
+        self._worker = None
+        self._failure = None
+
+    def draw(self):
+        """Fill the counts block by block: the same stream as one whole-record call."""
+        rng, n, tile, counts = self.rng, self.n_detected, self.tile, self.counts
+        start = 0
+        while start < counts.size:
+            offset = start % tile.size
+            stop = min(start + DRAW_BLOCK, start + tile.size - offset, counts.size)
+            counts[start:stop] = rng.binomial(n, tile[offset : offset + stop - start])
+            start = stop
+
+    def _draw_on_worker(self):
+        try:
+            self.draw()
+        except Exception as exc:  # raised again on the calling thread by ``drawn``
+            self._failure = exc
+
+    @contextlib.contextmanager
+    def drawn_ahead(self):
+        """Draw the counts on one worker thread while the ``with`` body runs.
+
+        The thread starts only when it pays: the record spans more than one
+        block and the process may run on more than one CPU. The thread is
+        joined when the body ends, whether or not it raised.
+        """
+        if self.counts.size > DRAW_BLOCK and _usable_cpus() > 1:
+            self._worker = threading.Thread(target=self._draw_on_worker, name="wvfreq-draw")
+            self._worker.start()
+        try:
+            yield
+        finally:
+            if self._worker is not None:
+                self._worker.join()
+
+    def drawn(self):
+        """The counts, drawn here unless a worker thread drew them; its failure is raised here."""
+        if self._worker is None:
+            self.draw()
+        else:
+            self._worker.join()
+            if self._failure is not None:
+                raise self._failure
+        return self.counts
+
+
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def synthesize_run(
     dnu_peak,
     duration,
@@ -299,6 +401,7 @@ def synthesize_run(
     seed,
     modulation=None,
     extensions=None,
+    ahead=None,
 ):
     """Simulate the raw split-detector record for a modulated run.
 
@@ -308,43 +411,34 @@ def synthesize_run(
     closed-form ``dark_port_split_probability`` (the grid quadrature is only
     its test oracle). The sampled drive repeats every P =
     ``modulation_period`` samples, so the kernel runs on min(P, N) sample
-    times and its split probability is repeated to the record length N:
-    kernel work is O(min(P, N)) and the photon draws are O(N). ``dnu_peak``
+    times and its split probability is tiled to whole periods of at most
+    DRAW_BLOCK samples, from which the counts are drawn block by block
+    (``PhotonDraw``): kernel work is O(min(P, N)), the photon draws are
+    O(N), and no full-length split probability is built. ``dnu_peak``
     overrides the amplitude in ``modulation`` (default: 10 Hz sine). Output
     samples are calibrated position estimates in meters (unfiltered).
     Deterministic for a fixed seed.
-    """
-    modulation = modulation or ModulationConfig()
-    extensions = extensions or NoiseExtensions()
-    n_samples, n_detected, dark_mean = record_counts(
-        duration, sample_rate, physics, n_per_sample, modulation.mod_frequency,
-        extensions.dark_count_rate,
-    )
-    state = physics.state
-    beta = physics.config.background_fraction
-    m = min(modulation_period(modulation.mod_frequency, sample_rate), n_samples)
-    t = np.arange(m) / sample_rate
-    dnu = dnu_peak * np.sin(2.0 * np.pi * modulation.mod_frequency * t)
-    # The kernel refuses |k sigma| above its limit (WeakValueValidityError).
-    profile = dark_port_split_probability(physics.kick_of_shift(dnu), state, beta)
-    p_right = np.empty(n_samples)
-    whole = n_samples - n_samples % m
-    p_right[:whole].reshape(-1, m)[...] = profile
-    p_right[whole:] = profile[: n_samples - whole]
-    calibration = dark_port_split_calibration(state, beta)
 
-    # All draws from one stream, whole-series calls in a fixed order.
-    rng = np.random.default_rng(seed)
-    n_right = rng.binomial(n_detected, p_right)
-    total = float(n_detected)
+    ``ahead`` is this record's ``PhotonDraw``, planned from the same
+    arguments, whose counts may have been drawn on a worker thread
+    (``run_spectrum_pair`` does this for the undriven record); this call then
+    joins that draw and finishes the record on the calling thread.
+    """
+    record = ahead or PhotonDraw(
+        dnu_peak, duration, sample_rate, physics, n_per_sample, seed, modulation, extensions
+    )
+    n_right = record.drawn()
+    # The noise-extension draws follow the counts from the same stream, whole-record calls.
+    rng, extensions, n_samples = record.rng, record.extensions, n_right.size
+    total = float(record.n_detected)
     if extensions.dark_count_rate > 0.0:
-        dark = rng.poisson(dark_mean, n_samples)
+        dark = rng.poisson(record.dark_mean, n_samples)
         n_right = n_right + rng.binomial(dark, 0.5)
         total = total + dark
-    estimates = split_estimate(n_right, total, calibration)
+    estimates = split_estimate(n_right, total, record.calibration)
     if extensions.electronic_noise > 0.0:
         estimates = estimates + rng.normal(0.0, extensions.electronic_noise, n_samples)
-    return TimeSeries(sample_rate=sample_rate, samples=estimates)
+    return TimeSeries(sample_rate=record.sample_rate, samples=estimates)
 
 
 def samples_per_cycle(cycle_period, sample_rate):

@@ -7,7 +7,10 @@ a test compares against; the Sellmeier index steps are summed in exact
 rational arithmetic. The bandpass, which the package applies as a
 frequency response on an FFT grid, is checked against scipy's recursive
 ``lfilter``, and the record synthesis, which evaluates the dark-port kernel
-over one period of the sampled drive, against a per-sample evaluation.
+over one period of the sampled drive and draws the photon counts in blocks,
+against a per-sample evaluation and one whole-record draw; the spectrum
+pair, whose undriven counts are drawn on a worker thread, against both
+records synthesized that way one after the other.
 The CSV writer, which formats a block of cells in numpy, is checked against
 a per-row f-string writer, and the reader, which parses cells as integers
 and scales them, against one ``np.fromstring`` call on the whole body. None
@@ -21,6 +24,7 @@ import numpy as np
 from scipy.integrate import trapezoid
 from scipy.signal import lfilter
 
+from wvfreq.config import resolve, resolved_metadata
 from wvfreq.dispersion import SPEED_OF_LIGHT, sellmeier_index
 from wvfreq.errors import DarkPortEmptyError, GrazingIncidenceError, ValidationError
 from wvfreq.interferometer import (
@@ -34,6 +38,7 @@ from wvfreq.signal_chain import (
     ModulationConfig,
     NoiseExtensions,
     TimeSeries,
+    power_spectrum,
     record_counts,
     stage_coefficients,
 )
@@ -232,6 +237,32 @@ def direct_synthesize_run(
     if extensions.electronic_noise > 0.0:
         estimates = estimates + rng.normal(0.0, extensions.electronic_noise, n_samples)
     return TimeSeries(sample_rate=sample_rate, samples=estimates)
+
+
+def serial_spectrum_pair(config):
+    """``run_spectrum_pair`` with the driven and then the undriven record drawn
+    by ``direct_synthesize_run`` on the calling thread."""
+    physics = resolve(config)
+    cfg = physics.config
+
+    def record(dnu_peak, seed):
+        return direct_synthesize_run(
+            dnu_peak, cfg.spectrum_duration, cfg.sample_rate, physics,
+            physics.n_photons_per_sample(), seed,
+            modulation=ModulationConfig(mod_frequency=cfg.mod_frequency, amplitude=dnu_peak),
+            extensions=physics.extensions,
+        )
+
+    spec_driven = power_spectrum(record(cfg.spectrum_dnu, cfg.seed), cfg.spectrum_segments)
+    spec_undriven = power_spectrum(record(0.0, cfg.seed + 1), cfg.spectrum_segments)
+    fundamental = np.argmin(np.abs(spec_driven.frequencies - cfg.mod_frequency))
+    ref_db = spec_driven.power_db[fundamental]
+    ref_power = spec_driven.ref_power * 10.0 ** (ref_db / 10.0)
+    undriven_db = spec_undriven.power_db + 10.0 * np.log10(spec_undriven.ref_power / ref_power)
+    metadata = resolved_metadata(physics)
+    metadata["resolution_bw_hz"] = spec_driven.resolution_bw
+    metadata["ref_power"] = ref_power
+    return spec_driven.frequencies, spec_driven.power_db - ref_db, undriven_db, metadata
 
 
 def per_row_csv(metadata, columns, *values):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -437,12 +438,27 @@ class TestCli:
 
     def test_simulated_record_too_long_exit_code(self, tmp_path, capsys):
         # The kernel runs over one period; the refusal comes from the
-        # full-length split probability, before any draw.
+        # record's count buffer, allocated on the calling thread before any draw.
         assert cli.main(["simulate", "--duration", "1e15s", "-o", str(tmp_path / "x.csv")]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: Unable to allocate")
         assert captured.err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_spectrum_kick_beyond_kernel_range_exit_code(self, tmp_path, capsys):
+        # The driven record fails on the calling thread while the undriven
+        # record's counts are drawn on a worker thread, which is joined first.
+        before = threading.active_count()
+        args = ["spectrum", "--spectrum-dnu", "6THz", "-o", str(tmp_path / "x.csv")]
+        assert cli.main(args) == 3
+        assert threading.active_count() == before
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "physics validity error: k*sigma = 0.632 exceeds 0.5, the range of the "
+            "dark-port kernel\n"
+        )
         assert not (tmp_path / "x.csv").exists()
 
     def test_sweep_kick_beyond_kernel_range_names_point(self, tmp_path, capsys):

@@ -1,3 +1,7 @@
+import inspect
+import os
+import threading
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -14,15 +18,29 @@ from oracles import (
     frequency_response,
     lfilter_cascade,
     per_row_csv,
+    serial_spectrum_pair,
+)
+from wvfreq import (
+    calibration,
+    cli,
+    config,
+    dispersion,
+    interferometer,
+    noise,
+    recipes,
+    signal_chain,
 )
 from wvfreq.config import ExperimentConfig, resolve
-from wvfreq.errors import AliasingError, ValidationError
+from wvfreq.errors import AliasingError, ValidationError, WeakValueValidityError
+from wvfreq.recipes import run_spectrum_pair
 from wvfreq.signal_chain import (
+    DRAW_BLOCK,
     POISSON_MEAN_MAX,
     STAGE_Q,
     FilterSpec,
     ModulationConfig,
     NoiseExtensions,
+    PhotonDraw,
     TimeSeries,
     _decay,
     _polyresp,
@@ -459,11 +477,16 @@ class TestSynthesizeRun:
             (1000.5, 1.0, 10.0, 2001),  # 1000 samples, shorter than one period
             (1000.5, 3.0, 10.0, 2001),  # 3002 samples: 1 period and 1001 samples
             (FS, 10.0, 0.1, 1000 * 2**55),  # 0.1 is not dyadic: the period outlasts the record
+            (1024.0, 20.0, 10.0, 512),  # 20480 samples: one block of 40 periods
+            (FS, 70.0, 10.0, 100),  # a 65500-sample block of 655 periods, then 4500 samples
+            (1024.0, 128.0, 10.0, 512),  # 131072 samples: two whole 65536-sample blocks
+            (FS, 70.0, 0.1, 1000 * 2**55),  # a period longer than a block: 65536 + 4464
         ],
     )
     def test_matches_direct_oracle(self, physics, sample_rate, duration, mod_frequency, period):
-        # The kernel runs over one period of the sampled drive; the record is
-        # byte-identical to the kernel evaluated at every sample time.
+        # The kernel runs over one period of the sampled drive and the counts
+        # are drawn in blocks; the record is byte-identical to the kernel
+        # evaluated at every sample time and one whole-record draw.
         assert modulation_period(mod_frequency, sample_rate) == period
         modulation = ModulationConfig(mod_frequency=mod_frequency)
         args = (7.4e6, duration, sample_rate, physics, physics.n_photons_per_sample(), 17)
@@ -472,15 +495,35 @@ class TestSynthesizeRun:
         assert fast.samples.size == round(duration * sample_rate)
         assert fast.samples.tobytes() == direct.samples.tobytes()
 
-    @pytest.mark.parametrize("sample_rate,duration", [(FS, 2.0), (1024.0, 1.1), (1000.5, 3.0)])
+    @pytest.mark.parametrize(
+        "sample_rate,duration",
+        [(FS, 2.0), (1024.0, 1.1), (1000.5, 3.0), (FS, 70.0), (1024.0, 128.0)],
+    )
     def test_noise_terms_match_direct_oracle(self, sample_rate, duration):
-        # Stray light, dark counts and electronic noise: the same draws in the same order.
+        # Stray light, dark counts and electronic noise: the same draws in the
+        # same order, after counts drawn in one block or in several.
         physics = resolve(ExperimentConfig(background_fraction=0.02))
         extensions = NoiseExtensions(electronic_noise=1e-9, dark_count_rate=1e5)
         args = (7.4e6, duration, sample_rate, physics, physics.n_photons_per_sample(), 23)
         fast = synthesize_run(*args, extensions=extensions)
         direct = direct_synthesize_run(*args, extensions=extensions)
         assert fast.samples.tobytes() == direct.samples.tobytes()
+
+    def test_peak_memory_is_two_record_arrays(self, physics):
+        # The counts are drawn block by block from a tile of whole periods, so
+        # no full-length split probability sits beside the counts and the
+        # estimates (tracemalloc sees numpy's buffers).
+        n_samples = 1_000_000
+        tracemalloc.start()
+        try:
+            series = synthesize_run(
+                7.4e6, n_samples / FS, FS, physics, physics.n_photons_per_sample(), 5
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert series.samples.size == n_samples
+        assert peak < 2.5 * n_samples * 8
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -587,6 +630,118 @@ class TestSynthesizeRun:
             predicted.append(std)
         ratio = np.std(means, ddof=1) / np.mean(predicted)
         assert 0.85 <= ratio <= 1.55
+
+
+NOISE_TERMS = {"background_fraction": 0.02, "electronic_noise": 1e-9, "dark_count_rate": 1e5}
+# The modules the benchmark's tracer wraps; it keeps one span stack, so every
+# public function of theirs must run on the calling thread.
+TRACED_MODULES = (cli, config, units, dispersion, interferometer, noise, signal_chain, recipes,
+                  calibration)
+
+
+def draw_threads(monkeypatch):
+    """Thread idents of every ``PhotonDraw.draw`` call from here on."""
+    idents = []
+    draw = PhotonDraw.draw
+
+    def spy(self):
+        idents.append(threading.get_ident())
+        draw(self)
+
+    monkeypatch.setattr(PhotonDraw, "draw", spy)
+    return idents
+
+
+def usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+class TestSpectrumPair:
+    @pytest.mark.parametrize("terms", [{}, NOISE_TERMS], ids=["shot", "noise"])
+    @pytest.mark.parametrize(
+        "duration,sample_rate,threaded", [(100.0, FS, True), (2.0, 1024.0, False)]
+    )
+    def test_matches_serial_oracle(self, monkeypatch, duration, sample_rate, threaded, terms):
+        # A record longer than one block has its undriven counts drawn on a
+        # worker thread; either way the pair is bit-equal to both records
+        # drawn one after the other on the calling thread.
+        usable_cpus(monkeypatch, 2)
+        draws = draw_threads(monkeypatch)
+        cfg = ExperimentConfig(spectrum_duration=duration, sample_rate=sample_rate, **terms)
+        before = threading.active_count()
+        pair = run_spectrum_pair(cfg)
+        assert threading.active_count() == before
+        expected = serial_spectrum_pair(cfg)
+        for got, want in zip(pair[:3], expected[:3]):
+            assert got.tobytes() == want.tobytes()
+        assert pair[3] == expected[3]
+        assert (duration * sample_rate > DRAW_BLOCK) == threaded
+        assert len(draws) == 2
+        assert draws.count(threading.get_ident()) == (1 if threaded else 2)
+
+    def test_public_functions_run_on_the_calling_thread(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        draws = draw_threads(monkeypatch)
+        threads = set()
+
+        def on_thread(fn):
+            def wrapper(*args, **kwargs):
+                threads.add(threading.get_ident())
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module in TRACED_MODULES:
+            for name, obj in list(vars(module).items()):
+                if inspect.isfunction(obj) and not name.startswith("_") and (
+                    obj.__module__.startswith("wvfreq.")
+                ):
+                    monkeypatch.setattr(module, name, on_thread(obj))
+        recipes.run_spectrum_pair(ExperimentConfig())
+        assert threads == {threading.get_ident()}
+        assert len(set(draws)) == 2  # the worker did draw
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        usable_cpus(monkeypatch, 1)
+        draws = draw_threads(monkeypatch)
+        cfg = ExperimentConfig()
+        before = threading.active_count()
+        pair = run_spectrum_pair(cfg)
+        assert threading.active_count() == before
+        assert draws == [threading.get_ident()] * 2
+        assert pair[2].tobytes() == serial_spectrum_pair(cfg)[2].tobytes()
+
+    def test_worker_failure_reaches_the_caller(self, monkeypatch, physics):
+        # A draw that fails on the worker thread raises on the calling thread
+        # what the same record raises when it is drawn there.
+        kernel = signal_chain.dark_port_split_probability
+
+        def undriven_nan(kick, state, beta):
+            p = kernel(kick, state, beta)
+            return p if np.any(kick) else np.full_like(p, np.nan)
+
+        monkeypatch.setattr(signal_chain, "dark_port_split_probability", undriven_nan)
+        with pytest.raises(ValueError) as serial:
+            synthesize_run(0.0, 100.0, FS, physics, physics.n_photons_per_sample(), 1)
+        usable_cpus(monkeypatch, 2)
+        draws = draw_threads(monkeypatch)
+        before = threading.active_count()
+        with pytest.raises(ValueError) as threaded:
+            run_spectrum_pair(ExperimentConfig())
+        assert threading.active_count() == before
+        assert str(threaded.value) == str(serial.value) == "p < 0, p > 1 or p contains NaNs"
+        assert len(draws) == 2 and draws.count(threading.get_ident()) == 1
+
+    def test_calling_thread_failure_joins_the_worker(self, monkeypatch):
+        # The driven record's kick is beyond the kernel's range; the undriven
+        # draw has started on the worker and is joined before the error leaves.
+        usable_cpus(monkeypatch, 2)
+        draws = draw_threads(monkeypatch)
+        before = threading.active_count()
+        with pytest.raises(WeakValueValidityError, match=r"k\*sigma = 0.632 exceeds 0.5"):
+            run_spectrum_pair(ExperimentConfig(spectrum_dnu=6e12))
+        assert threading.active_count() == before
+        assert len(draws) == 1 and draws[0] != threading.get_ident()
 
 
 class TestCsvRoundTrip:

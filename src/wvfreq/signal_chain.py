@@ -9,15 +9,16 @@ frequency and amplified by 1e4, and the per-cycle peaks are averaged. Raw
 Each filter stage is the bilinear-discretized first-order bandpass
 prototype H(s) = (w0/Q) s / (s^2 + (w0/Q) s + w0^2): one zero at DC, one
 pole pair, 6 dB/octave asymptotic skirts. The stage Q is 1 (bandwidth equal
-to the center frequency) and each stage is renormalized to unity gain at
-the center frequency on the digital grid, so the cascade attenuates a tone
-two octaves out by about 24 dB. The filter is causal and starts from zero
-state, so the output carries the prototype's phase response: zero at the
-center frequency, approaching +90 deg per stage below and -90 deg per stage
-above. It is applied as the cascade's exact frequency response on an FFT
-grid padded past the length over which the impulse response decays below
-1e-20, so the circular convolution equals the recursive filter to rounding;
-numpy's FFT is all it needs.
+to the center frequency), and w0 is prewarped so that the map lands the
+resonance on the center frequency: each stage's gain there is 1 by
+construction, so the cascade attenuates a tone two octaves out by about
+24 dB. The filter is causal and starts from zero state, so the output
+carries the prototype's phase response: zero at the center frequency,
+approaching +90 deg per stage below and -90 deg per stage above. It is
+applied as the cascade's exact frequency response, a closed form on the
+unit circle, on an FFT grid padded past the length over which the impulse
+response decays below 1e-20, so the circular convolution equals the
+recursive filter to rounding; numpy's FFT is all it needs.
 
 The sampled drive repeats every P samples (``modulation_period``), so the
 dark-port kernel runs over one period and ``synthesize_run`` repeats it.
@@ -64,6 +65,7 @@ POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).ma
 # Samples per binomial call: bounds the draw's temporaries, and a record longer
 # than this may draw its counts on a worker thread.
 DRAW_BLOCK = 1 << 16
+_INTP_MAX = np.iinfo(np.intp).max  # numpy's largest array, in bytes
 
 
 @dataclass
@@ -142,64 +144,6 @@ class NoiseExtensions:
                 raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
-def stage_coefficients(spec, sample_rate):
-    """Digital (b, a) for one peak-normalized bandpass stage.
-
-    Refuses a stage whose rounded denominator has a pole on or outside the
-    unit circle, or so close to it that the cascade's response does not
-    decay within an array's length; the normalization would divide by the
-    vanishing denominator there.
-    """
-    if sample_rate < 20.0 * spec.center:
-        raise AliasingError(
-            f"sample rate {sample_rate} Hz too low for a {spec.center} Hz "
-            "bandpass (need >= 20x center)"
-        )
-    # Prewarp so the bilinear map lands the resonance exactly on center, then
-    # apply s -> K (1 - 1/z) / (1 + 1/z) to (w0/Q) s / (s^2 + (w0/Q) s + w0^2).
-    k = 2.0 * sample_rate
-    w0 = k * np.tan(np.pi * spec.center / sample_rate)
-    bk = w0 / STAGE_Q * k
-    d = k**2 + bk + w0**2
-    b = np.array([bk, 0.0, -bk]) / d
-    a = np.array([1.0, 2.0 * (w0**2 - k**2) / d, (k**2 - bk + w0**2) / d])
-    pole, tail = _decay(a, spec.stages)
-    if not tail <= np.iinfo(np.intp).max:
-        raise ValidationError(
-            f"a {spec.stages}-stage {spec.center} Hz bandpass at {sample_rate} Hz has a "
-            f"pole at |z| = {pole:.17g}: its response does not decay within an array's length"
-        )
-    peak = abs(_polyresp(b, a, spec.center, sample_rate))
-    return b / peak, a
-
-
-def _decay(a, stages):
-    """Largest |pole| of one stage and the samples a cascade of ``stages`` takes
-    to decay below IMPULSE_TAIL: ceil(ln IMPULSE_TAIL / ln|pole|) * (stages + 1)
-    outlasts the impulse response of a pole pair of that multiplicity.
-
-    A complex pair has |pole|^2 = a2. A real pair (near z = 1, since a1 < 0) is
-    solved for u = 1 - z: u^2 - (2 + a1) u + (1 + a1 + a2) = 0, whose
-    coefficients are exact in float64 (Sterbenz), so a root on z = 1 is found.
-    """
-    q, s = 2.0 + a[1], 1.0 + a[1] + a[2]
-    if q * q < 4.0 * s:
-        pole = math.sqrt(a[2])
-    else:
-        root = q + math.sqrt(q * q - 4.0 * s)  # twice the larger u; s / that is the smaller
-        pole = 1.0 - (2.0 * s / root if root > 0.0 else 0.0)
-    tail = math.log(IMPULSE_TAIL) / math.log(pole) * (stages + 1) if pole < 1 else math.inf
-    return pole, tail
-
-
-def _polyresp(b, a, freq, sample_rate):
-    z = np.exp(2j * np.pi * np.asarray(freq, dtype=float) / sample_rate)
-    zi = 1.0 / z
-    num = sum(coef * zi**i for i, coef in enumerate(b))
-    den = sum(coef * zi**i for i, coef in enumerate(a))
-    return num / den
-
-
 def fft_length(n):
     """Smallest 2^a 3^b 5^c >= n: numpy's FFT is fastest on such lengths."""
     best = 1 << (n - 1).bit_length()
@@ -217,26 +161,33 @@ def fft_length(n):
 def cascade_response(spec, sample_rate, n_samples):
     """FFT length and gain * H^stages on its rfft grid, for an n_samples record.
 
-    The padding (``_decay``) outlasts the cascade's impulse response, so the
-    wrapped-around tail of the circular convolution is below IMPULSE_TAIL.
+    With r = tan(pi center / sample_rate), the prewarped bilinear map sends
+    z = exp(i w) to s = i w0 tan(w/2) / r, so each stage is
+    H = (i u/Q) / (1 - u^2 + i u/Q) with u = tan(w/2) / r: exactly 1 at the
+    center. Its pole pair has |z|^2 = (1 - r/Q + r^2) / (1 + r/Q + r^2), and a
+    padding of ceil(ln IMPULSE_TAIL / ln|z|) * (stages + 1) samples outlasts
+    the cascade's impulse response, so the wrapped-around tail of the
+    circular convolution is below IMPULSE_TAIL. A padded length that a
+    float64 array could not hold is refused before anything is allocated.
     """
-    b, a = stage_coefficients(spec, sample_rate)
-    _, tail = _decay(a, spec.stages)
-    n_fft = fft_length(n_samples + math.ceil(tail))
-    half = np.pi * np.arange(n_fft // 2 + 1) / n_fft  # omega / 2 on the rfft grid
-    return n_fft, spec.gain * (_zpoly(b, half) / _zpoly(a, half)) ** spec.stages
-
-
-def _zpoly(c, half):
-    """z * (c0 + c1/z + c2/z^2) at z = exp(2i half), without cancellation near z = 1.
-
-    Its real part is (c0 + c1 + c2) - 2 (c0 + c2) sin^2(half). For the stage
-    denominator, 1 + a1 + a2 is exact in float64 (Sterbenz), so the response
-    keeps its relative precision where the poles crowd z = 1.
-    """
-    return (c[0] + c[1] + c[2]) - 2.0 * (c[0] + c[2]) * np.sin(half) ** 2 + 1j * (
-        c[0] - c[2]
-    ) * np.sin(2.0 * half)
+    if sample_rate < 20.0 * spec.center:
+        raise AliasingError(
+            f"sample rate {sample_rate} Hz too low for a {spec.center} Hz "
+            "bandpass (need >= 20x center)"
+        )
+    r = math.tan(math.pi * spec.center / sample_rate)
+    # ln|z| = log1p(|z|^2 - 1) / 2, with |z|^2 - 1 = -2 (r/Q) / (1 + r/Q + r^2).
+    log_pole = 0.5 * math.log1p(-2.0 * r / STAGE_Q / (1.0 + r / STAGE_Q + r * r))
+    tail = math.log(IMPULSE_TAIL) / log_pole * (spec.stages + 1) if log_pole < 0.0 else math.inf
+    n_fft = fft_length(n_samples + math.ceil(tail)) if n_samples + tail < _INTP_MAX else math.inf
+    if 8 * n_fft > _INTP_MAX:
+        raise ValidationError(
+            f"a {spec.stages}-stage {spec.center} Hz bandpass at {sample_rate} Hz rings "
+            "longer than a float64 array can hold"
+        )
+    u = np.tan(np.pi * np.arange(n_fft // 2 + 1) / n_fft) / r
+    iq = 1j * u / STAGE_Q
+    return n_fft, spec.gain * (iq / (1.0 - u * u + iq)) ** spec.stages
 
 
 def bandpass(series, spec):
@@ -272,7 +223,7 @@ def record_counts(duration, sample_rate, physics, n_per_sample, mod_frequency, d
             "postselected photons per sample for a meaningful estimate"
         )
 
-    if duration * sample_rate > np.iinfo(np.intp).max:
+    if duration * sample_rate > _INTP_MAX // 8:  # 8 bytes a sample, for the count buffer
         raise ValidationError(
             f"a {duration} s record at {sample_rate} Hz holds more samples than "
             "an array can index"

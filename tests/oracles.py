@@ -4,11 +4,13 @@ The package computes the split detector and the dark-port centroid in
 closed form. The oracles here evaluate the same quantities by trapezoid
 quadrature on a tabulated detector-plane profile, or write out the formula
 a test compares against; the Sellmeier index steps are summed in exact
-rational arithmetic. The bandpass, which the package applies as a
-frequency response on an FFT grid, is checked against scipy's recursive
-``lfilter``, and the record synthesis, which evaluates the dark-port kernel
-over one period of the sampled drive and draws the photon counts in blocks,
-against a per-sample evaluation and one whole-record draw; the spectrum
+rational arithmetic. The bandpass, which the package evaluates in closed
+form on the unit circle and applies on an FFT grid, is checked against the
+stage's (b, a) from ``scipy.signal.bilinear``: its response through
+``freqz`` and the recursion through ``lfilter``. The record synthesis,
+which evaluates the dark-port kernel over one period of the sampled drive
+and draws the photon counts in blocks, is checked against a per-sample
+evaluation and one whole-record draw; the spectrum
 pair, whose undriven counts are drawn on a worker thread, against both
 records synthesized that way one after the other.
 The CSV writer, which formats a block of cells in numpy, is checked against
@@ -22,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import trapezoid
-from scipy.signal import lfilter
+from scipy.signal import bilinear, freqz, lfilter
 
 from wvfreq.config import resolve, resolved_metadata
 from wvfreq.dispersion import SPEED_OF_LIGHT, sellmeier_index
@@ -37,10 +39,10 @@ from wvfreq.noise import split_estimate
 from wvfreq.signal_chain import (
     ModulationConfig,
     NoiseExtensions,
+    STAGE_Q,
     TimeSeries,
     power_spectrum,
     record_counts,
-    stage_coefficients,
 )
 from wvfreq.units import fmt
 
@@ -182,18 +184,20 @@ def split_calibration_constant(x_grid, intensity):
     return 1.0 / (2.0 * center)
 
 
-def frequency_response(spec, freqs, sample_rate):
-    """Complex response of the full cascade (all stages and the gain),
-    gain * (B(1/z) / A(1/z))**stages at z = exp(2 pi i f / sample_rate).
+def stage_coefficients(spec, sample_rate):
+    """Digital (b, a) of one stage: ``scipy.signal.bilinear`` applied to the
+    prototype (w0/Q) s / (s^2 + (w0/Q) s + w0^2), with w0 prewarped so the map
+    lands the resonance on the center frequency. Not renormalized: the gain
+    at the center is 1 in exact arithmetic."""
+    w0 = 2.0 * sample_rate * np.tan(np.pi * spec.center / sample_rate)
+    return bilinear([w0 / STAGE_Q, 0.0], [1.0, w0 / STAGE_Q, w0**2], fs=sample_rate)
 
-    1/z and the power sums are evaluated in the order ``stage_coefficients``
-    uses for its unity-gain normalization: at high oversampling A(1/z) is
-    small near the center, and another order (``scipy.signal.freqz``, or
-    exp(-2 pi i f / sample_rate)) moves the center gain by about 1e-15.
-    """
+
+def frequency_response(spec, freqs, sample_rate):
+    """Complex response of the full cascade (all stages and the gain):
+    ``scipy.signal.freqz`` of ``stage_coefficients``, to the power stages."""
     b, a = stage_coefficients(spec, sample_rate)
-    zi = 1.0 / np.exp(2j * np.pi * np.asarray(freqs, dtype=float) / sample_rate)
-    stage = sum(c * zi**i for i, c in enumerate(b)) / sum(c * zi**i for i, c in enumerate(a))
+    _, stage = freqz(b, a, worN=np.asarray(freqs, dtype=float), fs=sample_rate)
     return spec.gain * stage**spec.stages
 
 

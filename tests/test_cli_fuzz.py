@@ -24,7 +24,7 @@ from wvfreq.config import CONFIG_FIELDS, config_from_mapping
 from wvfreq.errors import ValidationError
 
 NUMBERS = (
-    "0", "-0", "-1", "-2.5", "1e-300", "-1e-300", "1e300", "-1e300", "1e20",
+    "0", "-0", "-1", "-2.5", "1e-300", "-1e-300", "1e300", "-1e300", "1e20", "3e16", "3e15",
     "1e-9", "0.013", "0.5", "1", "2", "2.5", "7", "30", "1e3", "1e6",
 )
 SUFFIXES = ("m", "um", "nm", "Hz", "kHz", "MHz", "THz", "mW", "W", "s", "ms", "deg")
@@ -40,11 +40,11 @@ flag_sets = st.dictionaries(st.sampled_from(sorted(CONFIG_FIELDS)), values, min_
 # Caps on valid requests only. A valid run over SAMPLE_CAP detector samples
 # (summed over its records) or, for slope, over STAGE_CAP filter stages is
 # legitimately slow and large: seconds and tens of MB per example. A record
-# longer than an array can index is refused before anything is allocated,
-# so such values stay in.
+# whose int64 count buffer's byte count exceeds intp max is refused before
+# anything is allocated, so such values stay in.
 SAMPLE_CAP = 1e6
 STAGE_CAP = 1e3
-INTP_MAX = np.iinfo(np.intp).max
+RECORD_MAX = np.iinfo(np.intp).max // 8
 NAN_OR_INF = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
 
 
@@ -64,7 +64,7 @@ def _legitimately_large(command, flags):
         record, records = 2.5 * cfg.sample_rate, 1  # the default --duration
     else:
         return False
-    return record <= INTP_MAX and record * records > SAMPLE_CAP
+    return record <= RECORD_MAX and record * records > SAMPLE_CAP
 
 
 def _run(argv):

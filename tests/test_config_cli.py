@@ -238,6 +238,28 @@ class TestCli:
                 ["slope", "--n-cycles", "1e20"],
                 "a 1e+19 s record at 1000.0 Hz holds more samples than an array can index",
             ),
+            # Past intp max // 8 samples the int64 count buffer's byte count
+            # overflows intp, so these are refused by name too.
+            (
+                ["simulate", "--duration", "1.2e15s"],
+                "a 1200000000000000.0 s record at 1000.0 Hz holds more samples than an array "
+                "can index",
+            ),
+            (
+                ["spectrum", "--spectrum-duration", "1.2e15s"],
+                "a 1200000000000000.0 s record at 1000.0 Hz holds more samples than an array "
+                "can index",
+            ),
+            (
+                ["slope", "--n-cycles", "3e16"],
+                "a 3000000000000000.5 s record at 1000.0 Hz holds more samples than an array "
+                "can index",
+            ),
+            (
+                ["slope", "--settle-cycles", "3e16"],
+                "a 3000000000000002.5 s record at 1000.0 Hz holds more samples than an array "
+                "can index",
+            ),
             (
                 ["slope", "--sweep-points", "1e20"],
                 "sweep_points must be in [2, 9223372036854775807], got 100000000000000000000",
@@ -289,27 +311,36 @@ class TestCli:
                 "--sample-rate=1024Hz",
                 "cycle period 0.1 s is not a whole number of samples at 1024.0 Hz",
             ),
-            (
-                "--filter-center=2.04e-13Hz",
-                "a 2-stage 2.04e-13 Hz bandpass at 1000.0 Hz has a pole at "
-                "|z| = 1.0000000105367115: its response does not decay within an array's length",
-            ),
-            # Below these centres the rounded stage denominator has a root on z = 1,
-            # so its unity-gain normalization would divide by zero.
-            (
-                "--filter-center=5e-14Hz",
-                "a 2-stage 5e-14 Hz bandpass at 1000.0 Hz has a pole at "
-                "|z| = 1: its response does not decay within an array's length",
-            ),
+            # The padding, ln 1e-20 / ln|z| * (stages + 1) samples, grows as
+            # 1 / filter_center. At these two centres the padded FFT's bytes still
+            # fit in intp, and numpy refuses the allocation (a prefix is matched).
+            ("--filter-center=2.04e-13Hz", "Unable to allocate 767. PiB for an array"),
+            ("--filter-center=5e-14Hz", "Unable to allocate 3.05 EiB for an array"),
+            # Below about 3.8e-14 Hz, or past about 7.9e14 stages, they do not.
             (
                 "--filter-center=1e-14Hz",
-                "a 2-stage 1e-14 Hz bandpass at 1000.0 Hz has a pole at "
-                "|z| = 1: its response does not decay within an array's length",
+                "a 2-stage 1e-14 Hz bandpass at 1000.0 Hz rings longer than a float64 array "
+                "can hold",
+            ),
+            (
+                "--filter-center=1e-15Hz",
+                "a 2-stage 1e-15 Hz bandpass at 1000.0 Hz rings longer than a float64 array "
+                "can hold",
             ),
             (
                 "--filter-center=1e-30",
-                "a 2-stage 1e-30 Hz bandpass at 1000.0 Hz has a pole at "
-                "|z| = 1: its response does not decay within an array's length",
+                "a 2-stage 1e-30 Hz bandpass at 1000.0 Hz rings longer than a float64 array "
+                "can hold",
+            ),
+            (
+                "--filter-center=1e-300Hz",
+                "a 2-stage 1e-300 Hz bandpass at 1000.0 Hz rings longer than a float64 array "
+                "can hold",
+            ),
+            (
+                "--filter-stages=1e18",
+                "a 1000000000000000000-stage 10.0 Hz bandpass at 1000.0 Hz rings longer than "
+                "a float64 array can hold",
             ),
             (
                 "--power=1e-15",
@@ -328,7 +359,9 @@ class TestCli:
         with mock.patch.object(recipes, "synthesize_run", side_effect=AssertionError) as draw:
             assert cli.main(["slope", flag]) == 2
         assert draw.call_count == 0
-        assert capsys.readouterr().err == f"error: {message}\n"
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert err.endswith("\n") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "args",

@@ -1,6 +1,6 @@
 """Weak-value amplified optical frequency measurement simulator."""
 
-__version__ = "0.1.1"  # set before the submodules load: config_hash reads it
+__version__ = "0.1.2"  # set before the submodules load: config_hash reads it
 
 from .calibration import (
     ReferenceLine,

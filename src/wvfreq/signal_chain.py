@@ -21,23 +21,31 @@ response decays below 1e-20, so the circular convolution equals the
 recursive filter to rounding; numpy's FFT is all it needs.
 
 The sampled drive repeats every P samples (``modulation_period``), so the
-dark-port kernel runs over one period and ``synthesize_run`` repeats it.
-Later periods reuse the first period's values instead of their own phases,
-whose rounding grows with t. The kernel sees the offset only through the
-rounded optical frequency nu0 + dnu (a 0.0625 Hz step at 780 nm), so at MHz
-drives this is bit-identical to a per-sample evaluation. At GHz drives some
-late samples land on a neighbouring step (about 3 in 1e4 over 100 s at
-1 GHz, 1-2% at 100 GHz); the repeated value, from the smaller phase, is the
-more accurate one.
+dark-port kernel runs over one period and ``synthesize_run`` reuses it.
+Later periods reuse the first period's values instead of their own phases
+2 pi f t, whose rounding grows with t. The kernel maps the drive to the
+split probability p continuously, so the two differ wherever that rounding
+reaches p: at the default 7.4 MHz / 10 Hz / 1 kHz, 419 of 1e5 samples differ
+by one ulp over 100 s and 83 686 of 1e6 over 1000 s; over 1000 s at a 250 Hz
+drive, up to 36 ulps near the drive's zero crossings, and over 100 s at a
+1 GHz drive, 15 ulps. The reused value, from the smaller phase, is the more
+accurate one. It is not bit-identical to a per-sample evaluation, and a
+one-ulp move can change the drawn count: at a 250 Hz drive the reused
+period holds p = 0.5 exactly where a per-sample evaluation gives 0.5 -+ 1
+ulp, which flips the binomial sampler's min(p, 1 - p) branch (2013 of
+60 000 counts differ over 60 s).
 
 Determinism: each record's randomness flows through one generator seeded by
-the run seed, in a fixed order: the photon counts in blocks of at most
-DRAW_BLOCK samples, which give the same stream as one whole-record call,
-then any noise-extension draws as whole-record calls. A fixed seed
-therefore reproduces the output byte for byte in the same software
-environment, whichever thread draws the counts: ``run_spectrum_pair`` draws
-the undriven record's counts on a worker thread while the calling thread
-synthesizes the driven record (``PhotonDraw.drawn_ahead``).
+the run seed, in a fixed order: the photon counts in phase order (every
+sample of a period's first phase, then of its second, and so on over the
+record's whole periods, then the samples after the last whole period), in
+calls of at most DRAW_BLOCK samples that give the same stream as one
+whole-record call in that order, then any noise-extension draws as
+whole-record calls in sample order. A fixed seed therefore reproduces the
+output byte for byte in the same software environment, whichever thread
+draws the counts: ``run_spectrum_pair`` draws the undriven record's counts
+on a worker thread while the calling thread synthesizes the driven record
+(``PhotonDraw.drawn_ahead``).
 """
 
 import contextlib
@@ -62,8 +70,9 @@ STAGE_Q = 1.0  # first-order prototype: bandwidth = center frequency
 IMPULSE_TAIL = 1e-20  # the FFT padding outlasts the impulse response's decay to this level
 # The largest mean numpy's Poisson draw accepts: 10 standard deviations below int64's limit.
 POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
-# Samples per binomial call: bounds the draw's temporaries, and a record longer
-# than this may draw its counts on a worker thread.
+# Samples per binomial call, whole phases of the drive where they fit: bounds the
+# draw's temporaries, and a record longer than this may draw its counts on a
+# worker thread.
 DRAW_BLOCK = 1 << 16
 _INTP_MAX = np.iinfo(np.intp).max  # numpy's largest array, in bytes
 
@@ -256,13 +265,13 @@ class PhotonDraw:
     """One record's right-hand photon counts, planned on the calling thread.
 
     The plan runs the configuration checks (``record_counts``) and the
-    dark-port kernel on min(P, N) sample times, tiles the split probability
-    to whole periods of at most DRAW_BLOCK samples (one period, if that is
-    longer; the record, if that is shorter), seeds the record's generator
-    and allocates its int64 count buffer. ``draw`` then fills the buffer
-    with one binomial call per block and allocates nothing of the record's
-    length, so it can run on a worker thread (``drawn_ahead``); numpy
-    releases the GIL inside the draw.
+    dark-port kernel on m = min(P, N) sample times, keeps that one-period
+    split probability (``profile``), seeds the record's generator and
+    allocates its int64 count buffer. ``draw`` then fills the buffer in phase
+    order: a phase's samples share one p, so numpy's binomial sampler sets up
+    once per phase and call, not once per sample. It allocates nothing of the
+    record's length, so it can run on a worker thread (``drawn_ahead``);
+    numpy releases the GIL inside the draw.
     """
 
     def __init__(
@@ -282,11 +291,7 @@ class PhotonDraw:
         t = np.arange(m) / sample_rate
         dnu = dnu_peak * np.sin(2.0 * np.pi * modulation.mod_frequency * t)
         # The kernel refuses |k sigma| above its limit (WeakValueValidityError).
-        profile = dark_port_split_probability(physics.kick_of_shift(dnu), state, beta)
-        if n_samples <= DRAW_BLOCK:
-            self.tile = np.resize(profile, n_samples)
-        else:
-            self.tile = np.resize(profile, max(DRAW_BLOCK - DRAW_BLOCK % m, m))
+        self.profile = dark_port_split_probability(physics.kick_of_shift(dnu), state, beta)
         self.counts = np.empty(n_samples, dtype=np.int64)
         self.calibration = dark_port_split_calibration(state, beta)
         self.rng = np.random.default_rng(seed)
@@ -294,14 +299,26 @@ class PhotonDraw:
         self._failure = None
 
     def draw(self):
-        """Fill the counts block by block: the same stream as one whole-record call."""
-        rng, n, tile, counts = self.rng, self.n_detected, self.tile, self.counts
-        start = 0
-        while start < counts.size:
-            offset = start % tile.size
-            stop = min(start + DRAW_BLOCK, start + tile.size - offset, counts.size)
-            counts[start:stop] = rng.binomial(n, tile[offset : offset + stop - start])
-            start = stop
+        """Fill the counts in phase order: the same stream as one whole-record call.
+
+        The record is q whole periods of m = ``profile.size`` samples and r
+        more. Phase by phase, a block's phases fill their q samples of a
+        strided (q, m) view with one binomial call, its p broadcast from the
+        profile; a phase of more than DRAW_BLOCK samples is drawn in runs.
+        The r samples after the last whole period follow in sample order.
+        """
+        rng, n, profile, counts = self.rng, self.n_detected, self.profile, self.counts
+        m = profile.size
+        q = counts.size // m
+        periods = counts[: q * m].reshape(q, m)
+        width = max(DRAW_BLOCK // q, 1)  # phases in a block
+        for k0 in range(0, m, width):
+            k1 = min(k0 + width, m)
+            for j0 in range(0, q, DRAW_BLOCK):  # one run, unless a phase outgrows a block
+                j1 = min(j0 + DRAW_BLOCK, q)
+                drawn = rng.binomial(n, profile[k0:k1, None], (k1 - k0, j1 - j0))
+                periods[j0:j1, k0:k1] = drawn.T
+        counts[q * m :] = rng.binomial(n, profile[: counts.size - q * m])
 
     def _draw_on_worker(self):
         try:
@@ -362,13 +379,15 @@ def synthesize_run(
     closed-form ``dark_port_split_probability`` (the grid quadrature is only
     its test oracle). The sampled drive repeats every P =
     ``modulation_period`` samples, so the kernel runs on min(P, N) sample
-    times and its split probability is tiled to whole periods of at most
-    DRAW_BLOCK samples, from which the counts are drawn block by block
-    (``PhotonDraw``): kernel work is O(min(P, N)), the photon draws are
-    O(N), and no full-length split probability is built. ``dnu_peak``
-    overrides the amplitude in ``modulation`` (default: 10 Hz sine). Output
-    samples are calibrated position estimates in meters (unfiltered).
-    Deterministic for a fixed seed.
+    times, and the counts are drawn from that one-period profile in phase
+    order, in calls of at most DRAW_BLOCK samples (``PhotonDraw``): kernel
+    work is O(min(P, N)), the photon draws are O(N), and no full-length
+    split probability is built. Each sample's count is Binomial(n, p) at
+    its own phase; the phase order decides only which variate of the stream
+    lands on which sample. ``dnu_peak`` overrides the amplitude in
+    ``modulation`` (default: 10 Hz sine). Output samples are calibrated
+    position estimates in meters (unfiltered). Deterministic for a fixed
+    seed.
 
     ``ahead`` is this record's ``PhotonDraw``, planned from the same
     arguments, whose counts may have been drawn on a worker thread

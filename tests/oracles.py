@@ -9,10 +9,11 @@ form on the unit circle and applies on an FFT grid, is checked against the
 stage's (b, a) from ``scipy.signal.bilinear``: its response through
 ``freqz`` and the recursion through ``lfilter``. The record synthesis,
 which evaluates the dark-port kernel over one period of the sampled drive
-and draws the photon counts in blocks, is checked against a per-sample
-evaluation and one whole-record draw; the spectrum
-pair, whose undriven counts are drawn on a worker thread, against both
-records synthesized that way one after the other.
+and draws the photon counts in phase order, in blocks written through a
+strided view, is checked against a per-sample evaluation and one
+whole-record draw in that order, taken through a sort of the sample
+indices; the spectrum pair, whose undriven counts are drawn on a worker
+thread, against both records synthesized that way one after the other.
 The CSV writer, which formats a block of cells in numpy, is checked against
 a per-row f-string writer, and the reader, which parses cells as integers
 and scales them, against one ``np.fromstring`` call on the whole body. None
@@ -41,6 +42,7 @@ from wvfreq.signal_chain import (
     NoiseExtensions,
     STAGE_Q,
     TimeSeries,
+    modulation_period,
     power_spectrum,
     record_counts,
 )
@@ -216,7 +218,10 @@ def direct_synthesize_run(
     """``synthesize_run`` with the kernel evaluated at every sample time.
 
     The same draws from the same generator in the same order, over a split
-    probability computed sample by sample instead of over one period.
+    probability computed sample by sample instead of over one period. The
+    counts come from one whole-record call in phase order: the samples of the
+    whole periods of m = min(P, N) samples stably sorted by their index mod m,
+    then the samples after the last whole period.
     """
     modulation = modulation or ModulationConfig()
     extensions = extensions or NoiseExtensions()
@@ -231,7 +236,13 @@ def direct_synthesize_run(
     p_right = dark_port_split_probability(physics.kick_of_shift(dnu), state, beta)
     calibration = dark_port_split_calibration(state, beta)
     rng = np.random.default_rng(seed)
-    n_right = rng.binomial(n_detected, p_right)
+    m = min(modulation_period(modulation.mod_frequency, sample_rate), n_samples)
+    whole = n_samples - n_samples % m
+    order = np.concatenate(
+        [np.argsort(np.arange(whole) % m, kind="stable"), np.arange(whole, n_samples)]
+    )
+    n_right = np.empty(n_samples, dtype=np.int64)
+    n_right[order] = rng.binomial(n_detected, p_right[order])
     total = np.full(n_samples, float(n_detected))
     if extensions.dark_count_rate > 0.0:
         dark = rng.poisson(dark_mean, n_samples)

@@ -3,14 +3,17 @@
 Runs the three recipes behind ``scripts/`` in-process at the default
 configuration. Header lines (metadata and column names) must match exactly;
 data values to a relative tolerance of 1e-12, which leaves room only for
-floating-point reduction order, not for a changed draw or estimator.
+floating-point reduction order, not for a changed draw or estimator. The
+package version, which ``config_hash`` covers, agrees with pyproject.toml's.
 """
 
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
+import wvfreq
 from wvfreq.config import ExperimentConfig
 from wvfreq.recipes import (
     run_sensitivity,
@@ -44,3 +47,11 @@ def test_regenerated_results_match_committed(name):
     assert header == committed_header
     assert rows.shape == committed_rows.shape
     np.testing.assert_allclose(rows, committed_rows, rtol=1e-12, atol=0.0)
+
+
+def test_package_and_project_versions_agree():
+    # config_hash covers __version__, so a change that moves output bytes bumps
+    # both. A regex reads pyproject.toml: tomllib is missing before Python 3.11.
+    pyproject = (RESULTS.parent / "pyproject.toml").read_text()
+    versions = re.findall(r'^version\s*=\s*"([^"]+)"', pyproject, flags=re.MULTILINE)
+    assert versions == [wvfreq.__version__]

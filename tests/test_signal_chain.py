@@ -33,6 +33,7 @@ from wvfreq import (
 )
 from wvfreq.config import ExperimentConfig, resolve
 from wvfreq.errors import AliasingError, ValidationError, WeakValueValidityError
+from wvfreq.interferometer import dark_port_split_probability
 from wvfreq.recipes import run_spectrum_pair
 from wvfreq.signal_chain import (
     DRAW_BLOCK,
@@ -507,22 +508,23 @@ class TestSynthesizeRun:
     @pytest.mark.parametrize(
         "sample_rate,duration,mod_frequency,period",
         [
-            (FS, 3.0, 10.0, 100),  # 30 whole periods
+            (FS, 3.0, 10.0, 100),  # 30 whole periods: one block of 100 phases
             (1024.0, 2.0, 10.0, 512),  # 4 whole periods
-            (1024.0, 1.1, 10.0, 512),  # 1126 samples: 2 periods and 102 samples
+            (1024.0, 1.1, 10.0, 512),  # 1126 samples: 2 periods by phase, then 102 samples
             (1000.5, 1.0, 10.0, 2001),  # 1000 samples, shorter than one period
             (1000.5, 3.0, 10.0, 2001),  # 3002 samples: 1 period and 1001 samples
             (FS, 10.0, 0.1, 1000 * 2**55),  # 0.1 is not dyadic: the period outlasts the record
-            (1024.0, 20.0, 10.0, 512),  # 20480 samples: one block of 40 periods
-            (FS, 70.0, 10.0, 100),  # a 65500-sample block of 655 periods, then 4500 samples
-            (1024.0, 128.0, 10.0, 512),  # 131072 samples: two whole 65536-sample blocks
-            (FS, 70.0, 0.1, 1000 * 2**55),  # a period longer than a block: 65536 + 4464
+            (1024.0, 20.0, 10.0, 512),  # 40 periods: one block of 512 phases
+            (FS, 70.0, 10.0, 100),  # 700 periods: a block of 93 phases, then 7 phases
+            (1024.0, 128.0, 10.0, 512),  # 256 periods: two 65536-sample blocks of 256 phases
+            (FS, 70.0, 0.1, 1000 * 2**55),  # one period longer than a block: 65536 + 4464
         ],
     )
     def test_matches_direct_oracle(self, physics, sample_rate, duration, mod_frequency, period):
         # The kernel runs over one period of the sampled drive and the counts
-        # are drawn in blocks; the record is byte-identical to the kernel
-        # evaluated at every sample time and one whole-record draw.
+        # are drawn in phase order, in blocks; the record is byte-identical to
+        # the kernel evaluated at every sample time and one whole-record draw
+        # in phase order.
         assert modulation_period(mod_frequency, sample_rate) == period
         modulation = ModulationConfig(mod_frequency=mod_frequency)
         args = (7.4e6, duration, sample_rate, physics, physics.n_photons_per_sample(), 17)
@@ -545,10 +547,86 @@ class TestSynthesizeRun:
         direct = direct_synthesize_run(*args, extensions=extensions)
         assert fast.samples.tobytes() == direct.samples.tobytes()
 
+    @pytest.mark.parametrize(
+        "mod_frequency,sample_rate,duration,shape",
+        [
+            (250.0, FS, 270.0, (4, 67_500, 0)),  # a phase longer than DRAW_BLOCK
+            (10.0, 1024.0, 128.1, (512, 256, 102)),  # a partial period after the last whole one
+        ],
+    )
+    def test_draw_is_one_phase_ordered_call(
+        self, physics, mod_frequency, sample_rate, duration, shape
+    ):
+        # The counts of the q whole periods of m samples are one binomial
+        # stream over the profile's phases, each repeated q times, then r
+        # samples in sample order; no call draws more than DRAW_BLOCK.
+        record = PhotonDraw(
+            7.4e6, duration, sample_rate, physics, physics.n_photons_per_sample(), 29,
+            ModulationConfig(mod_frequency=mod_frequency),
+        )
+        m, q, r = shape
+        assert (record.profile.size, *divmod(record.counts.size, m)) == shape
+        record.rng = calls = BinomialCalls(record.rng)
+        record.draw()
+        assert max(calls.sizes) <= DRAW_BLOCK
+        assert sum(calls.sizes) == record.counts.size
+        rng = np.random.default_rng(29)
+        whole = rng.binomial(record.n_detected, np.repeat(record.profile, q))
+        rest = rng.binomial(record.n_detected, record.profile[:r])
+        expected = np.concatenate([whole.reshape(m, q).T.ravel(), rest])
+        assert record.counts.tobytes() == expected.tobytes()
+
+    def test_each_phase_draws_its_own_law(self, physics):
+        # A driven 100 s record at the defaults: each phase's mean count lies
+        # within 4 standard errors of n p_k. The drive moves n p_k by about 5
+        # standard errors from one phase to the next (the median step), so
+        # counts stored at another phase's samples fail it.
+        cfg = physics.config
+        record = PhotonDraw(
+            cfg.spectrum_dnu, 100.0, cfg.sample_rate, physics, physics.n_photons_per_sample(),
+            cfg.seed, ModulationConfig(mod_frequency=cfg.mod_frequency),
+        )
+        phases = record.drawn().reshape(-1, 100)
+        t = np.arange(100) / cfg.sample_rate
+        dnu = cfg.spectrum_dnu * np.sin(2.0 * np.pi * cfg.mod_frequency * t)
+        p = dark_port_split_probability(
+            physics.kick_of_shift(dnu), physics.state, cfg.background_fraction
+        )
+        n = record.n_detected
+        standard_error = np.sqrt(n * p * (1.0 - p) / phases.shape[0])
+        assert np.median(np.abs(np.diff(n * p)) / standard_error[1:]) > 4.0
+        assert np.all(np.abs(phases.mean(axis=0) - n * p) < 4.0 * standard_error)
+
+    @pytest.mark.parametrize("mod_frequency", [1.0, 10.0, 50.0, 250.0])
+    def test_reused_period_differs_only_by_phase_rounding(self, physics, mod_frequency):
+        # The per-sample kernel takes each sample's phase 2 pi f t, whose
+        # rounding grows with t; the reused period's phase stays below 2 pi.
+        # Over 1e6 samples the two differ by one ulp of p plus at most three
+        # ulps of the phase carried through the kernel's slope: one ulp at 1
+        # and 10 Hz, up to 5 at 50 Hz and 36 near 250 Hz's zero crossings.
+        dnu_peak = 7.4e6
+        record = PhotonDraw(
+            dnu_peak, 1000.0, FS, physics, physics.n_photons_per_sample(), 0,
+            ModulationConfig(mod_frequency=mod_frequency),
+        )
+
+        def kernel(dnu):
+            return dark_port_split_probability(
+                physics.kick_of_shift(dnu), physics.state, physics.config.background_fraction
+            )
+
+        phase = 2.0 * np.pi * mod_frequency * (np.arange(record.counts.size) / FS)
+        direct = kernel(dnu_peak * np.sin(phase))
+        gap = np.abs(np.resize(record.profile, direct.size) - direct)
+        slope = np.abs(np.diff(kernel(np.array([0.0, 1e3]))))[0] / 1e3
+        assert np.all(gap <= np.spacing(direct) + 3.0 * slope * dnu_peak * np.spacing(phase))
+        if mod_frequency <= 10.0:
+            assert np.all(gap <= np.spacing(direct))
+
     def test_peak_memory_is_two_record_arrays(self, physics):
-        # The counts are drawn block by block from a tile of whole periods, so
-        # no full-length split probability sits beside the counts and the
-        # estimates (tracemalloc sees numpy's buffers).
+        # The counts are drawn in phase order from the one-period profile, so
+        # no full-length split probability or index array sits beside the
+        # counts and the estimates (tracemalloc sees numpy's buffers).
         n_samples = 1_000_000
         tracemalloc.start()
         try:
@@ -673,6 +751,18 @@ NOISE_TERMS = {"background_fraction": 0.02, "electronic_noise": 1e-9, "dark_coun
 # public function of theirs must run on the calling thread.
 TRACED_MODULES = (cli, config, units, dispersion, interferometer, noise, signal_chain, recipes,
                   calibration)
+
+
+class BinomialCalls:
+    """A generator stand-in that records the sample count of every binomial call."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def binomial(self, n, p, size=None):
+        drawn = self.rng.binomial(n, p, size)
+        self.sizes.append(drawn.size)
+        return drawn
 
 
 def draw_threads(monkeypatch):

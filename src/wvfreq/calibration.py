@@ -7,6 +7,7 @@ file). The fractional slope uncertainty is what propagates onto every
 frequency quoted by the instrument.
 """
 
+import functools
 from dataclasses import dataclass
 from importlib import resources
 
@@ -45,13 +46,15 @@ class ScanCalibration:
 
 
 def load_reference_lines(path=None):
-    """Read reference lines; the packaged Rb D2 set is the default.
+    """Read reference lines as a tuple; the packaged Rb D2 set is the default.
 
-    File format: ``name, relative_frequency_mhz[, note]`` records with '#'
-    comments. Frequencies are returned in Hz, and must be strictly ordered.
+    The packaged set is parsed once per process; a file at ``path`` is read
+    on every call. File format: ``name, relative_frequency_mhz[, note]``
+    records with '#' comments. Frequencies are returned in Hz, and must be
+    strictly ordered.
     """
     if path is None:
-        path = resources.files("wvfreq").joinpath("data", _LINES_RESOURCE)
+        return _packaged_reference_lines()
     lines = []
     for where, line in data_lines(path):
         fields = [f.strip() for f in line.split(",")]
@@ -62,7 +65,12 @@ def load_reference_lines(path=None):
     rel = [line.relative_frequency for line in lines]
     if any(b <= a for a, b in zip(rel, rel[1:])):
         raise ValidationError("reference lines must be strictly increasing in frequency")
-    return lines
+    return tuple(lines)
+
+
+@functools.cache
+def _packaged_reference_lines():
+    return load_reference_lines(resources.files("wvfreq").joinpath("data", _LINES_RESOURCE))
 
 
 def fit_scan_calibration(observed_positions, references):

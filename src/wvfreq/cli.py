@@ -130,6 +130,8 @@ def _dispatch(args):
     if args.command == "simulate":
         config = _build_config(args)
         dnu_peak = parse_quantity(args.dnu_peak, "frequency")
+        if dnu_peak < 0:  # a sine amplitude, as sweep_min and spectrum_dnu are
+            raise ValidationError(f"--dnu-peak must be >= 0, got {dnu_peak}")
         duration = parse_quantity(args.duration, "time")
         _write(recipes.run_simulate(config, dnu_peak, duration), args.output)
         return 0

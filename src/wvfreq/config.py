@@ -68,9 +68,11 @@ _FIELD_RULES = {
     # The per-point error is the spread of the per-cycle peaks.
     "n_cycles": (lambda v: v >= 2, ">= 2"),
     "settle_cycles": (lambda v: v >= 0, ">= 0"),
-    # Sweep points are sine amplitudes; the line fit needs two, linspace an intp count.
+    # Sweep points and the spectrum's drive are sine amplitudes; the line fit
+    # needs two points, linspace an intp count.
     "sweep_min": (lambda v: v >= 0, ">= 0"),
     "sweep_max": (lambda v: v >= 0, ">= 0"),
+    "spectrum_dnu": (lambda v: v >= 0, ">= 0"),
     "sweep_points": (lambda v: 2 <= v <= _INTP_MAX, f"in [2, {_INTP_MAX}]"),
 }
 

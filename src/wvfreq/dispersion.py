@@ -21,6 +21,8 @@ All functions are pure; wavelength/frequency arguments accept scalars or
 numpy arrays.
 """
 
+import functools
+import types
 from dataclasses import dataclass
 from importlib import resources
 
@@ -93,8 +95,12 @@ class OpticalCarrier:
         return TWO_PI / self.wavelength
 
 
+@functools.cache
 def load_material_catalog():
-    """Load the packaged Sellmeier coefficient table, keyed by material name.
+    """The packaged Sellmeier coefficient table, keyed by material name.
+
+    Parsed on the first call and shared by every later one as a read-only
+    mapping of frozen models.
 
     File format: comma-separated records
     ``name, b1, b2, b3, c1_um2, c2_um2, c3_um2, min_um, max_um`` with '#'
@@ -114,7 +120,7 @@ def load_material_catalog():
             c=tuple(v * 1e-12 for v in values[3:6]),  # um^2 -> m^2
             valid_range=(values[6] * 1e-6, values[7] * 1e-6),
         )
-    return catalog
+    return types.MappingProxyType(catalog)
 
 
 def get_material(name):

@@ -38,6 +38,7 @@ from .signal_chain import (
     power_spectrum,
     record_counts,
     samples_per_cycle,
+    segment_length,
     slope_fit,
     synthesize_run,
     timeseries_to_csv,
@@ -131,6 +132,12 @@ def run_spectrum_pair(config):
     """Driven and undriven raw-signal spectra on a shared dB reference."""
     physics = resolve(config)
     cfg = config
+    # The record's and the periodogram's config-only checks run before either record is drawn.
+    n_samples, _, _ = record_counts(
+        cfg.spectrum_duration, cfg.sample_rate, physics, physics.n_photons_per_sample(),
+        cfg.mod_frequency, cfg.dark_count_rate,
+    )
+    segment_length(n_samples, cfg.spectrum_segments)
     undriven_args = _record_args(physics, 0.0, cfg.spectrum_duration, cfg.seed + 1)
     undriven = PhotonDraw(*undriven_args)
     with undriven.drawn_ahead():

@@ -478,18 +478,22 @@ def hann_window(n):
     return (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
 
 
+def segment_length(n_samples, segments):
+    """Samples per periodogram segment; refuses a split with a segment under 16."""
+    if n_samples < 16:
+        raise ValidationError(f"series too short for a spectrum ({n_samples} samples)")
+    if segments < 1 or n_samples // segments < 16:
+        raise ValidationError(f"cannot split {n_samples} samples into {segments} segments")
+    return n_samples // segments
+
+
 def power_spectrum(series, segments=1):
     """One-sided Hann-windowed periodogram, segment-averaged when ``segments`` > 1.
 
     Powers are mean-square (a full-scale sine of amplitude A contributes
     A^2/2 in its bin) and reported in dB relative to the strongest bin.
     """
-    n = series.samples.size
-    if n < 16:
-        raise ValidationError(f"series too short for a spectrum ({n} samples)")
-    if segments < 1 or n // segments < 16:
-        raise ValidationError(f"cannot split {n} samples into {segments} segments")
-    seg_len = n // segments
+    seg_len = segment_length(series.samples.size, segments)
     win = hann_window(seg_len)
     coherent_gain = win.sum()
     power = np.zeros(seg_len // 2 + 1)

@@ -23,6 +23,12 @@ def positions_for(references, slope, intercept=0.0):
 
 
 class TestReferenceData:
+    def test_lines_are_a_tuple(self, rb_lines, tmp_path):
+        assert type(rb_lines) is tuple
+        path = tmp_path / "refs.txt"
+        path.write_text("a, 0.0\nb, 10.0\n")
+        assert load_reference_lines(path) == (ReferenceLine("a", 0.0), ReferenceLine("b", 1e7))
+
     def test_six_features_strictly_ordered(self, rb_lines):
         assert len(rb_lines) == 6
         freqs = [line.relative_frequency for line in rb_lines]

@@ -86,6 +86,24 @@ class TestConfig:
         resolved_metadata(physics)
         assert len(calls) == 1
 
+    def test_packaged_tables_parsed_once_per_process(self, monkeypatch):
+        from wvfreq import calibration, dispersion
+
+        # Earlier tests may have filled the caches.
+        dispersion.load_material_catalog.cache_clear()
+        calibration._packaged_reference_lines.cache_clear()
+        reads = []
+        for module in (dispersion, calibration):
+            monkeypatch.setattr(
+                module,
+                "data_lines",
+                lambda source, parse=module.data_lines: reads.append(source.name) or parse(source),
+            )
+        for _ in range(2):
+            resolve(ExperimentConfig())
+            calibration.load_reference_lines()
+        assert reads == ["sellmeier_coefficients.txt", "rb_d2_reference_lines.txt"]
+
     def test_file_and_overrides(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(
@@ -277,6 +295,8 @@ class TestCli:
                 "beam sigma must be >= the wavelength, got 1e-09 m",
             ),
             (["range", "--sigma", "1e-9"], "beam sigma must be >= the wavelength, got 1e-09 m"),
+            (["spectrum", "--spectrum-dnu=-1MHz"], "spectrum_dnu must be >= 0, got -1000000.0"),
+            (["simulate", "--dnu-peak=-1MHz"], "--dnu-peak must be >= 0, got -1000000.0"),
         ):
             assert cli.main(args) == 2
             assert capsys.readouterr().err == f"error: {message}\n"
@@ -362,6 +382,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}")
         assert err.endswith("\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flag,message",
+        [
+            ("--spectrum-segments=0", "cannot split 100000 samples into 0 segments"),
+            ("--spectrum-duration=0.1s", "cannot split 100 samples into 16 segments"),
+        ],
+    )
+    def test_spectrum_split_refused_before_any_record(self, capsys, flag, message):
+        # The periodogram's segment rule runs before either record is drawn.
+        with (
+            mock.patch.object(recipes, "synthesize_run", side_effect=AssertionError) as run,
+            mock.patch.object(recipes.PhotonDraw, "draw", side_effect=AssertionError) as draw,
+        ):
+            assert cli.main(["spectrum", flag]) == 2
+        assert run.call_count == draw.call_count == 0
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "args",
@@ -597,6 +634,17 @@ class TestCli:
         assert outputs[0] == outputs[1]
         assert outputs[0].err == ""
 
+    def test_calibrate_rereads_a_user_reference_file(self, tmp_path, capsys):
+        pos_file = tmp_path / "positions.txt"
+        pos_file.write_text("1.0\n2.0\n3.0\n")
+        refs = tmp_path / "refs.txt"
+        slopes = []
+        for spacing in (10.0, 30.0):
+            refs.write_text(f"a, 0.0\nb, {spacing}\nc, {2 * spacing}\n")
+            assert cli.main(["calibrate", str(pos_file), "--references", str(refs)]) == 0
+            slopes.append(capsys.readouterr().out.splitlines()[0])
+        assert slopes == ["slope_hz_per_unit = 10000000", "slope_hz_per_unit = 30000000"]
+
     def test_calibrate_duplicate_positions(self, tmp_path, capsys):
         pos_file = tmp_path / "positions.txt"
         pos_file.write_text("1.0\n1.0\n2.0\n3.0\n4.0\n5.0\n")
@@ -698,8 +746,8 @@ class TestParserReuse:
 # One process runs these steps in order and lists the scipy, fractions and
 # decimal modules loaded after each step. No step may load any of them; the
 # first step after the import also reads its simulated record back. The
-# script also counts the CSV writer's and reader's tables built by the
-# import: none.
+# script also counts the CSV writer's and reader's tables and the parsed
+# packaged data tables built by the import: none.
 _IMPORT_SCRIPT = """
 import json, sys
 out = sys.argv[1]
@@ -707,10 +755,13 @@ loaded = lambda: sorted(
     m for m in sys.modules if m in ("scipy", "fractions", "decimal") or m.startswith("scipy.")
 )
 import wvfreq.cli as cli
-from wvfreq import signal_chain, units
+from wvfreq import calibration, dispersion, signal_chain, units
 built = sum(
     table.cache_info().currsize
-    for table in (units._powers_of_ten, units._layout_tables, units._reader_tables)
+    for table in (
+        units._powers_of_ten, units._layout_tables, units._reader_tables,
+        dispersion.load_material_catalog, calibration._packaged_reference_lines,
+    )
 )
 steps = [loaded()]
 from wvfreq.calibration import load_reference_lines

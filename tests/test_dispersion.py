@@ -370,6 +370,12 @@ class TestCarrierAndCatalog:
         assert fs.valid_range == pytest.approx((0.21e-6, 3.71e-6), rel=1e-15)
         assert "bk7" in catalog
 
+    def test_catalog_is_shared_read_only(self):
+        catalog = load_material_catalog()
+        with pytest.raises(TypeError):
+            catalog["fused_silica"] = catalog["bk7"]
+        assert load_material_catalog() is catalog
+
     def test_unknown_material(self):
         with pytest.raises(ValidationError, match="catalog has"):
             get_material("unobtainium")

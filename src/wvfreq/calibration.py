@@ -13,7 +13,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .units import data_lines, finite_number
 
 _LINES_RESOURCE = "rb_d2_reference_lines.txt"
@@ -90,9 +90,16 @@ def fit_scan_calibration(observed_positions, references):
     if np.unique(x).size != x.size:
         raise ValidationError("degenerate fit: duplicate observed positions")
     y = np.asarray([ref.relative_frequency for ref in references], dtype=float)
-    x_mean = x.mean()
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_mean = x.mean()
+        sxx = ((x - x_mean) ** 2).sum()
+    # A normal sxx also keeps the slope finite: |slope| <= sqrt(syy / sxx).
+    if not np.finfo(float).tiny <= sxx < np.inf:
+        raise NumericalError(
+            f"the spread of the observed positions cannot be squared in float64: "
+            f"sum of squared deviations = {sxx:.3g}"
+        )
     y_mean = y.mean()
-    sxx = ((x - x_mean) ** 2).sum()
     slope = ((x - x_mean) * (y - y_mean)).sum() / sxx
     intercept = y_mean - slope * x_mean
     residuals = y - (slope * x + intercept)

@@ -158,13 +158,16 @@ def config_from_mapping(mapping, base=None):
 
 
 def config_from_file(path, base=None):
-    """Parse a flat ``key = value`` config file."""
+    """Parse a flat ``key = value`` config file; a key set twice is refused."""
     mapping = {}
     for where, line in data_lines(path):
         if "=" not in line:
             raise ValidationError(f"{where}: expected 'key = value'")
         key, _, value = line.partition("=")
-        mapping[key.strip()] = value.strip()
+        key = key.strip()
+        if key in mapping:
+            raise ValidationError(f"{where}: config key {key!r} is set twice")
+        mapping[key] = value.strip()
     return config_from_mapping(mapping, base=base)
 
 
@@ -244,7 +247,9 @@ def resolved_metadata(physics):
 
 def config_hash(meta):
     """Short digest of the resolved configuration and the package version;
-    identical hash means an identical run."""
+    an identical hash means byte-identical output in the same software
+    environment (numpy's version, which the photon draws depend on, is not
+    hashed)."""
     payload = "\n".join(
         f"{key}={fmt(value) if isinstance(value, float) else value}"
         for key, value in sorted(meta.items())

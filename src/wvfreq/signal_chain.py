@@ -214,6 +214,8 @@ def record_counts(duration, sample_rate, physics, n_per_sample, mod_frequency, d
     Every check depends only on the configuration, so a sweep runs them once
     before its first point.
     """
+    if not duration > 0:
+        raise ValidationError(f"record duration must be positive, got {duration} s")
     cycles = duration * mod_frequency
     if not 1 <= cycles < np.inf or abs(cycles - round(cycles)) > 1e-9:
         raise ValidationError(

@@ -5,17 +5,19 @@ interpreted when reading config files and command-line flags, e.g.
 ``388um``, ``2mW``, ``780nm``, ``7.4MHz``, ``30ms``. Bare numbers pass
 through unchanged.
 
-Every CSV the package writes is ``# key = value`` metadata lines, one
-column line and numeric rows; ``csv_text`` writes that layout and
-``csv_columns`` reads it back, both a block or a whole body at a time
-rather than row by row. ``csv_text`` formats the float cells of a block in
-numpy, byte for byte what ``'%.17g' % x`` gives. It knows |x| scaled to 17
-integer digits to within 5e-15; a cell whose rounding that leaves in doubt
-(within 1e-12 of a tie, exact decimal ties among them), and zeros,
-non-finite values and |x| outside [1e-280, 1e280), are written by
+Every CSV the package writes is ``# key = value`` metadata lines, one column
+line and numeric rows; ``csv_text`` writes that layout and ``csv_columns``
+reads it back, both a block or a whole body at a time rather than row by
+row. ``csv_text`` formats the float cells of a block in numpy, byte for byte
+what ``'%.17g' % x`` gives, each in a fixed-width row of bytes; it zeroes
+the bytes a cell's layout drops and deletes every NUL with one
+``bytes.translate``, which is exact because no written byte is NUL. It knows
+|x| scaled to 17 integer digits to within 5e-15; a cell whose rounding that
+leaves in doubt (within 1e-12 of a tie, exact decimal ties among them), and
+zeros, non-finite values and |x| outside [1e-280, 1e280), are written by
 ``'%.17g' % x`` itself. ``csv_columns`` reads each cell of the grammar
-``[+-]digits[.digits][(e|E)[+-]digits]`` (one digit run of the mantissa
-may be empty) as an integer mantissa M and exponent E, with numpy's int64
+``[+-]digits[.digits][(e|E)[+-]digits]`` (one digit run of the mantissa may
+be empty) as an integer mantissa M and exponent E, with numpy's int64
 parser, and computes M·10^E from the same double-double table to within
 2^-100; a cell within 2^-80 of a rounding midpoint, or that reads as zero, a
 power of two, |M| >= 1e18 or E outside [-280, 262], is read by
@@ -257,7 +259,8 @@ def _layout_tables():
     bytes 0-7. Per four digits g: bytes "d.d.d.d." and g's trailing zeros (4
     for 0000). Per X - _X_MIN: bytes 40-47 for a middle and for a last
     column, and the layout code of a positive cell with 17 significant
-    digits. Then the keep masks, as 8-byte words.
+    digits. Then the keep masks as 0xFF (kept) and 0x00 (dropped) bytes,
+    viewed as 8-byte words.
     """
     g = np.arange(10000)
     pairs = np.full((10000, 8), ord("."), np.uint8)
@@ -276,12 +279,13 @@ def _layout_tables():
     notation = np.where((xs >= -4) & (xs < 17), xs + 4, np.where(np.abs(xs) < 100, 21, 22))
     return (
         lead.view(np.uint64).ravel(), pairs.view(np.uint64).ravel(), trailing,
-        expo.view(np.uint64).ravel(), notation * 17 + 16, _keep_masks().view(np.uint64),
+        expo.view(np.uint64).ravel(), notation * 17 + 16,
+        (_keep_masks().astype(np.uint8) * 0xFF).view(np.uint64),
     )
 
 
 def _block_text(block):
-    """The CSV rows of ``block`` (one array per column) as ASCII bytes, uint8."""
+    """The CSV rows of ``block`` (one array per column) as ASCII bytes."""
     lead, pairs, trailing, expo, code_base, keep = _layout_tables()
     n_rows, width = block[0].size, len(block)
     is_int = [column.dtype.kind in "biu" for column in block]
@@ -317,7 +321,10 @@ def _block_text(block):
         verbatim = np.array([cell.encode() for cell in text], dtype=f"S{_VERBATIM}")
         rows[slow, :_VERBATIM] = verbatim.view(np.uint8).reshape(slow.size, _VERBATIM)
         code[slow] = _LAYOUTS + np.array([len(cell) for cell in text])
-    return np.compress(keep.take(code, axis=0).view(bool).ravel(), rows.ravel())
+    # No kept byte is NUL, so zeroing the dropped ones and deleting every NUL
+    # leaves exactly the kept bytes.
+    words &= keep.take(code, axis=0)
+    return words.tobytes().translate(None, b"\0")
 
 
 def csv_text(metadata, columns, *values):
@@ -334,7 +341,11 @@ def csv_text(metadata, columns, *values):
     double-double power of ten and Dekker's exact product, to within 5e-15;
     its 17 digits are y rounded to an integer, cut into four-digit groups,
     and laid out by Python's ``g`` rules (fixed point for -4 <= X < 17,
-    trailing zeros and a bare point dropped). A cell whose rounding is in
+    trailing zeros and a bare point dropped). Each cell fills a fixed row of
+    bytes; its layout's keep mask zeroes the bytes that are not written, and
+    one ``bytes.translate`` per block deletes every NUL. No written byte is
+    NUL, so that leaves exactly the written bytes, without the index array
+    that selecting them would build. A cell whose rounding is in
     doubt, i.e. whose fraction of y lies within 1e-12 of 1/2 (every exact
     decimal tie among them, which Python rounds half to even), is written
     by ``'%.17g' % x`` itself. So are cells whose y does not round into
@@ -351,7 +362,7 @@ def csv_text(metadata, columns, *values):
     lines.append(",".join(columns) + "\n")
     text = bytearray("".join(lines).encode())
     for start in range(0, n_rows, CSV_BLOCK_ROWS):
-        text += _block_text([a[start : start + CSV_BLOCK_ROWS] for a in arrays]).data
+        text += _block_text([a[start : start + CSV_BLOCK_ROWS] for a in arrays])
     return text.decode()
 
 

@@ -120,6 +120,16 @@ class TestConfig:
         assert cfg2.power == pytest.approx(8e-3)
         assert cfg2.sigma == pytest.approx(500e-6)
 
+    def test_key_set_twice_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("sample_rate = 1kHz\n# comment\npower = 4mW\n sample_rate = 2kHz\n")
+        message = f"{path}:4: config key 'sample_rate' is set twice"
+        with pytest.raises(ValidationError) as info:
+            config_from_file(path)
+        assert str(info.value) == message
+        assert cli.main(["range", "--config", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_exclusive_pairs(self):
         with pytest.raises(ValidationError, match="only one of"):
             config_from_mapping({"phi": "0.2rad", "postselection": "0.013"})
@@ -297,6 +307,13 @@ class TestCli:
             (["range", "--sigma", "1e-9"], "beam sigma must be >= the wavelength, got 1e-09 m"),
             (["spectrum", "--spectrum-dnu=-1MHz"], "spectrum_dnu must be >= 0, got -1000000.0"),
             (["simulate", "--dnu-peak=-1MHz"], "--dnu-peak must be >= 0, got -1000000.0"),
+            (["simulate", "--duration=-1s"], "record duration must be positive, got -1.0 s"),
+            (["simulate", "--duration=0s"], "record duration must be positive, got 0.0 s"),
+            (
+                ["spectrum", "--spectrum-duration=-1s"],
+                "record duration must be positive, got -1.0 s",
+            ),
+            (["spectrum", "--spectrum-duration=0s"], "record duration must be positive, got 0.0 s"),
         ):
             assert cli.main(args) == 2
             assert capsys.readouterr().err == f"error: {message}\n"
@@ -649,6 +666,20 @@ class TestCli:
         pos_file = tmp_path / "positions.txt"
         pos_file.write_text("1.0\n1.0\n2.0\n3.0\n4.0\n5.0\n")
         assert cli.main(["calibrate", str(pos_file)]) == 2
+        assert capsys.readouterr().err == "error: degenerate fit: duplicate observed positions\n"
+        # Distinct positions whose spread float64 cannot square are refused by
+        # name, not by numpy's overflow or divide-by-zero text.
+        for positions, sxx in (
+            ("-1e308\n1.0\n2.0\n3.0\n4.0\n1e308\n", "inf"),
+            ("1e-320\n2e-320\n3e-320\n4e-320\n5e-320\n6e-320\n", "0"),
+        ):
+            pos_file.write_text(positions)
+            assert cli.main(["calibrate", str(pos_file), "--propagate", "129kHz"]) == 4
+            assert capsys.readouterr() == (
+                "",
+                "numerical error: the spread of the observed positions cannot be squared "
+                f"in float64: sum of squared deviations = {sxx}\n",
+            )
 
     def test_simulate_csv_parses_back(self, tmp_path):
         out_path = tmp_path / "sim.csv"

@@ -8,6 +8,8 @@ kernels handled themselves, so a kernel that sent every cell to its
 fallback would fail them.
 """
 
+import itertools
+import tracemalloc
 from decimal import Decimal
 from unittest import mock
 
@@ -22,6 +24,8 @@ from wvfreq.config import config_from_mapping, resolve
 from wvfreq.errors import ValidationError
 from wvfreq.signal_chain import synthesize_run
 from wvfreq.units import csv_columns, csv_text
+
+INT64 = np.iinfo(np.int64)
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +122,65 @@ class TestSeventeenDigits:
     def test_workload_columns(self, record):
         for column in (record.times(), record.samples, np.arange(100_000) / 1024.0):
             assert fast_share(column) > 0.99
+
+
+# Fast cells of both signs and every notation, then cells that take the
+# '%.17g' fallback: an exact tie, zeros, non-finite values and |x| outside
+# the fast range.
+MIXED_FLOATS = np.array(
+    [123.456, -0.001234, 3.0000000000000004e20, -7.4e6, 1e-5, -9.87654321e-150, 0.1, 1.0]
+    + [exact_ties(1, seed=1405)[0], 0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300, 1e300]
+)
+
+
+class TestCompaction:
+    """csv_text zeroes every dropped byte of a cell's row and deletes all NULs,
+    so a kept byte that is NUL would vanish from the output."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_every_kind_in_every_column(self, monkeypatch, width):
+        # Five-row blocks: the table spans four blocks, and a block boundary
+        # falls inside the run of fallback cells.
+        monkeypatch.setattr(units, "CSV_BLOCK_ROWS", 5)
+        n = MIXED_FLOATS.size
+        kinds = {
+            "float": lambda j: np.roll(MIXED_FLOATS, 3 * j),
+            "int": lambda j: np.roll(np.array([0, -5, 7, INT64.max, INT64.min] * 4)[:n], j),
+            "bool": lambda j: np.arange(n) % (j + 2) == 0,
+        }
+        columns = tuple("abc"[:width])
+        for combination in itertools.product(kinds, repeat=width):
+            values = [kinds[kind](j) for j, kind in enumerate(combination)]
+            text = csv_text({"k": 1.5}, columns, *values)
+            assert text == per_row_csv({"k": 1.5}, columns, *values), combination
+
+    def test_kept_table_bytes_are_not_nul(self):
+        lead, pairs, _, expo, _, keep = units._layout_tables()
+        keep = keep.view(np.uint8)
+        assert np.isin(keep, (0x00, 0xFF)).all()
+        kept = keep.reshape(-1, units._CELL).any(axis=0).reshape(6, 8)
+        # Bytes 0-7 come from the lead table, 8-39 from four pair lookups and
+        # 40-47 from the exponent table.
+        tables = [lead] + [pairs] * 4 + [expo]
+        for word, table in enumerate(tables):
+            table = table.view(np.uint8).reshape(-1, 8)
+            assert (table[:, kept[word]] != 0).all(), word
+
+    def test_peak_memory_per_cell(self):
+        # The spectrum table: 3126 rows of frequency, driven and undriven dB.
+        # Compaction allocates no index array, so the peak holds the block's
+        # few 48-byte rows and 8-byte digit arrays a cell (241 B in all).
+        rng = np.random.default_rng(1406)
+        n_rows = 3126
+        table = [np.linspace(0.0, 500.0, n_rows), *rng.normal(-85.0, 5.0, (2, n_rows))]
+        csv_text({}, ("f", "a", "b"), *table)  # builds the layout tables
+        tracemalloc.start()
+        try:
+            csv_text({"k": 1.0}, ("f", "a", "b"), *table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (3 * n_rows) < 270
 
 
 def read_as_oracle(text, columns):

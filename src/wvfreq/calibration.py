@@ -93,7 +93,7 @@ def fit_scan_calibration(observed_positions, references):
     with np.errstate(over="ignore", invalid="ignore"):
         x_mean = x.mean()
         sxx = ((x - x_mean) ** 2).sum()
-    # A normal sxx also keeps the slope finite: |slope| <= sqrt(syy / sxx).
+    # A normal sxx keeps the slope, |slope| <= sqrt(syy / sxx), and its error (two roots) finite.
     if not np.finfo(float).tiny <= sxx < np.inf:
         raise NumericalError(
             f"the spread of the observed positions cannot be squared in float64: "
@@ -106,7 +106,7 @@ def fit_scan_calibration(observed_positions, references):
     residual_rms = float(np.sqrt(np.mean(residuals**2)))
     dof = x.size - 2
     if dof > 0:
-        slope_error = float(np.sqrt((residuals**2).sum() / dof / sxx))
+        slope_error = float(np.sqrt((residuals**2).sum() / dof) / np.sqrt(sxx))
     else:
         slope_error = 0.0
     return ScanCalibration(

@@ -1,12 +1,13 @@
 """Experiment recipes behind the CLI subcommands.
 
 Each recipe runs one of the canonical measurements end to end on a resolved
-configuration and returns plain data plus CSV text. Every record has its own
+configuration and returns plain data plus CSV text. A recipe that draws
+records builds the request's one ``RecordPlan`` first, which runs every
+configuration check, and then draws each record from it with its own
 generator: sweep points are seeded ``seed + point_index`` and the spectrum's
-undriven record ``seed + 1``, so the order in which records are drawn never
-changes the result. The sweep draws its points one after another; the
-spectrum draws its undriven record's photon counts on a worker thread while
-the calling thread synthesizes the driven record.
+undriven record ``seed + 1``, so the order of the draws never changes the
+result. The spectrum draws its undriven record's photon counts on a worker
+thread while the calling thread synthesizes the driven record.
 """
 
 from dataclasses import dataclass
@@ -30,15 +31,11 @@ from .noise import (
     SensitivityReport,
 )
 from .signal_chain import (
-    ModulationConfig,
     PhotonDraw,
+    RecordPlan,
     bandpass,
-    cascade_response,
     extract_peaks,
     power_spectrum,
-    record_counts,
-    samples_per_cycle,
-    segment_length,
     slope_fit,
     synthesize_run,
     timeseries_to_csv,
@@ -46,36 +43,21 @@ from .signal_chain import (
 from .units import csv_text, data_lines, finite_number, fmt
 
 
-def _record_args(physics, dnu_peak, duration, seed):
-    """``synthesize_run`` arguments for a record with the config's sample rate,
-    photon budget, modulation and noise."""
+def _plan(physics, duration, **needs):
+    """The request's record plan at the config's rate, photons, modulation and noise."""
     cfg = physics.config
-    return (
-        dnu_peak,
-        duration,
-        cfg.sample_rate,
-        physics,
-        physics.n_photons_per_sample(),
-        seed,
-        ModulationConfig(mod_frequency=cfg.mod_frequency, amplitude=dnu_peak),
-        physics.extensions,
+    return RecordPlan.build(
+        physics, duration, cfg.sample_rate, physics.n_photons_per_sample(), cfg.mod_frequency,
+        physics.extensions, **needs,
     )
 
 
-def _synthesize(physics, dnu_peak, duration, seed):
-    """Raw record with the config's sample rate, photon budget, modulation and noise."""
-    return synthesize_run(*_record_args(physics, dnu_peak, duration, seed))
-
-
-def _measure_point(physics, dnu_peak, duration, seed):
-    """One sweep point: synthesize, filter, extract peaks, undo the gain."""
-    cfg = physics.config
-    cycle = 1.0 / cfg.mod_frequency
-    raw = _synthesize(physics, dnu_peak, duration, seed)
-    spec = physics.filter_spec
-    filtered = bandpass(raw, spec)
-    mean, std_of_mean = extract_peaks(filtered, cycle, cfg.n_cycles)
-    return mean / spec.gain, std_of_mean / spec.gain
+def _record(plan, dnu_peak, seed, ahead=None):
+    """One raw record of the request, drawn from its plan by ``synthesize_run``."""
+    return synthesize_run(
+        dnu_peak, plan.duration, plan.sample_rate, plan.physics, plan.n_per_sample, seed,
+        ahead=ahead or PhotonDraw(plan, dnu_peak, seed),
+    )
 
 
 @dataclass
@@ -93,21 +75,18 @@ def run_slope_sweep(config):
     """Modulation-amplitude sweep with a weighted linear fit (deflection slope)."""
     physics = resolve(config)
     duration = (config.n_cycles + config.settle_cycles) * (1.0 / config.mod_frequency)
-    # The chain's config-only checks run once, before any record is drawn.
-    n_samples, _, _ = record_counts(
-        duration, config.sample_rate, physics, physics.n_photons_per_sample(),
-        config.mod_frequency, config.dark_count_rate,
-    )
-    cascade_response(physics.filter_spec, config.sample_rate, n_samples)
-    samples_per_cycle(1.0 / config.mod_frequency, config.sample_rate)
+    spec = physics.filter_spec
+    plan = _plan(physics, duration, filter_spec=spec)
     shifts = config.sweep_shifts()
     deflections = np.empty(shifts.size)
     errors = np.empty(shifts.size)
     for i, dnu in enumerate(shifts):
         try:
-            deflections[i], errors[i] = _measure_point(physics, dnu, duration, config.seed + i)
+            filtered = bandpass(_record(plan, dnu, config.seed + i), spec)
+            peak, error = extract_peaks(filtered, 1.0 / config.mod_frequency, config.n_cycles)
         except SimulationError as exc:
             raise type(exc)(f"sweep point {i} (dnu={dnu:.6g} Hz): {exc}") from exc
+        deflections[i], errors[i] = peak / spec.gain, error / spec.gain
     slope, slope_error = slope_fit(shifts, deflections, errors)
     metadata = resolved_metadata(physics)
     metadata["fitted_slope_m_per_hz"] = slope
@@ -132,17 +111,11 @@ def run_spectrum_pair(config):
     """Driven and undriven raw-signal spectra on a shared dB reference."""
     physics = resolve(config)
     cfg = config
-    # The record's and the periodogram's config-only checks run before either record is drawn.
-    n_samples, _, _ = record_counts(
-        cfg.spectrum_duration, cfg.sample_rate, physics, physics.n_photons_per_sample(),
-        cfg.mod_frequency, cfg.dark_count_rate,
-    )
-    segment_length(n_samples, cfg.spectrum_segments)
-    undriven_args = _record_args(physics, 0.0, cfg.spectrum_duration, cfg.seed + 1)
-    undriven = PhotonDraw(*undriven_args)
+    plan = _plan(physics, cfg.spectrum_duration, segments=cfg.spectrum_segments)
+    undriven = PhotonDraw(plan, 0.0, cfg.seed + 1)
     with undriven.drawn_ahead():
-        driven = _synthesize(physics, cfg.spectrum_dnu, cfg.spectrum_duration, cfg.seed)
-    undriven = synthesize_run(*undriven_args, ahead=undriven)
+        driven = _record(plan, cfg.spectrum_dnu, cfg.seed)
+    undriven = _record(plan, 0.0, cfg.seed + 1, ahead=undriven)
     spec_driven = power_spectrum(driven, segments=cfg.spectrum_segments)
     spec_undriven = power_spectrum(undriven, segments=cfg.spectrum_segments)
     # Re-reference both traces to the driven fundamental (0 dB).
@@ -226,7 +199,7 @@ def run_range(config):
 def run_simulate(config, dnu_peak, duration):
     """Raw time-series dump at one modulation amplitude."""
     physics = resolve(config)
-    series = _synthesize(physics, dnu_peak, duration, config.seed)
+    series = _record(_plan(physics, duration), dnu_peak, config.seed)
     metadata = resolved_metadata(physics)
     metadata["dnu_peak_hz"] = dnu_peak
     metadata["seed"] = config.seed

@@ -207,50 +207,6 @@ def bandpass(series, spec):
     return TimeSeries(sample_rate=series.sample_rate, samples=out, t0=series.t0)
 
 
-def record_counts(duration, sample_rate, physics, n_per_sample, mod_frequency, dark_count_rate):
-    """Check a record's configuration before anything is drawn.
-
-    Returns (samples, detected photons per sample, dark counts per sample).
-    Every check depends only on the configuration, so a sweep runs them once
-    before its first point.
-    """
-    if not duration > 0:
-        raise ValidationError(f"record duration must be positive, got {duration} s")
-    cycles = duration * mod_frequency
-    if not 1 <= cycles < np.inf or abs(cycles - round(cycles)) > 1e-9:
-        raise ValidationError(
-            f"duration {duration} s is not a whole number of {mod_frequency} Hz cycles"
-        )
-    p_ps = postselection_probability(physics.state.phi)
-    n_detected = int(round((p_ps + physics.config.background_fraction) * n_per_sample))
-    if n_detected > np.iinfo(np.int64).max:
-        raise ValidationError(
-            f"{n_detected:.3g} detected photons per sample exceed the binomial "
-            "draw's int64 range"
-        )
-    if p_ps * n_per_sample < 10:
-        raise ValidationError(
-            f"P_ps * n_per_sample = {p_ps * n_per_sample:.2f} < 10: too few "
-            "postselected photons per sample for a meaningful estimate"
-        )
-
-    if duration * sample_rate > _INTP_MAX // 8:  # 8 bytes a sample, for the count buffer
-        raise ValidationError(
-            f"a {duration} s record at {sample_rate} Hz holds more samples than "
-            "an array can index"
-        )
-    n_samples = int(round(duration * sample_rate))
-    if n_samples < 1:
-        raise ValidationError(f"a {duration} s record at {sample_rate} Hz holds no sample")
-    dark_mean = dark_count_rate / sample_rate
-    if dark_mean > 0.0 and n_detected + dark_mean > POISSON_MEAN_MAX:
-        # The photon and dark counts are summed in int64 too.
-        raise ValidationError(
-            f"{dark_mean:.3g} dark counts per sample exceed the Poisson draw's int64 range"
-        )
-    return n_samples, n_detected, dark_mean
-
-
 def modulation_period(mod_frequency, sample_rate):
     """Samples in one exact period of a sampled sine: the least P with P f / R whole.
 
@@ -263,39 +219,103 @@ def modulation_period(mod_frequency, sample_rate):
     return b * c // math.gcd(a * d, b * c)
 
 
+@dataclass(frozen=True)
+class RecordPlan:
+    """A request's records, laid out by ``build``, which runs every check that
+    depends only on the configuration (the record's; a sweep's bandpass and
+    cycle; a spectrum's segment split), so that a request drawing its records
+    from one plan refuses nothing after its first photon."""
+
+    physics: object  # the request's config.ResolvedPhysics
+    duration: float  # s, of each record
+    sample_rate: float
+    n_per_sample: float  # photons per sample before postselection
+    mod_frequency: float
+    extensions: NoiseExtensions
+    n_samples: int  # N
+    period: int  # m = min(P, N): the sample times the dark-port kernel runs on
+    n_detected: int  # photons per sample that reach the split detector
+    dark_mean: float  # dark counts per sample
+    calibration: float  # meters per unit difference-over-sum
+    n_fft: int = 0  # the bandpass's padded FFT length, for a sweep
+    per_cycle: int = 0  # samples per modulation cycle, for a sweep
+    segment_length: int = 0  # samples per periodogram segment, for a spectrum
+
+    @classmethod
+    def build(
+        cls, physics, duration, sample_rate, n_per_sample, mod_frequency, extensions,
+        filter_spec=None, segments=None,
+    ):
+        if not duration > 0:
+            raise ValidationError(f"record duration must be positive, got {duration} s")
+        cycles = duration * mod_frequency
+        if not 1 <= cycles < np.inf or abs(cycles - round(cycles)) > 1e-9:
+            raise ValidationError(
+                f"duration {duration} s is not a whole number of {mod_frequency} Hz cycles"
+            )
+        state, beta = physics.state, physics.config.background_fraction
+        p_ps = postselection_probability(state.phi)
+        n_detected = int(round((p_ps + beta) * n_per_sample))
+        if n_detected > np.iinfo(np.int64).max:
+            raise ValidationError(
+                f"{n_detected:.3g} detected photons per sample exceed the binomial "
+                "draw's int64 range"
+            )
+        if p_ps * n_per_sample < 10:
+            raise ValidationError(
+                f"P_ps * n_per_sample = {p_ps * n_per_sample:.2f} < 10: too few "
+                "postselected photons per sample for a meaningful estimate"
+            )
+        if duration * sample_rate > _INTP_MAX // 8:  # 8 bytes a sample, for the count buffer
+            raise ValidationError(
+                f"a {duration} s record at {sample_rate} Hz holds more samples than "
+                "an array can index"
+            )
+        n_samples = int(round(duration * sample_rate))
+        if n_samples < 1:
+            raise ValidationError(f"a {duration} s record at {sample_rate} Hz holds no sample")
+        dark_mean = extensions.dark_count_rate / sample_rate
+        if dark_mean > 0.0 and n_detected + dark_mean > POISSON_MEAN_MAX:
+            # The photon and dark counts are summed in int64 too.
+            raise ValidationError(
+                f"{dark_mean:.3g} dark counts per sample exceed the Poisson draw's int64 range"
+            )
+        n_fft = per_cycle = seg_len = 0
+        if filter_spec is not None:
+            n_fft, _ = cascade_response(filter_spec, sample_rate, n_samples)
+            per_cycle = samples_per_cycle(1.0 / mod_frequency, sample_rate)
+        if segments is not None:
+            seg_len = segment_length(n_samples, segments)
+        return cls(
+            physics, duration, sample_rate, n_per_sample, mod_frequency, extensions, n_samples,
+            min(modulation_period(mod_frequency, sample_rate), n_samples), n_detected,
+            dark_mean, dark_port_split_calibration(state, beta), n_fft, per_cycle, seg_len,
+        )
+
+
 class PhotonDraw:
     """One record's right-hand photon counts, planned on the calling thread.
 
-    The plan runs the configuration checks (``record_counts``) and the
-    dark-port kernel on m = min(P, N) sample times, keeps that one-period
-    split probability (``profile``), seeds the record's generator and
-    allocates its int64 count buffer. ``draw`` then fills the buffer in phase
-    order: a phase's samples share one p, so numpy's binomial sampler sets up
-    once per phase and call, not once per sample. It allocates nothing of the
-    record's length, so it can run on a worker thread (``drawn_ahead``);
-    numpy releases the GIL inside the draw.
+    It runs the dark-port kernel on its ``RecordPlan``'s m = min(P, N) sample
+    times, keeps that one-period split probability (``profile``), seeds the
+    record's generator and allocates its int64 count buffer; the plan has
+    checked everything else. ``draw`` then fills the buffer in phase order: a
+    phase's samples share one p, so numpy's binomial sampler sets up once per
+    phase and call, not once per sample. It allocates nothing of the record's
+    length, so it can run on a worker thread (``drawn_ahead``); numpy releases
+    the GIL inside the draw.
     """
 
-    def __init__(
-        self, dnu_peak, duration, sample_rate, physics, n_per_sample, seed,
-        modulation=None, extensions=None,
-    ):
-        modulation = modulation or ModulationConfig()
-        self.sample_rate = sample_rate
-        self.extensions = extensions or NoiseExtensions()
-        n_samples, self.n_detected, self.dark_mean = record_counts(
-            duration, sample_rate, physics, n_per_sample, modulation.mod_frequency,
-            self.extensions.dark_count_rate,
-        )
-        state = physics.state
-        beta = physics.config.background_fraction
-        m = min(modulation_period(modulation.mod_frequency, sample_rate), n_samples)
-        t = np.arange(m) / sample_rate
-        dnu = dnu_peak * np.sin(2.0 * np.pi * modulation.mod_frequency * t)
+    def __init__(self, plan, dnu_peak, seed):
+        self.plan = plan
+        physics = plan.physics
+        t = np.arange(plan.period) / plan.sample_rate
+        dnu = dnu_peak * np.sin(2.0 * np.pi * plan.mod_frequency * t)
         # The kernel refuses |k sigma| above its limit (WeakValueValidityError).
-        self.profile = dark_port_split_probability(physics.kick_of_shift(dnu), state, beta)
-        self.counts = np.empty(n_samples, dtype=np.int64)
-        self.calibration = dark_port_split_calibration(state, beta)
+        self.profile = dark_port_split_probability(
+            physics.kick_of_shift(dnu), physics.state, physics.config.background_fraction
+        )
+        self.counts = np.empty(plan.n_samples, dtype=np.int64)
         self.rng = np.random.default_rng(seed)
         self._worker = None
         self._failure = None
@@ -309,7 +329,7 @@ class PhotonDraw:
         profile; a phase of more than DRAW_BLOCK samples is drawn in runs.
         The r samples after the last whole period follow in sample order.
         """
-        rng, n, profile, counts = self.rng, self.n_detected, self.profile, self.counts
+        rng, n, profile, counts = self.rng, self.plan.n_detected, self.profile, self.counts
         m = profile.size
         q = counts.size // m
         periods = counts[: q * m].reshape(q, m)
@@ -386,31 +406,36 @@ def synthesize_run(
     work is O(min(P, N)), the photon draws are O(N), and no full-length
     split probability is built. Each sample's count is Binomial(n, p) at
     its own phase; the phase order decides only which variate of the stream
-    lands on which sample. ``dnu_peak`` overrides the amplitude in
-    ``modulation`` (default: 10 Hz sine). Output samples are calibrated
-    position estimates in meters (unfiltered). Deterministic for a fixed
-    seed.
+    lands on which sample. ``modulation`` sets the drive's frequency
+    (default: a 10 Hz sine); its ``amplitude`` is not read, ``dnu_peak`` is.
+    Output samples are calibrated position estimates in meters (unfiltered).
+    Deterministic for a fixed seed.
 
-    ``ahead`` is this record's ``PhotonDraw``, planned from the same
-    arguments, whose counts may have been drawn on a worker thread
+    The ``RecordPlan`` built from the arguments checks them before anything
+    is drawn. ``ahead`` is this record's ``PhotonDraw`` from a plan of the
+    same arguments, whose counts may have been drawn on a worker thread
     (``run_spectrum_pair`` does this for the undriven record); this call then
     joins that draw and finishes the record on the calling thread.
     """
     record = ahead or PhotonDraw(
-        dnu_peak, duration, sample_rate, physics, n_per_sample, seed, modulation, extensions
+        RecordPlan.build(
+            physics, duration, sample_rate, n_per_sample,
+            (modulation or ModulationConfig()).mod_frequency, extensions or NoiseExtensions(),
+        ),
+        dnu_peak, seed,
     )
     n_right = record.drawn()
     # The noise-extension draws follow the counts from the same stream, whole-record calls.
-    rng, extensions, n_samples = record.rng, record.extensions, n_right.size
-    total = float(record.n_detected)
-    if extensions.dark_count_rate > 0.0:
-        dark = rng.poisson(record.dark_mean, n_samples)
+    plan, rng, n_samples = record.plan, record.rng, n_right.size
+    total = float(plan.n_detected)
+    if plan.extensions.dark_count_rate > 0.0:
+        dark = rng.poisson(plan.dark_mean, n_samples)
         n_right = n_right + rng.binomial(dark, 0.5)
         total = total + dark
-    estimates = split_estimate(n_right, total, record.calibration)
-    if extensions.electronic_noise > 0.0:
-        estimates = estimates + rng.normal(0.0, extensions.electronic_noise, n_samples)
-    return TimeSeries(sample_rate=record.sample_rate, samples=estimates)
+    estimates = split_estimate(n_right, total, plan.calibration)
+    if plan.extensions.electronic_noise > 0.0:
+        estimates = estimates + rng.normal(0.0, plan.extensions.electronic_noise, n_samples)
+    return TimeSeries(sample_rate=plan.sample_rate, samples=estimates)
 
 
 def samples_per_cycle(cycle_period, sample_rate):

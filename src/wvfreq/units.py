@@ -461,11 +461,12 @@ def _mantissas(block, width):
     mantissa = np.ones(tokens.size, bool)
     mantissa[exp_token] = False
     short = events[exps[events[exps + 1] - events[exps] == 2]]  # 'e' and one byte
+    after = np.frombuffer(block, np.uint8)[np.append(short, events[dots]) + 1]
     if (
         (np.diff(exp_token) == 1).any()  # a second 'e'
         or not mantissa[dot_token].all()  # a dot in an exponent
         or (np.diff(dot_token) == 0).any()  # a second dot
-        or (np.frombuffer(block, np.uint8)[short + 1] < ord("0")).any()  # a bare sign reads 0
+        or ((after == ord("+")) | (after == ord("-"))).any()  # a bare sign reads 0, '.-1' -0.01
     ):
         return None
     exponent = np.zeros(tokens.size, np.int64)
@@ -517,7 +518,7 @@ def csv_columns(text, columns):
     The whole body is read by one ``np.fromstring`` call when a block holds
     a byte other than digits, signs, ``,.eE`` and newlines, a cell the int
     parser refuses (an empty cell, a bare sign or ``e``), or a cell with
-    two dots, two e's or a dot in its exponent.
+    two dots, two e's, a dot in its exponent or a sign after its dot.
     """
     column_line = ",".join(columns) + "\n"
     mismatch = f"CSV header mismatch: expected {column_line.strip()!r}"

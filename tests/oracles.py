@@ -40,11 +40,11 @@ from wvfreq.noise import split_estimate
 from wvfreq.signal_chain import (
     ModulationConfig,
     NoiseExtensions,
+    RecordPlan,
     STAGE_Q,
     TimeSeries,
     modulation_period,
     power_spectrum,
-    record_counts,
 )
 from wvfreq.units import fmt
 
@@ -225,10 +225,10 @@ def direct_synthesize_run(
     """
     modulation = modulation or ModulationConfig()
     extensions = extensions or NoiseExtensions()
-    n_samples, n_detected, dark_mean = record_counts(
-        duration, sample_rate, physics, n_per_sample, modulation.mod_frequency,
-        extensions.dark_count_rate,
+    plan = RecordPlan.build(
+        physics, duration, sample_rate, n_per_sample, modulation.mod_frequency, extensions
     )
+    n_samples, n_detected, dark_mean = plan.n_samples, plan.n_detected, plan.dark_mean
     state = physics.state
     beta = physics.config.background_fraction
     t = np.arange(n_samples) / sample_rate
@@ -264,7 +264,7 @@ def serial_spectrum_pair(config):
         return direct_synthesize_run(
             dnu_peak, cfg.spectrum_duration, cfg.sample_rate, physics,
             physics.n_photons_per_sample(), seed,
-            modulation=ModulationConfig(mod_frequency=cfg.mod_frequency, amplitude=dnu_peak),
+            modulation=ModulationConfig(mod_frequency=cfg.mod_frequency),
             extensions=physics.extensions,
         )
 

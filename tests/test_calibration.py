@@ -123,6 +123,16 @@ class TestFitScanCalibration:
         with pytest.raises(ValidationError, match="at least two"):
             fit_scan_calibration([1.0], rb_lines[:1])
 
+    def test_spread_near_the_root_of_the_smallest_normal(self, rb_lines):
+        # Six positions 1e-153 ... 6e-153: the spread sum, about 1.75e-305, is a
+        # normal float, and the slope error stays as finite as the slope, equal
+        # to the unscaled fit's times 1e153.
+        with np.errstate(all="raise"):
+            cal = fit_scan_calibration(np.arange(1, 7) * 1e-153, rb_lines)
+        unscaled = fit_scan_calibration(np.arange(1, 7), rb_lines)
+        assert cal.slope == pytest.approx(unscaled.slope * 1e153, rel=1e-12)
+        assert cal.slope_error == pytest.approx(unscaled.slope_error * 1e153, rel=1e-12)
+
 
 class TestFitProperties:
     @settings(max_examples=40)

@@ -191,6 +191,76 @@ QUICK_ARGS = [
 ]
 
 
+# (flag, message, subcommand) of refusals that must come before any record is drawn.
+REFUSED_BEFORE_ANY_RECORD = [
+    (flag, message, command)
+    for command in ("slope", "spectrum", "simulate", "sensitivity", "range")
+    for flag, message in (
+        ("--filter-stages=0", "filter_stages must be >= 1, got 0"),
+        ("--filter-center=0Hz", "filter_center must be positive, got 0.0"),
+        ("--electronic-noise=-1m", "electronic_noise must be >= 0, got -1.0"),
+        ("--dark-count-rate=-1Hz", "dark_count_rate must be >= 0, got -1.0"),
+        ("--sweep-points=1", "sweep_points must be in [2, 9223372036854775807], got 1"),
+        ("--sweep-max=-1MHz", "sweep_max must be >= 0, got -1000000.0"),
+    )
+] + [
+    (flag, message, command)
+    for command in ("slope", "spectrum", "simulate")
+    for flag, message in (
+        (
+            "--power=1e-15",
+            "P_ps * n_per_sample = 0.05 < 10: too few postselected photons per sample "
+            "for a meaningful estimate",
+        ),
+        (
+            "--dark-count-rate=1e30",
+            "1e+27 dark counts per sample exceed the Poisson draw's int64 range",
+        ),
+        ("--background-fraction=-1", "background fraction must be >= 0"),
+    )
+] + [
+    (
+        "--sample-rate=100Hz",
+        "sample rate 100.0 Hz too low for a 10.0 Hz bandpass (need >= 20x center)",
+        "slope",
+    ),
+    (
+        "--sample-rate=1024Hz",
+        "cycle period 0.1 s is not a whole number of samples at 1024.0 Hz",
+        "slope",
+    ),
+    # The padding, ln 1e-20 / ln|z| * (stages + 1) samples, grows as
+    # 1 / filter_center. At these two centres the padded FFT's bytes still
+    # fit in intp, and numpy refuses the allocation (a prefix is matched).
+    ("--filter-center=2.04e-13Hz", "Unable to allocate 767. PiB for an array", "slope"),
+    ("--filter-center=5e-14Hz", "Unable to allocate 3.05 EiB for an array", "slope"),
+    # Below about 3.8e-14 Hz, or past about 7.9e14 stages, they do not.
+] + [
+    (
+        f"--filter-center={center}",
+        f"a 2-stage {center.rstrip('Hz')} Hz bandpass at 1000.0 Hz rings longer than a "
+        "float64 array can hold",
+        "slope",
+    )
+    for center in ("1e-14Hz", "1e-15Hz", "1e-30", "1e-300Hz")
+] + [
+    (
+        "--filter-stages=1e18",
+        "a 1000000000000000000-stage 10.0 Hz bandpass at 1000.0 Hz rings longer than "
+        "a float64 array can hold",
+        "slope",
+    ),
+    ("--spectrum-segments=0", "cannot split 100000 samples into 0 segments", "spectrum"),
+    ("--spectrum-duration=0.1s", "cannot split 100 samples into 16 segments", "spectrum"),
+    (
+        "--spectrum-duration=0.15s",
+        "duration 0.15 s is not a whole number of 10.0 Hz cycles",
+        "spectrum",
+    ),
+    ("--duration=0.15s", "duration 0.15 s is not a whole number of 10.0 Hz cycles", "simulate"),
+]
+
+
 class TestCli:
     def test_sensitivity_text(self, capsys):
         assert cli.main(["sensitivity"]) == 0
@@ -318,104 +388,22 @@ class TestCli:
             assert cli.main(args) == 2
             assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("command", ["slope", "range"])
-    @pytest.mark.parametrize(
-        "flag,message",
-        [
-            ("--filter-stages=0", "filter_stages must be >= 1, got 0"),
-            ("--filter-center=0Hz", "filter_center must be positive, got 0.0"),
-            ("--electronic-noise=-1m", "electronic_noise must be >= 0, got -1.0"),
-            ("--dark-count-rate=-1Hz", "dark_count_rate must be >= 0, got -1.0"),
-            ("--sweep-points=1", "sweep_points must be in [2, 9223372036854775807], got 1"),
-            ("--sweep-max=-1MHz", "sweep_max must be >= 0, got -1000000.0"),
-        ],
-    )
-    def test_config_refused_before_any_record(self, capsys, command, flag, message):
-        # Every subcommand refuses the field by name before a record is drawn.
-        with mock.patch.object(recipes, "synthesize_run", side_effect=AssertionError) as draw:
-            assert cli.main([command, flag]) == 2
-        assert draw.call_count == 0
-        assert capsys.readouterr().err == f"error: {message}\n"
-
-    @pytest.mark.parametrize(
-        "flag,message",
-        [
-            (
-                "--sample-rate=100Hz",
-                "sample rate 100.0 Hz too low for a 10.0 Hz bandpass (need >= 20x center)",
-            ),
-            (
-                "--sample-rate=1024Hz",
-                "cycle period 0.1 s is not a whole number of samples at 1024.0 Hz",
-            ),
-            # The padding, ln 1e-20 / ln|z| * (stages + 1) samples, grows as
-            # 1 / filter_center. At these two centres the padded FFT's bytes still
-            # fit in intp, and numpy refuses the allocation (a prefix is matched).
-            ("--filter-center=2.04e-13Hz", "Unable to allocate 767. PiB for an array"),
-            ("--filter-center=5e-14Hz", "Unable to allocate 3.05 EiB for an array"),
-            # Below about 3.8e-14 Hz, or past about 7.9e14 stages, they do not.
-            (
-                "--filter-center=1e-14Hz",
-                "a 2-stage 1e-14 Hz bandpass at 1000.0 Hz rings longer than a float64 array "
-                "can hold",
-            ),
-            (
-                "--filter-center=1e-15Hz",
-                "a 2-stage 1e-15 Hz bandpass at 1000.0 Hz rings longer than a float64 array "
-                "can hold",
-            ),
-            (
-                "--filter-center=1e-30",
-                "a 2-stage 1e-30 Hz bandpass at 1000.0 Hz rings longer than a float64 array "
-                "can hold",
-            ),
-            (
-                "--filter-center=1e-300Hz",
-                "a 2-stage 1e-300 Hz bandpass at 1000.0 Hz rings longer than a float64 array "
-                "can hold",
-            ),
-            (
-                "--filter-stages=1e18",
-                "a 1000000000000000000-stage 10.0 Hz bandpass at 1000.0 Hz rings longer than "
-                "a float64 array can hold",
-            ),
-            (
-                "--power=1e-15",
-                "P_ps * n_per_sample = 0.05 < 10: too few postselected photons per sample "
-                "for a meaningful estimate",
-            ),
-            (
-                "--dark-count-rate=1e30",
-                "1e+27 dark counts per sample exceed the Poisson draw's int64 range",
-            ),
-        ],
-    )
-    def test_slope_sampling_refused_before_any_record(self, capsys, flag, message):
-        # The record's and the filter chain's cross-field checks run before
-        # point 0, so no message carries a "sweep point 0" prefix.
-        with mock.patch.object(recipes, "synthesize_run", side_effect=AssertionError) as draw:
-            assert cli.main(["slope", flag]) == 2
-        assert draw.call_count == 0
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {message}")
-        assert err.endswith("\n") and err.count("\n") == 1
-
-    @pytest.mark.parametrize(
-        "flag,message",
-        [
-            ("--spectrum-segments=0", "cannot split 100000 samples into 0 segments"),
-            ("--spectrum-duration=0.1s", "cannot split 100 samples into 16 segments"),
-        ],
-    )
-    def test_spectrum_split_refused_before_any_record(self, capsys, flag, message):
-        # The periodogram's segment rule runs before either record is drawn.
+    @pytest.mark.parametrize("flag,message,command", REFUSED_BEFORE_ANY_RECORD)
+    def test_config_refused_before_any_record(self, capsys, flag, message, command):
+        # Every refusal comes before the first record: the config fields' in
+        # every subcommand, the record plan's in the three that draw records.
+        # No sweep message carries a "sweep point 0" prefix.
         with (
             mock.patch.object(recipes, "synthesize_run", side_effect=AssertionError) as run,
             mock.patch.object(recipes.PhotonDraw, "draw", side_effect=AssertionError) as draw,
         ):
-            assert cli.main(["spectrum", flag]) == 2
+            assert cli.main([command, flag]) == 2
         assert run.call_count == draw.call_count == 0
-        assert capsys.readouterr().err == f"error: {message}\n"
+        err = capsys.readouterr().err
+        if message.startswith("Unable to allocate"):  # numpy's text goes on
+            assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        else:
+            assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "args",

@@ -5,8 +5,12 @@ configuration. Header lines (metadata and column names) must match exactly;
 data values to a relative tolerance of 1e-12, which leaves room only for
 floating-point reduction order, not for a changed draw or estimator. The
 package version, which ``config_hash`` covers, agrees with pyproject.toml's.
+Outputs that no committed file covers are pinned by their sha256 digests.
 """
 
+import contextlib
+import hashlib
+import io
 import pathlib
 import re
 
@@ -14,6 +18,7 @@ import numpy as np
 import pytest
 
 import wvfreq
+from wvfreq import cli
 from wvfreq.config import ExperimentConfig
 from wvfreq.recipes import (
     run_sensitivity,
@@ -47,6 +52,32 @@ def test_regenerated_results_match_committed(name):
     assert header == committed_header
     assert rows.shape == committed_rows.shape
     np.testing.assert_allclose(rows, committed_rows, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            ["simulate", "--duration", "2.5s", "--dnu-peak", "7.4MHz"],
+            "e2ff349500dd2dbc12e33db2bde3c048313aba39fb5ef164e52bfbac32a68e91",
+        ),
+        (["range"], "a88dc07ed6931643e27fa39e2e77f087554e76be2f8213da0283914addf92dab"),
+        (
+            ["slope", "--dark-count-rate", "1kHz", "--electronic-noise", "1e-9m"],
+            "973ded823280a574c772404a61e01b634f4cde6d8f5bf257a62f4d685ead01b6",
+        ),
+    ],
+)
+def test_uncommitted_outputs_keep_their_bytes(argv, digest):
+    """Byte for byte in the same software environment, as ``config_hash`` promises.
+
+    The photon counts come from numpy's binomial stream, and numpy's version is
+    not hashed, so another numpy may change these digests without a code change.
+    """
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
 def test_package_and_project_versions_agree():

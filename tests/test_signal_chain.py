@@ -44,6 +44,7 @@ from wvfreq.signal_chain import (
     ModulationConfig,
     NoiseExtensions,
     PhotonDraw,
+    RecordPlan,
     TimeSeries,
     bandpass,
     cascade_response,
@@ -66,6 +67,14 @@ FS = 1000.0
 @pytest.fixture(scope="module")
 def physics():
     return resolve(ExperimentConfig())
+
+
+def plan_for(physics, duration, sample_rate=FS, mod_frequency=10.0, **needs):
+    """The record plan ``synthesize_run`` builds for these arguments at the config's photons."""
+    return RecordPlan.build(
+        physics, duration, sample_rate, physics.n_photons_per_sample(), mod_frequency,
+        NoiseExtensions(), **needs,
+    )
 
 
 def sine_series(freq, amplitude=1.0, duration=10.0, fs=FS, phase=0.0):
@@ -560,10 +569,7 @@ class TestSynthesizeRun:
         # The counts of the q whole periods of m samples are one binomial
         # stream over the profile's phases, each repeated q times, then r
         # samples in sample order; no call draws more than DRAW_BLOCK.
-        record = PhotonDraw(
-            7.4e6, duration, sample_rate, physics, physics.n_photons_per_sample(), 29,
-            ModulationConfig(mod_frequency=mod_frequency),
-        )
+        record = PhotonDraw(plan_for(physics, duration, sample_rate, mod_frequency), 7.4e6, 29)
         m, q, r = shape
         assert (record.profile.size, *divmod(record.counts.size, m)) == shape
         record.rng = calls = BinomialCalls(record.rng)
@@ -571,8 +577,8 @@ class TestSynthesizeRun:
         assert max(calls.sizes) <= DRAW_BLOCK
         assert sum(calls.sizes) == record.counts.size
         rng = np.random.default_rng(29)
-        whole = rng.binomial(record.n_detected, np.repeat(record.profile, q))
-        rest = rng.binomial(record.n_detected, record.profile[:r])
+        whole = rng.binomial(record.plan.n_detected, np.repeat(record.profile, q))
+        rest = rng.binomial(record.plan.n_detected, record.profile[:r])
         expected = np.concatenate([whole.reshape(m, q).T.ravel(), rest])
         assert record.counts.tobytes() == expected.tobytes()
 
@@ -582,17 +588,14 @@ class TestSynthesizeRun:
         # standard errors from one phase to the next (the median step), so
         # counts stored at another phase's samples fail it.
         cfg = physics.config
-        record = PhotonDraw(
-            cfg.spectrum_dnu, 100.0, cfg.sample_rate, physics, physics.n_photons_per_sample(),
-            cfg.seed, ModulationConfig(mod_frequency=cfg.mod_frequency),
-        )
+        record = PhotonDraw(plan_for(physics, 100.0), cfg.spectrum_dnu, cfg.seed)
         phases = record.drawn().reshape(-1, 100)
         t = np.arange(100) / cfg.sample_rate
         dnu = cfg.spectrum_dnu * np.sin(2.0 * np.pi * cfg.mod_frequency * t)
         p = dark_port_split_probability(
             physics.kick_of_shift(dnu), physics.state, cfg.background_fraction
         )
-        n = record.n_detected
+        n = record.plan.n_detected
         standard_error = np.sqrt(n * p * (1.0 - p) / phases.shape[0])
         assert np.median(np.abs(np.diff(n * p)) / standard_error[1:]) > 4.0
         assert np.all(np.abs(phases.mean(axis=0) - n * p) < 4.0 * standard_error)
@@ -605,10 +608,7 @@ class TestSynthesizeRun:
         # ulps of the phase carried through the kernel's slope: one ulp at 1
         # and 10 Hz, up to 5 at 50 Hz and 36 near 250 Hz's zero crossings.
         dnu_peak = 7.4e6
-        record = PhotonDraw(
-            dnu_peak, 1000.0, FS, physics, physics.n_photons_per_sample(), 0,
-            ModulationConfig(mod_frequency=mod_frequency),
-        )
+        record = PhotonDraw(plan_for(physics, 1000.0, FS, mod_frequency), dnu_peak, 0)
 
         def kernel(dnu):
             return dark_port_split_probability(
@@ -780,6 +780,53 @@ def draw_threads(monkeypatch):
 
 def usable_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+class TestRecordPlan:
+    @pytest.mark.parametrize(
+        "argv,records,layout",
+        [
+            (["slope"], 6, dict(n_samples=3000, period=100, per_cycle=100, segment_length=0)),
+            (
+                ["spectrum"], 2,
+                dict(n_samples=100_000, period=100, per_cycle=0, segment_length=6250, n_fft=0),
+            ),
+            (
+                ["simulate", "--dnu-peak", "7.4MHz"], 1,
+                dict(n_samples=2500, period=100, per_cycle=0, segment_length=0, n_fft=0),
+            ),
+        ],
+    )
+    def test_one_plan_per_request(self, monkeypatch, tmp_path, argv, records, layout):
+        # Every record of a request is drawn from the one plan its recipe built.
+        plans, draws = [], []
+        build, init = RecordPlan.build.__func__, PhotonDraw.__init__
+
+        def spy_build(cls, *args, **kwargs):
+            plans.append(build(cls, *args, **kwargs))
+            return plans[-1]
+
+        def spy_init(self, plan, dnu_peak, seed):
+            draws.append(plan)
+            init(self, plan, dnu_peak, seed)
+
+        monkeypatch.setattr(RecordPlan, "build", classmethod(spy_build))
+        monkeypatch.setattr(PhotonDraw, "__init__", spy_init)
+        assert cli.main(argv + ["-o", str(tmp_path / "out.csv")]) == 0
+        assert len(plans) == 1
+        assert len(draws) == records and all(plan is plans[0] for plan in draws)
+        assert {name: getattr(plans[0], name) for name in layout} == layout
+        if argv == ["slope"]:
+            spec = plans[0].physics.filter_spec
+            assert plans[0].n_fft == cascade_response(spec, FS, 3000)[0]
+
+    def test_stage_functions_agree_with_the_plan(self, physics):
+        plan = plan_for(physics, 3.0, filter_spec=physics.filter_spec, segments=4)
+        series = synthesize_run(7.4e6, 3.0, FS, physics, plan.n_per_sample, 5)
+        assert series.samples.size == plan.n_samples
+        assert bandpass(series, physics.filter_spec).samples.size == plan.n_samples
+        assert power_spectrum(series, 4).frequencies.size == plan.segment_length // 2 + 1
+        assert plan.per_cycle == 100 and plan.period == 100
 
 
 class TestSpectrumPair:

@@ -285,6 +285,7 @@ EDGE_CELLS = [
 NOT_IN_GRAMMAR = [
     "nan", "-nan", "inf", "-inf", "Infinity", "1e+", "1e-", "1e", "e5", "5+", "1-2",
     "+", "-", ".", "+.", "-e5", "1..2", "1.2.3", "1e5e5", "1e5.5", "1e.5", "1_000",
+    ".-1", ".+1", "-.+5",
     "0x10", " 1", "1 ", "1\r",
 ]
 

@@ -63,7 +63,7 @@ def build_parser():
         description=(
             "Simulator for weak-value-amplified optical frequency measurement: "
             "prism dispersion, Sagnac postselection, shot-noise split detection "
-            "and the bandpass/peak-extraction signal chain."
+            "and the bandpass/lock-in signal chain."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -65,8 +65,8 @@ _FIELD_RULES = {
     "mod_frequency": (lambda v: v > 0, "positive"),
     "sample_rate": (lambda v: v > 0, "positive"),
     "seed": (lambda v: v >= 0, ">= 0"),
-    # The per-point error is the spread of the per-cycle peaks.
-    "n_cycles": (lambda v: v >= 2, ">= 2"),
+    # The lock-in reads each sweep point over whole cycles, so it needs one.
+    "n_cycles": (lambda v: v >= 1, ">= 1"),
     "settle_cycles": (lambda v: v >= 0, ">= 0"),
     # Sweep points and the spectrum's drive are sine amplitudes; the line fit
     # needs two points, linspace an intp count.

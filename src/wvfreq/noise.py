@@ -156,3 +156,17 @@ def split_estimate(n_right, n_total, calibration):
     estimate needs one array of the counts' length beside them, not two.
     """
     return (2.0 * n_right - n_total) * calibration / n_total
+
+
+def split_noise(calibration, n_detected, p_right, dark_mean=0.0, electronic_noise=0.0):
+    """Rms noise of one sample's ``split_estimate``, in the calibration's units.
+
+    With n photons split at p_right, mu dark counts split evenly and added
+    Gaussian noise sigma_e, sigma_x^2 = c^2 (4 n p (1 - p) + mu) / (n + mu)^2
+    + sigma_e^2. ``p_right`` may be an array (a record's split probability at
+    each phase); the variance is then averaged over it. A lock-in that reads
+    a sine's amplitude from N_w such samples has noise sqrt(2 / N_w) sigma_x.
+    """
+    binomial = 4.0 * n_detected * np.mean(p_right * (1.0 - p_right))
+    shot = calibration**2 * (binomial + dark_mean) / (n_detected + dark_mean) ** 2
+    return float(np.sqrt(shot + electronic_noise**2))

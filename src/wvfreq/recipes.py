@@ -6,7 +6,9 @@ records builds the request's one ``RecordPlan`` first, which runs every
 configuration check, and then draws each record from it with its own
 generator: sweep points are seeded ``seed + point_index`` and the spectrum's
 undriven record ``seed + 1``, so the order of the draws never changes the
-result. The spectrum draws its undriven record's photon counts on a worker
+result. The sweep reads each point's record with the request's one
+lock-in kernel, and weights its fit with the closed-form error of that
+reading. The spectrum draws its undriven record's photon counts on a worker
 thread while the calling thread synthesizes the driven record.
 """
 
@@ -27,14 +29,14 @@ from .noise import (
     measured_sensitivity,
     photon_number,
     shot_noise_snr,
+    split_noise,
     usable_range,
     SensitivityReport,
 )
 from .signal_chain import (
     PhotonDraw,
     RecordPlan,
-    bandpass,
-    extract_peaks,
+    lock_in_kernel,
     power_spectrum,
     slope_fit,
     synthesize_run,
@@ -72,21 +74,33 @@ class SlopeSweepResult:
 
 
 def run_slope_sweep(config):
-    """Modulation-amplitude sweep with a weighted linear fit (deflection slope)."""
+    """Modulation-amplitude sweep read by a lock-in, with a weighted linear fit.
+
+    Each point reads ``lock_in_kernel @ record.samples``. Its error, the fit's
+    weight, is sqrt(2 / N_w) sigma_x over the N_w samples the lock-in reads.
+    """
     physics = resolve(config)
     duration = (config.n_cycles + config.settle_cycles) * (1.0 / config.mod_frequency)
     spec = physics.filter_spec
     plan = _plan(physics, duration, filter_spec=spec)
+    n_cycles, per_cycle = config.n_cycles, plan.per_cycle
+    kernel = lock_in_kernel(spec, plan.sample_rate, plan.n_samples, per_cycle, n_cycles)
     shifts = config.sweep_shifts()
     deflections = np.empty(shifts.size)
     errors = np.empty(shifts.size)
     for i, dnu in enumerate(shifts):
+        seed = config.seed + i
         try:
-            filtered = bandpass(_record(plan, dnu, config.seed + i), spec)
-            peak, error = extract_peaks(filtered, 1.0 / config.mod_frequency, config.n_cycles)
+            draw = PhotonDraw(plan, dnu, seed)
+            record = _record(plan, dnu, seed, ahead=draw)
         except SimulationError as exc:
             raise type(exc)(f"sweep point {i} (dnu={dnu:.6g} Hz): {exc}") from exc
-        deflections[i], errors[i] = peak / spec.gain, error / spec.gain
+        deflections[i] = kernel @ record.samples
+        sigma_x = split_noise(
+            plan.calibration, plan.n_detected, draw.profile, plan.dark_mean,
+            plan.extensions.electronic_noise,
+        )
+        errors[i] = np.sqrt(2.0 / (n_cycles * per_cycle)) * sigma_x
     slope, slope_error = slope_fit(shifts, deflections, errors)
     metadata = resolved_metadata(physics)
     metadata["fitted_slope_m_per_hz"] = slope

@@ -1,10 +1,12 @@
-"""Time-domain measurement chain: modulation, filtering, peaks, spectra.
+"""Time-domain measurement chain: modulation, filtering, lock-in, spectra.
 
 The emulated procedure: the laser frequency is modulated with a 10 Hz sine,
 the split-detector position estimate is sampled uniformly, passed through
 two cascaded 6 dB/octave bandpass stages centered on the modulation
-frequency and amplified by 1e4, and the per-cycle peaks are averaged. Raw
-(unfiltered) series feed the FFT noise spectra.
+frequency and amplified by 1e4, and a lock-in reads the amplitude at the
+modulation frequency over the settled cycles. The filter and the lock-in
+are both linear, so a sweep reads each record with one dot product
+(``lock_in_kernel``). Raw (unfiltered) series feed the FFT noise spectra.
 
 Each filter stage is the bilinear-discretized first-order bandpass
 prototype H(s) = (w0/Q) s / (s^2 + (w0/Q) s + w0^2): one zero at DC, one
@@ -126,7 +128,7 @@ class FilterSpec:
         if self.stages < 1:
             raise ValidationError(f"filter_stages must be >= 1, got {self.stages}")
         if not self.gain > 0:
-            # Sweep points divide the filtered peaks by the gain.
+            # The lock-in kernel divides the gain back out.
             raise ValidationError(f"filter_gain must be positive, got {self.gain}")
 
 
@@ -205,6 +207,35 @@ def bandpass(series, spec):
     n_fft, response = cascade_response(spec, series.sample_rate, n)
     out = np.fft.irfft(np.fft.rfft(series.samples, n_fft) * response, n_fft)[:n]
     return TimeSeries(sample_rate=series.sample_rate, samples=out, t0=series.t0)
+
+
+@functools.lru_cache(maxsize=4)
+def lock_in_kernel(spec, sample_rate, n_samples, per_cycle, n_cycles):
+    """The sweep's lock-in folded through the bandpass, as one read-only vector g.
+
+    The lock-in reads A = 2 mean(y sin wt) over the last ``n_cycles`` whole
+    cycles of y = ``bandpass(record)``, divided by the gain; a record of
+    fewer whole cycles is refused. The bandpass is the record padded to
+    n_fft, times the cascade's response H and truncated, so A = w . y is the
+    raw record's inner product with the filter's adjoint applied to the
+    window w: g = irfft(conj(H) rfft(w, n_fft))[:N] / gain, and each sweep
+    point reads ``g @ record.samples``, with no per-record FFT. The bandpass
+    has unity gain and zero phase at its center, so the in-phase term alone
+    reads the drive's amplitude.
+    """
+    available = n_samples // per_cycle
+    if available < n_cycles:
+        raise ValidationError(f"a record of {available} whole cycles cannot give {n_cycles}")
+    n_fft, response = cascade_response(spec, sample_rate, n_samples)
+    n_window = n_cycles * per_cycle
+    window = np.zeros(n_fft)
+    cycle = np.sin(2.0 * np.pi * np.arange(per_cycle) / per_cycle)
+    end = available * per_cycle
+    window[end - n_window : end] = np.tile(cycle * (2.0 / n_window), n_cycles)
+    folded = np.fft.irfft(np.conj(response) * np.fft.rfft(window), n_fft)[:n_samples]
+    kernel = folded / spec.gain
+    kernel.setflags(write=False)
+    return kernel
 
 
 def modulation_period(mod_frequency, sample_rate):
@@ -453,7 +484,10 @@ def extract_peaks(series, cycle_period, n_cycles):
     """Mean and standard deviation of the mean of per-cycle signal maxima.
 
     Uses the final ``n_cycles`` complete cycles, which discards filter
-    settling at the start of the record.
+    settling at the start of the record. No request calls it: the sweep
+    reads its points with ``lock_in_kernel``, and only the benchmark's
+    read-back of a long record still takes peaks. Noise lifts each cycle's
+    maximum, so the mean reads high where the signal is small.
     """
     per_cycle = samples_per_cycle(cycle_period, series.sample_rate)
     available = series.samples.size // per_cycle

@@ -1,4 +1,5 @@
-"""Shared Monte Carlo oracle for the split-detector tests.
+"""Shared Monte Carlo oracle for the split-detector tests, and the suite's
+hypothesis profile.
 
 A run takes p_right and the calibration once from the quadrature oracles on
 a tabulated profile. Replica i draws its right-hand count from
@@ -9,9 +10,16 @@ into position estimates.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from oracles import split_calibration_constant, split_probability
 from wvfreq.noise import split_estimate
+
+# Every property test draws the same examples on every run and stores none, so
+# a failure found once cannot replay from a checkout's .hypothesis/ database
+# and change the suite's count; each test keeps its own max_examples.
+settings.register_profile("wvfreq", derandomize=True, database=None)
+settings.load_profile("wvfreq")
 
 
 def _replicated_estimates(x_grid, intensity, n_detected, n_reps, base_seed):

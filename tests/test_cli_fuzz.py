@@ -1,10 +1,11 @@
-"""Property test of the CLI's exit contract over flag values.
+"""Property test of the CLI's exit contract over flag values and config text.
 
 Every config-taking subcommand, given one or two config flags with values
 drawn from zeros, negatives, 1e-300, 1e300, non-integers and unit
 suffixes, must end in exit 0, 2, 3 or 4; so must ``simulate`` over its
-``--duration`` and ``--dnu-peak`` and ``calibrate`` over ``--propagate``,
-with values from the same pool. A refusal writes exactly one stderr line;
+``--duration`` and ``--dnu-peak``, ``calibrate`` over ``--propagate``, and
+``range`` over the text of a ``--config`` file, with values from the same
+pool. A refusal writes exactly one stderr line;
 no exception escapes ``cli.main`` and no RuntimeWarning fires; a run that
 exits 0 writes no nan or inf to stdout or to its ``-o`` file.
 """
@@ -121,3 +122,37 @@ def test_calibrate_propagate_values_end_in_a_contract_exit(value):
             "".join(f"{line.relative_frequency / 2.3e8 + 3.0!r}\n" for line in load_reference_lines())
         )
         _holds_the_contract(["calibrate", str(positions), f"--propagate={value}"])
+
+
+# Keys that are not config fields, or are one only after some normalisation.
+JUNK_KEYS = (
+    "", "x", "Seed", "sample rate", "seed seed", "-seed", "#seed", "\ufeffseed", "seed\x00",
+)
+FILLER_LINES = ("", "   ", "# a comment", "  # seed = -1")
+MALFORMED_LINES = ("seed", "= 5", "seed == 5", "seed = 5 = 6")
+
+
+@st.composite
+def config_texts(draw):
+    """A config file's text: up to five ``key = value`` lines with distinct keys
+    among blank and comment lines, and perhaps a malformed line, a repeated
+    line and a leading byte-order mark."""
+    keys = st.sampled_from(sorted(CONFIG_FIELDS) + list(JUNK_KEYS))
+    entries = draw(st.lists(st.tuples(keys, values), max_size=5, unique_by=lambda kv: kv[0]))
+    lines = [f"{key} = {value}" for key, value in entries]
+    lines += draw(st.lists(st.sampled_from(FILLER_LINES), max_size=3))
+    if draw(st.integers(0, 3)) == 2:
+        lines.append(draw(st.sampled_from(MALFORMED_LINES)))
+    lines = draw(st.permutations(lines))
+    if lines and draw(st.integers(0, 3)) == 2:
+        lines.append(draw(st.sampled_from(lines)))
+    return ("\ufeff" if draw(st.booleans()) else "") + "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(text=config_texts())
+def test_config_file_text_ends_in_a_contract_exit(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_text(text, encoding="utf-8")
+        _holds_the_contract(["range", "--config", str(path)])

@@ -293,9 +293,8 @@ class TestCli:
     def test_validation_exit_code(self, capsys):
         assert cli.main(["slope", "--sweep-points", "1"]) == 2
         assert "error" in capsys.readouterr().err
-        for n_cycles in ("0", "1"):
-            assert cli.main(["slope", "--n-cycles", n_cycles]) == 2
-            assert capsys.readouterr().err == f"error: n_cycles must be >= 2, got {n_cycles}\n"
+        assert cli.main(["slope", "--n-cycles", "0"]) == 2
+        assert capsys.readouterr().err == "error: n_cycles must be >= 1, got 0\n"
         assert cli.main(["slope", "--settle-cycles", "-1"]) == 2
         assert capsys.readouterr().err == "error: settle_cycles must be >= 0, got -1\n"
         assert cli.main(["sensitivity", "--power", "1e300W"]) == 2
@@ -388,6 +387,16 @@ class TestCli:
             assert cli.main(args) == 2
             assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_slope_reads_one_cycle_without_settling(self, tmp_path):
+        # The lock-in needs one whole cycle, not a spread of cycles.
+        out = tmp_path / "slope.csv"
+        assert cli.main(["slope", "--n-cycles", "1", "--settle-cycles", "0", "-o", str(out)]) == 0
+        _, (shifts, deflections, errors) = csv_columns(
+            out.read_text(), ("dnu_hz", "deflection_m", "std_of_mean_m")
+        )
+        assert shifts.size == 6
+        assert np.all(np.isfinite(deflections)) and np.all(errors > 0)
+
     @pytest.mark.parametrize("flag,message,command", REFUSED_BEFORE_ANY_RECORD)
     def test_config_refused_before_any_record(self, capsys, flag, message, command):
         # Every refusal comes before the first record: the config fields' in
@@ -408,8 +417,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "args",
         [
-            ["slope", "--electronic-noise=1e200m"],
-            ["slope", "--filter-gain=1e300"],
+            ["slope", "--electronic-noise=1e200m"],  # its square, in the points' error
             ["simulate", "--duration", "0.1s", "--background-fraction=1e300"],
             ["simulate", "--sigma=1e300"],  # a Python float overflow, not a numpy one
         ],
@@ -423,6 +431,21 @@ class TestCli:
         assert captured.err.startswith("numerical error: ")
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
+
+    def test_slope_filter_gain_cancels(self, tmp_path):
+        # The lock-in kernel divides the gain back out, so a gain of 1e300
+        # reads the same deflections as the default 1e4.
+        columns = ("dnu_hz", "deflection_m", "std_of_mean_m")
+        readings = []
+        for gain in ("1e4", "1e300"):
+            out = tmp_path / f"slope-{gain}.csv"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert cli.main(["slope", f"--filter-gain={gain}", "-o", str(out)]) == 0
+            readings.append(csv_columns(out.read_text(), columns)[1])
+        (_, default, default_errors), (_, large, large_errors) = readings
+        np.testing.assert_allclose(large, default, rtol=1e-12, atol=0.0)
+        assert np.array_equal(large_errors, default_errors)
 
     @pytest.mark.parametrize("command", ["slope", "spectrum", "simulate"])
     def test_dark_count_mean_beyond_poisson_range_exit_code(self, tmp_path, capsys, command):

@@ -18,8 +18,10 @@ from wvfreq.noise import (
     photon_number,
     shot_noise_snr,
     split_estimate,
+    split_noise,
     usable_range,
 )
+from wvfreq.signal_chain import NoiseExtensions, PhotonDraw, RecordPlan, synthesize_run
 
 SIGMA = 388e-6
 
@@ -352,8 +354,6 @@ class TestSplitDetection:
         # limit (ratio ~ 1); adding per-sample electronic noise at sqrt(3)x
         # the shot level degrades it to ~ 2, the parameter study behind a
         # near-quantum-limited instrument.
-        from wvfreq.signal_chain import NoiseExtensions, synthesize_run
-
         tau = 0.03
         fs = 1000.0
         n_avg = int(tau * fs)
@@ -400,3 +400,51 @@ class TestSplitDetection:
             physics.deflection_slope() * shift,
         )
         assert empirical == pytest.approx(formula, rel=0.05)
+
+
+class TestSplitNoise:
+    def test_shot_noise_at_the_dark_port(self):
+        # An even split: sigma_x = c / sqrt(n), the estimate's binomial spread.
+        c, n = 4.86e-4, 102_091_883_990
+        assert split_noise(c, n, 0.5) == pytest.approx(c / np.sqrt(n), rel=1e-15, abs=0.0)
+        assert split_noise(c, n, np.full(7, 0.5), 0.0, 3e-9) == pytest.approx(
+            np.hypot(c / np.sqrt(n), 3e-9), rel=1e-15, abs=0.0
+        )
+
+    @pytest.mark.parametrize(
+        "extensions",
+        [
+            NoiseExtensions(),
+            NoiseExtensions(electronic_noise=1e-9),
+            # 1e11 dark counts a sample, beside 1.02e11 detected photons.
+            NoiseExtensions(dark_count_rate=1e14),
+            NoiseExtensions(electronic_noise=1e-9, dark_count_rate=1e14),
+        ],
+        ids=["shot", "electronic", "dark", "both"],
+    )
+    def test_matches_an_undriven_record(self, physics, extensions):
+        # 10^4 samples: the spread of their standard deviation is 0.7%.
+        plan = RecordPlan.build(
+            physics, 10.0, 1000.0, physics.n_photons_per_sample(), 10.0, extensions
+        )
+        record = synthesize_run(
+            0.0, 10.0, 1000.0, physics, plan.n_per_sample, seed=41, extensions=extensions
+        )
+        predicted = split_noise(
+            plan.calibration, plan.n_detected, 0.5, plan.dark_mean, extensions.electronic_noise
+        )
+        assert record.samples.std(ddof=1) == pytest.approx(predicted, rel=0.03, abs=0.0)
+
+    def test_driven_variance_averages_over_the_phases(self, physics):
+        # A 1 THz drive swings p from 0.10 to 0.90, so 4 p (1 - p) averages
+        # 0.57 over a cycle: the spread about each phase's mean follows the
+        # averaged variance, not the even split's.
+        plan = RecordPlan.build(
+            physics, 10.0, 1000.0, physics.n_photons_per_sample(), 10.0, NoiseExtensions()
+        )
+        draw = PhotonDraw(plan, 1e12, seed=42)
+        record = synthesize_run(1e12, 10.0, 1000.0, physics, plan.n_per_sample, 42, ahead=draw)
+        mean = plan.calibration * (2.0 * np.tile(draw.profile, 100) - 1.0)
+        predicted = split_noise(plan.calibration, plan.n_detected, draw.profile)
+        assert (record.samples - mean).std() == pytest.approx(predicted, rel=0.03, abs=0.0)
+        assert predicted < 0.8 * split_noise(plan.calibration, plan.n_detected, 0.5)

@@ -34,6 +34,7 @@ from wvfreq import (
 from wvfreq.config import ExperimentConfig, resolve
 from wvfreq.errors import AliasingError, ValidationError, WeakValueValidityError
 from wvfreq.interferometer import dark_port_split_probability
+from wvfreq.noise import split_noise
 from wvfreq.recipes import run_spectrum_pair
 from wvfreq.signal_chain import (
     DRAW_BLOCK,
@@ -51,6 +52,7 @@ from wvfreq.signal_chain import (
     extract_peaks,
     fft_length,
     hann_window,
+    lock_in_kernel,
     modulation_period,
     power_spectrum,
     slope_fit,
@@ -352,6 +354,74 @@ class TestExtractPeaks:
             _, stds[n] = extract_peaks(series, 0.1, n)
         assert stds[25] / stds[100] == pytest.approx(2.0, rel=0.30)
         assert stds[100] / stds[400] == pytest.approx(2.0, rel=0.30)
+
+    def test_biased_high_at_the_smallest_sweep_amplitude(self, physics):
+        # No request reads peaks any more. Noise lifts each cycle's maximum,
+        # most at the smallest amplitude: at 743 kHz over 32 seeds the peak
+        # mean reads about 1.13x the lock-in reading of the same records,
+        # whose own standard error is 1.3%.
+        spec = FilterSpec()
+        kernel = lock_in_kernel(spec, FS, 3000, 100, 25)
+        peaks, lock_in = [], []
+        for seed in range(0, 32_000, 1000):
+            raw = synthesize_run(743e3, 3.0, FS, physics, physics.n_photons_per_sample(), seed)
+            peaks.append(extract_peaks(bandpass(raw, spec), 0.1, 25)[0] / spec.gain)
+            lock_in.append(kernel @ raw.samples)
+        assert np.mean(peaks) >= 1.1 * np.mean(lock_in)
+
+
+def demodulated(record, spec, mod_frequency, n_cycles):
+    """2 mean(y sin wt) over the last ``n_cycles`` cycles of y = bandpass(record), / gain."""
+    y = bandpass(record, spec).samples
+    n_window = n_cycles * int(round(record.sample_rate / mod_frequency))
+    t = np.arange(y.size - n_window, y.size) / record.sample_rate
+    return 2.0 * np.mean(y[-n_window:] * np.sin(2.0 * np.pi * mod_frequency * t)) / spec.gain
+
+
+class TestLockInKernel:
+    @pytest.mark.parametrize(
+        "fields",
+        [{}, {"filter_stages": 1}, {"filter_stages": 3}, {"sample_rate": 2000.0}, {"n_cycles": 1}],
+        ids=["defaults", "one-stage", "three-stage", "2kHz", "one-cycle"],
+    )
+    def test_sweep_reads_the_demodulated_bandpass(self, fields):
+        # The sweep folds the filter and the lock-in into one dot product per
+        # point; the oracle filters and demodulates each of its records.
+        cfg = ExperimentConfig(**fields)
+        physics = resolve(cfg)
+        result = recipes.run_slope_sweep(cfg)
+        duration = (cfg.n_cycles + cfg.settle_cycles) / cfg.mod_frequency
+        for i, dnu in enumerate(result.shifts):
+            record = synthesize_run(
+                dnu, duration, cfg.sample_rate, physics, physics.n_photons_per_sample(),
+                cfg.seed + i,
+            )
+            expected = demodulated(record, physics.filter_spec, cfg.mod_frequency, cfg.n_cycles)
+            assert result.deflections[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_errors_are_the_closed_form(self, physics):
+        # sqrt(2 / N_w) sigma_x over the 2500 window samples; at the default
+        # drives p stays within 6e-6 of 1/2, so sigma_x is c / sqrt(n) to 1e-9.
+        result = recipes.run_slope_sweep(ExperimentConfig())
+        plan = plan_for(physics, 3.0)
+        sigma_x = split_noise(plan.calibration, plan.n_detected, 0.5)
+        np.testing.assert_allclose(result.errors, np.sqrt(2.0 / 2500) * sigma_x, rtol=1e-9)
+
+    def test_record_of_too_few_whole_cycles(self):
+        # 2999 samples hold 29 whole 100-sample cycles.
+        with pytest.raises(ValidationError) as info:
+            lock_in_kernel(FilterSpec(), FS, 2999, 100, 30)
+        assert str(info.value) == "a record of 29 whole cycles cannot give 30"
+
+    def test_built_once_and_shared_read_only(self):
+        lock_in_kernel.cache_clear()
+        recipes.run_slope_sweep(ExperimentConfig())
+        assert lock_in_kernel.cache_info()[:2] == (0, 1)  # (hits, misses)
+        kernel = lock_in_kernel(FilterSpec(), FS, 3000, 100, 25)
+        assert lock_in_kernel.cache_info()[:2] == (1, 1)
+        assert kernel.shape == (3000,) and not kernel.flags.writeable
+        with pytest.raises(ValueError):
+            kernel[0] = 0.0
 
 
 class TestSlopeFit:

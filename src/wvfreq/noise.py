@@ -166,7 +166,11 @@ def split_noise(calibration, n_detected, p_right, dark_mean=0.0, electronic_nois
     + sigma_e^2. ``p_right`` may be an array (a record's split probability at
     each phase); the variance is then averaged over it. A lock-in that reads
     a sine's amplitude from N_w such samples has noise sqrt(2 / N_w) sigma_x.
+    The sum of squares is taken of c and sigma_e divided by 2^k, the power of
+    two of the larger, so neither square overflows; the scaling is exact.
     """
+    k = np.frexp(max(abs(calibration), electronic_noise))[1]
+    c, sigma_e = np.ldexp(calibration, -k), np.ldexp(electronic_noise, -k)
     binomial = 4.0 * n_detected * np.mean(p_right * (1.0 - p_right))
-    shot = calibration**2 * (binomial + dark_mean) / (n_detected + dark_mean) ** 2
-    return float(np.sqrt(shot + electronic_noise**2))
+    shot = c**2 * (binomial + dark_mean) / (n_detected + dark_mean) ** 2
+    return float(np.ldexp(np.sqrt(shot + sigma_e**2), k))

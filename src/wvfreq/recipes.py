@@ -8,8 +8,7 @@ generator: sweep points are seeded ``seed + point_index`` and the spectrum's
 undriven record ``seed + 1``, so the order of the draws never changes the
 result. The sweep reads each point's record with the request's one
 lock-in kernel, and weights its fit with the closed-form error of that
-reading. The spectrum draws its undriven record's photon counts on a worker
-thread while the calling thread synthesizes the driven record.
+reading. Every record is drawn on the calling thread.
 """
 
 from dataclasses import dataclass
@@ -54,11 +53,11 @@ def _plan(physics, duration, **needs):
     )
 
 
-def _record(plan, dnu_peak, seed, ahead=None):
+def _record(plan, dnu_peak, seed, photons=None):
     """One raw record of the request, drawn from its plan by ``synthesize_run``."""
     return synthesize_run(
         dnu_peak, plan.duration, plan.sample_rate, plan.physics, plan.n_per_sample, seed,
-        ahead=ahead or PhotonDraw(plan, dnu_peak, seed),
+        photons=photons or PhotonDraw(plan, dnu_peak, seed),
     )
 
 
@@ -92,7 +91,7 @@ def run_slope_sweep(config):
         seed = config.seed + i
         try:
             draw = PhotonDraw(plan, dnu, seed)
-            record = _record(plan, dnu, seed, ahead=draw)
+            record = _record(plan, dnu, seed, photons=draw)
         except SimulationError as exc:
             raise type(exc)(f"sweep point {i} (dnu={dnu:.6g} Hz): {exc}") from exc
         deflections[i] = kernel @ record.samples
@@ -126,10 +125,8 @@ def run_spectrum_pair(config):
     physics = resolve(config)
     cfg = config
     plan = _plan(physics, cfg.spectrum_duration, segments=cfg.spectrum_segments)
-    undriven = PhotonDraw(plan, 0.0, cfg.seed + 1)
-    with undriven.drawn_ahead():
-        driven = _record(plan, cfg.spectrum_dnu, cfg.seed)
-    undriven = _record(plan, 0.0, cfg.seed + 1, ahead=undriven)
+    driven = _record(plan, cfg.spectrum_dnu, cfg.seed)
+    undriven = _record(plan, 0.0, cfg.seed + 1)
     spec_driven = power_spectrum(driven, segments=cfg.spectrum_segments)
     spec_undriven = power_spectrum(undriven, segments=cfg.spectrum_segments)
     # Re-reference both traces to the driven fundamental (0 dB).

@@ -44,17 +44,11 @@ record's whole periods, then the samples after the last whole period), in
 calls of at most DRAW_BLOCK samples that give the same stream as one
 whole-record call in that order, then any noise-extension draws as
 whole-record calls in sample order. A fixed seed therefore reproduces the
-output byte for byte in the same software environment, whichever thread
-draws the counts: ``run_spectrum_pair`` draws the undriven record's counts
-on a worker thread while the calling thread synthesizes the driven record
-(``PhotonDraw.drawn_ahead``).
+output byte for byte in the same software environment.
 """
 
-import contextlib
 import functools
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +67,7 @@ IMPULSE_TAIL = 1e-20  # the FFT padding outlasts the impulse response's decay to
 # The largest mean numpy's Poisson draw accepts: 10 standard deviations below int64's limit.
 POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
 # Samples per binomial call, whole phases of the drive where they fit: bounds the
-# draw's temporaries, and a record longer than this may draw its counts on a
-# worker thread.
+# draw's temporaries.
 DRAW_BLOCK = 1 << 16
 _INTP_MAX = np.iinfo(np.intp).max  # numpy's largest array, in bytes
 
@@ -325,16 +318,14 @@ class RecordPlan:
 
 
 class PhotonDraw:
-    """One record's right-hand photon counts, planned on the calling thread.
+    """One record's right-hand photon counts.
 
     It runs the dark-port kernel on its ``RecordPlan``'s m = min(P, N) sample
     times, keeps that one-period split probability (``profile``), seeds the
     record's generator and allocates its int64 count buffer; the plan has
     checked everything else. ``draw`` then fills the buffer in phase order: a
     phase's samples share one p, so numpy's binomial sampler sets up once per
-    phase and call, not once per sample. It allocates nothing of the record's
-    length, so it can run on a worker thread (``drawn_ahead``); numpy releases
-    the GIL inside the draw.
+    phase and call, not once per sample.
     """
 
     def __init__(self, plan, dnu_peak, seed):
@@ -348,8 +339,6 @@ class PhotonDraw:
         )
         self.counts = np.empty(plan.n_samples, dtype=np.int64)
         self.rng = np.random.default_rng(seed)
-        self._worker = None
-        self._failure = None
 
     def draw(self):
         """Fill the counts in phase order: the same stream as one whole-record call.
@@ -359,6 +348,7 @@ class PhotonDraw:
         strided (q, m) view with one binomial call, its p broadcast from the
         profile; a phase of more than DRAW_BLOCK samples is drawn in runs.
         The r samples after the last whole period follow in sample order.
+        Returns the counts.
         """
         rng, n, profile, counts = self.rng, self.plan.n_detected, self.profile, self.counts
         m = profile.size
@@ -372,45 +362,7 @@ class PhotonDraw:
                 drawn = rng.binomial(n, profile[k0:k1, None], (k1 - k0, j1 - j0))
                 periods[j0:j1, k0:k1] = drawn.T
         counts[q * m :] = rng.binomial(n, profile[: counts.size - q * m])
-
-    def _draw_on_worker(self):
-        try:
-            self.draw()
-        except Exception as exc:  # raised again on the calling thread by ``drawn``
-            self._failure = exc
-
-    @contextlib.contextmanager
-    def drawn_ahead(self):
-        """Draw the counts on one worker thread while the ``with`` body runs.
-
-        The thread starts only when it pays: the record spans more than one
-        block and the process may run on more than one CPU. The thread is
-        joined when the body ends, whether or not it raised.
-        """
-        if self.counts.size > DRAW_BLOCK and _usable_cpus() > 1:
-            self._worker = threading.Thread(target=self._draw_on_worker, name="wvfreq-draw")
-            self._worker.start()
-        try:
-            yield
-        finally:
-            if self._worker is not None:
-                self._worker.join()
-
-    def drawn(self):
-        """The counts, drawn here unless a worker thread drew them; its failure is raised here."""
-        if self._worker is None:
-            self.draw()
-        else:
-            self._worker.join()
-            if self._failure is not None:
-                raise self._failure
-        return self.counts
-
-
-def _usable_cpus():
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        return counts
 
 
 def synthesize_run(
@@ -422,7 +374,7 @@ def synthesize_run(
     seed,
     modulation=None,
     extensions=None,
-    ahead=None,
+    photons=None,
 ):
     """Simulate the raw split-detector record for a modulated run.
 
@@ -443,21 +395,19 @@ def synthesize_run(
     Deterministic for a fixed seed.
 
     The ``RecordPlan`` built from the arguments checks them before anything
-    is drawn. ``ahead`` is this record's ``PhotonDraw`` from a plan of the
-    same arguments, whose counts may have been drawn on a worker thread
-    (``run_spectrum_pair`` does this for the undriven record); this call then
-    joins that draw and finishes the record on the calling thread.
+    is drawn. A recipe that holds the request's plan passes ``photons``,
+    this record's ``PhotonDraw`` from that plan, instead.
     """
-    record = ahead or PhotonDraw(
+    photons = photons or PhotonDraw(
         RecordPlan.build(
             physics, duration, sample_rate, n_per_sample,
             (modulation or ModulationConfig()).mod_frequency, extensions or NoiseExtensions(),
         ),
         dnu_peak, seed,
     )
-    n_right = record.drawn()
+    n_right = photons.draw()
     # The noise-extension draws follow the counts from the same stream, whole-record calls.
-    plan, rng, n_samples = record.plan, record.rng, n_right.size
+    plan, rng, n_samples = photons.plan, photons.rng, n_right.size
     total = float(plan.n_detected)
     if plan.extensions.dark_count_rate > 0.0:
         dark = rng.poisson(plan.dark_mean, n_samples)
@@ -510,7 +460,10 @@ def slope_fit(shifts, deflections, errors):
 
     Weights are 1/error^2 and the slope error comes from the normal
     equations. Points are put in a canonical order before summation, so the
-    result is bit-identical under any permutation of the inputs.
+    result is bit-identical under any permutation of the inputs. The errors
+    are divided by 2^k, the power of two of the largest, so that no weight
+    or sum over- or underflows, and the slope error is scaled back: the
+    scaling is exact, so the result does not depend on it.
     """
     x = np.asarray(shifts, dtype=float)
     y = np.asarray(deflections, dtype=float)
@@ -522,7 +475,8 @@ def slope_fit(shifts, deflections, errors):
     if err.shape != x.shape or np.any(err <= 0):
         raise ValidationError("errors must be positive and match the points")
     order = np.lexsort((err, y, x))
-    x, y, err = x[order], y[order], err[order]
+    k = np.frexp(err.max())[1]
+    x, y, err = x[order], y[order], np.ldexp(err[order], -k)
     w = 1.0 / err**2
     sw = w.sum()
     sx = (w * x).sum()
@@ -531,7 +485,7 @@ def slope_fit(shifts, deflections, errors):
     sxy = (w * x * y).sum()
     denom = sw * sxx - sx**2
     slope = (sw * sxy - sx * sy) / denom
-    return float(slope), float(np.sqrt(sw / denom))
+    return float(slope), float(np.ldexp(np.sqrt(sw / denom), k))
 
 
 def hann_window(n):

@@ -12,8 +12,8 @@ which evaluates the dark-port kernel over one period of the sampled drive
 and draws the photon counts in phase order, in blocks written through a
 strided view, is checked against a per-sample evaluation and one
 whole-record draw in that order, taken through a sort of the sample
-indices; the spectrum pair, whose undriven counts are drawn on a worker
-thread, against both records synthesized that way one after the other.
+indices, and the spectrum pair against both records synthesized that way
+one after the other.
 The CSV writer, which formats a block of cells in numpy, is checked against
 a per-row f-string writer, and the reader, which parses cells as integers
 and scales them, against one ``np.fromstring`` call on the whole body. None
@@ -256,7 +256,7 @@ def direct_synthesize_run(
 
 def serial_spectrum_pair(config):
     """``run_spectrum_pair`` with the driven and then the undriven record drawn
-    by ``direct_synthesize_run`` on the calling thread."""
+    by ``direct_synthesize_run``."""
     physics = resolve(config)
     cfg = physics.config
 

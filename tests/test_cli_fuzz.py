@@ -3,7 +3,8 @@
 Every config-taking subcommand, given one or two config flags with values
 drawn from zeros, negatives, 1e-300, 1e300, non-integers and unit
 suffixes, must end in exit 0, 2, 3 or 4; so must ``simulate`` over its
-``--duration`` and ``--dnu-peak``, ``calibrate`` over ``--propagate``, and
+``--duration`` and ``--dnu-peak``, ``calibrate`` over ``--propagate`` and
+over the text of a positions file and of a ``--references`` file, and
 ``range`` over the text of a ``--config`` file, with values from the same
 pool. A refusal writes exactly one stderr line;
 no exception escapes ``cli.main`` and no RuntimeWarning fires; a run that
@@ -113,15 +114,25 @@ def test_simulate_record_values_end_in_a_contract_exit(duration, dnu_peak):
     _holds_the_contract(["simulate", f"--duration={duration}", f"--dnu-peak={dnu_peak}"])
 
 
+# The packaged reference lines, and their positions on a 2.3e8 Hz/unit scan:
+# a positions file or a reference table built from these alone calibrates.
+REFERENCE_LINES = load_reference_lines()
+SCAN_POSITIONS = [repr(line.relative_frequency / 2.3e8 + 3.0) for line in REFERENCE_LINES]
+REFERENCE_TABLE = [f"{line.label}, {line.relative_frequency / 1e6!r}" for line in REFERENCE_LINES]
+
+
+def _write(directory, name, text):
+    path = Path(directory) / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)
 @given(value=values)
 def test_calibrate_propagate_values_end_in_a_contract_exit(value):
     with tempfile.TemporaryDirectory() as tmp:
-        positions = Path(tmp) / "positions.txt"
-        positions.write_text(
-            "".join(f"{line.relative_frequency / 2.3e8 + 3.0!r}\n" for line in load_reference_lines())
-        )
-        _holds_the_contract(["calibrate", str(positions), f"--propagate={value}"])
+        positions = _write(tmp, "positions.txt", "\n".join(SCAN_POSITIONS) + "\n")
+        _holds_the_contract(["calibrate", positions, f"--propagate={value}"])
 
 
 # Keys that are not config fields, or are one only after some normalisation.
@@ -153,6 +164,47 @@ def config_texts(draw):
 @given(text=config_texts())
 def test_config_file_text_ends_in_a_contract_exit(text):
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "run.cfg"
-        path.write_text(text, encoding="utf-8")
-        _holds_the_contract(["range", "--config", str(path)])
+        _holds_the_contract(["range", "--config", _write(tmp, "run.cfg", text)])
+
+
+def position_line(i):
+    return values
+
+
+def reference_line(i):
+    name = st.one_of(st.just(REFERENCE_LINES[i].label), st.sampled_from(WORDS))
+    return st.builds(lambda *cells: ", ".join(cells), name, values)
+
+
+@st.composite
+def data_file_texts(draw, good, line):
+    """A positions file's or a reference table's text: the well-formed lines
+    ``good`` in order, but for up to two drawn by ``line(i)``, each perhaps
+    with extra comma fields, among blank and comment lines, and perhaps a
+    repeated line and a leading byte-order mark."""
+    drawn = draw(st.sets(st.integers(0, len(good) - 1), max_size=2))
+    lines = []
+    for i, cell in enumerate(good):
+        cell = draw(line(i)) if i in drawn else cell
+        lines.append(",".join([cell] + draw(st.lists(values, max_size=2))))
+    if draw(st.integers(0, 3)) == 2:
+        lines.append(draw(st.sampled_from(lines)))
+    for filler in draw(st.lists(st.sampled_from(FILLER_LINES), max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), filler)
+    return ("\ufeff" if draw(st.booleans()) else "") + "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(text=data_file_texts(SCAN_POSITIONS, position_line))
+def test_positions_file_text_ends_in_a_contract_exit(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        _holds_the_contract(["calibrate", _write(tmp, "positions.txt", text)])
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(text=data_file_texts(REFERENCE_TABLE, reference_line))
+def test_references_file_text_ends_in_a_contract_exit(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        positions = _write(tmp, "positions.txt", "\n".join(SCAN_POSITIONS) + "\n")
+        references = _write(tmp, "references.txt", text)
+        _holds_the_contract(["calibrate", positions, "--references", references])

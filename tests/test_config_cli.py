@@ -261,7 +261,34 @@ REFUSED_BEFORE_ANY_RECORD = [
 ]
 
 
+def _positions_file(tmp_path):
+    """The packaged reference lines' positions on a 2.3e8 Hz/unit, 5 MHz scan."""
+    from wvfreq.calibration import load_reference_lines
+
+    lines = load_reference_lines()
+    slope, intercept = 2.3e8, 5e6
+    positions = [(l.relative_frequency - intercept) / slope for l in lines]
+    pos_file = tmp_path / "positions.txt"
+    pos_file.write_text("# positions\n" + "".join(f"{p!r}\n" for p in positions))
+    return pos_file
+
+
 class TestCli:
+    @pytest.mark.parametrize(
+        "command", ["slope", "spectrum", "sensitivity", "range", "simulate", "calibrate"]
+    )
+    def test_request_runs_on_the_calling_thread(self, tmp_path, capsys, command):
+        # The benchmark's tracer keeps one span stack, so a request at its
+        # defaults neither starts a thread nor leaves one running.
+        argv = [command] + ([str(_positions_file(tmp_path))] if command == "calibrate" else [])
+        before = threading.active_count()
+        with mock.patch.object(
+            threading.Thread, "start", autospec=True, side_effect=threading.Thread.start
+        ) as start:
+            assert cli.main(argv + ["-o", str(tmp_path / "out.csv")]) == 0
+        assert start.call_count == 0
+        assert threading.active_count() == before
+
     def test_sensitivity_text(self, capsys):
         assert cli.main(["sensitivity"]) == 0
         out = capsys.readouterr().out
@@ -417,7 +444,6 @@ class TestCli:
     @pytest.mark.parametrize(
         "args",
         [
-            ["slope", "--electronic-noise=1e200m"],  # its square, in the points' error
             ["simulate", "--duration", "0.1s", "--background-fraction=1e300"],
             ["simulate", "--sigma=1e300"],  # a Python float overflow, not a numpy one
         ],
@@ -431,6 +457,24 @@ class TestCli:
         assert captured.err.startswith("numerical error: ")
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
+
+    def test_slope_reads_huge_electronic_noise(self, tmp_path):
+        # sigma_e^2 would overflow, and the fit's weights 1/err^2 underflow,
+        # without their power-of-two scaling. Where sigma_e swamps the shot
+        # noise, each record is sigma_e times the same normal draws, so the
+        # slope and its error scale with sigma_e.
+        fits = []
+        for noise in (1e100, 1e200, 1e300):
+            out = tmp_path / f"slope-{noise:g}.csv"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert cli.main(["slope", f"--electronic-noise={noise:g}m", "-o", str(out)]) == 0
+            header, _ = csv_columns(out.read_text(), ("dnu_hz", "deflection_m", "std_of_mean_m"))
+            names = ("fitted_slope_m_per_hz", "fitted_slope_error_m_per_hz")
+            fit = [float(header[name]) for name in names]
+            assert np.all(np.isfinite(fit)) and fit[1] > 0.0
+            fits.append(np.array(fit) / noise)
+        np.testing.assert_allclose(fits[1:], [fits[0]] * 2, rtol=1e-12, atol=0.0)
 
     def test_slope_filter_gain_cancels(self, tmp_path):
         # The lock-in kernel divides the gain back out, so a gain of 1e300
@@ -536,7 +580,7 @@ class TestCli:
 
     def test_simulated_record_too_long_exit_code(self, tmp_path, capsys):
         # The kernel runs over one period; the refusal comes from the
-        # record's count buffer, allocated on the calling thread before any draw.
+        # record's count buffer, allocated before any draw.
         assert cli.main(["simulate", "--duration", "1e15s", "-o", str(tmp_path / "x.csv")]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -545,12 +589,10 @@ class TestCli:
         assert not (tmp_path / "x.csv").exists()
 
     def test_spectrum_kick_beyond_kernel_range_exit_code(self, tmp_path, capsys):
-        # The driven record fails on the calling thread while the undriven
-        # record's counts are drawn on a worker thread, which is joined first.
-        before = threading.active_count()
+        # The driven record's kick is beyond the kernel's range; the request
+        # fails before it draws a count and writes nothing.
         args = ["spectrum", "--spectrum-dnu", "6THz", "-o", str(tmp_path / "x.csv")]
         assert cli.main(args) == 3
-        assert threading.active_count() == before
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
@@ -601,13 +643,7 @@ class TestCli:
         assert "physics validity" in capsys.readouterr().err
 
     def test_calibrate_roundtrip(self, tmp_path, capsys):
-        from wvfreq.calibration import load_reference_lines
-
-        lines = load_reference_lines()
-        slope, intercept = 2.3e8, 5e6
-        positions = [(l.relative_frequency - intercept) / slope for l in lines]
-        pos_file = tmp_path / "positions.txt"
-        pos_file.write_text("# positions\n" + "".join(f"{p!r}\n" for p in positions))
+        pos_file = _positions_file(tmp_path)
         assert cli.main(["calibrate", str(pos_file), "--propagate", "129kHz"]) == 0
         out = capsys.readouterr().out
         assert "slope_hz_per_unit = 230000000" in out

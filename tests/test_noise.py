@@ -412,6 +412,17 @@ class TestSplitNoise:
         )
 
     @pytest.mark.parametrize(
+        "e,k", [(0.0, 600), (3e-9, 600), (3e-9, -600), (1e100, 600), (1e300, -600)]
+    )
+    def test_scaling_c_and_sigma_e_by_a_power_of_two_is_exact(self, e, k):
+        # The sum of squares is taken at the scale of the larger term, so
+        # sigma_e^2 overflows nowhere and a power of two moves no bit.
+        c, n, p = 4.86e-4, 102_091_883_990, np.array([0.3, 0.5, 0.6])
+        sigma = split_noise(c, n, p, 1e3, e)
+        assert np.isfinite(sigma) and sigma >= e
+        assert split_noise(np.ldexp(c, k), n, p, 1e3, np.ldexp(e, k)) == np.ldexp(sigma, k)
+
+    @pytest.mark.parametrize(
         "extensions",
         [
             NoiseExtensions(),
@@ -443,7 +454,7 @@ class TestSplitNoise:
             physics, 10.0, 1000.0, physics.n_photons_per_sample(), 10.0, NoiseExtensions()
         )
         draw = PhotonDraw(plan, 1e12, seed=42)
-        record = synthesize_run(1e12, 10.0, 1000.0, physics, plan.n_per_sample, 42, ahead=draw)
+        record = synthesize_run(1e12, 10.0, 1000.0, physics, plan.n_per_sample, 42, photons=draw)
         mean = plan.calibration * (2.0 * np.tile(draw.profile, 100) - 1.0)
         predicted = split_noise(plan.calibration, plan.n_detected, draw.profile)
         assert (record.samples - mean).std() == pytest.approx(predicted, rel=0.03, abs=0.0)

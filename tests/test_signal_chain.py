@@ -1,6 +1,3 @@
-import inspect
-import os
-import threading
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -21,18 +18,9 @@ from oracles import (
     serial_spectrum_pair,
     stage_coefficients,
 )
-from wvfreq import (
-    calibration,
-    cli,
-    config,
-    dispersion,
-    interferometer,
-    noise,
-    recipes,
-    signal_chain,
-)
+from wvfreq import cli, recipes
 from wvfreq.config import ExperimentConfig, resolve
-from wvfreq.errors import AliasingError, ValidationError, WeakValueValidityError
+from wvfreq.errors import AliasingError, ValidationError
 from wvfreq.interferometer import dark_port_split_probability
 from wvfreq.noise import split_noise
 from wvfreq.recipes import run_spectrum_pair
@@ -453,6 +441,20 @@ class TestSlopeFit:
             perm = rng.permutation(9)
             assert slope_fit(x[perm], y[perm], e[perm]) == base
 
+    @pytest.mark.parametrize("k", [600, -600])
+    def test_error_scale_is_exact(self, k):
+        # A sweep's shifts, deflections and errors: scaled by 2^600 the
+        # weights 1/err^2 would underflow, by 2^-600 overflow, unless the
+        # fit scales them back first.
+        rng = np.random.default_rng(3)
+        x = np.linspace(7.43e5, 7.4e6, 6)
+        e = 1e-14 * (1.0 + rng.random(6))
+        y = 9.1e-18 * 78.0 * x + rng.normal(0.0, 1e-14, 6)
+        slope, error = slope_fit(x, y, e)
+        scaled_slope, scaled_error = slope_fit(x, y, np.ldexp(e, k))
+        assert scaled_slope == slope
+        assert scaled_error == np.ldexp(error, k)
+
     def test_degenerate(self):
         with pytest.raises(ValidationError, match="degenerate"):
             slope_fit([1.0, 1.0, 1.0], [1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
@@ -659,7 +661,7 @@ class TestSynthesizeRun:
         # counts stored at another phase's samples fail it.
         cfg = physics.config
         record = PhotonDraw(plan_for(physics, 100.0), cfg.spectrum_dnu, cfg.seed)
-        phases = record.drawn().reshape(-1, 100)
+        phases = record.draw().reshape(-1, 100)
         t = np.arange(100) / cfg.sample_rate
         dnu = cfg.spectrum_dnu * np.sin(2.0 * np.pi * cfg.mod_frequency * t)
         p = dark_port_split_probability(
@@ -817,10 +819,6 @@ class TestSynthesizeRun:
 
 
 NOISE_TERMS = {"background_fraction": 0.02, "electronic_noise": 1e-9, "dark_count_rate": 1e5}
-# The modules the benchmark's tracer wraps; it keeps one span stack, so every
-# public function of theirs must run on the calling thread.
-TRACED_MODULES = (cli, config, units, dispersion, interferometer, noise, signal_chain, recipes,
-                  calibration)
 
 
 class BinomialCalls:
@@ -833,23 +831,6 @@ class BinomialCalls:
         drawn = self.rng.binomial(n, p, size)
         self.sizes.append(drawn.size)
         return drawn
-
-
-def draw_threads(monkeypatch):
-    """Thread idents of every ``PhotonDraw.draw`` call from here on."""
-    idents = []
-    draw = PhotonDraw.draw
-
-    def spy(self):
-        idents.append(threading.get_ident())
-        draw(self)
-
-    monkeypatch.setattr(PhotonDraw, "draw", spy)
-    return idents
-
-
-def usable_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
 class TestRecordPlan:
@@ -901,90 +882,16 @@ class TestRecordPlan:
 
 class TestSpectrumPair:
     @pytest.mark.parametrize("terms", [{}, NOISE_TERMS], ids=["shot", "noise"])
-    @pytest.mark.parametrize(
-        "duration,sample_rate,threaded", [(100.0, FS, True), (2.0, 1024.0, False)]
-    )
-    def test_matches_serial_oracle(self, monkeypatch, duration, sample_rate, threaded, terms):
-        # A record longer than one block has its undriven counts drawn on a
-        # worker thread; either way the pair is bit-equal to both records
-        # drawn one after the other on the calling thread.
-        usable_cpus(monkeypatch, 2)
-        draws = draw_threads(monkeypatch)
+    @pytest.mark.parametrize("duration,sample_rate", [(100.0, FS), (2.0, 1024.0)])
+    def test_matches_serial_oracle(self, duration, sample_rate, terms):
+        # The pair is bit-equal to both records drawn one after the other
+        # by the per-sample oracle, over more than one block and less.
         cfg = ExperimentConfig(spectrum_duration=duration, sample_rate=sample_rate, **terms)
-        before = threading.active_count()
         pair = run_spectrum_pair(cfg)
-        assert threading.active_count() == before
         expected = serial_spectrum_pair(cfg)
         for got, want in zip(pair[:3], expected[:3]):
             assert got.tobytes() == want.tobytes()
         assert pair[3] == expected[3]
-        assert (duration * sample_rate > DRAW_BLOCK) == threaded
-        assert len(draws) == 2
-        assert draws.count(threading.get_ident()) == (1 if threaded else 2)
-
-    def test_public_functions_run_on_the_calling_thread(self, monkeypatch):
-        usable_cpus(monkeypatch, 2)
-        draws = draw_threads(monkeypatch)
-        threads = set()
-
-        def on_thread(fn):
-            def wrapper(*args, **kwargs):
-                threads.add(threading.get_ident())
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        for module in TRACED_MODULES:
-            for name, obj in list(vars(module).items()):
-                if inspect.isfunction(obj) and not name.startswith("_") and (
-                    obj.__module__.startswith("wvfreq.")
-                ):
-                    monkeypatch.setattr(module, name, on_thread(obj))
-        recipes.run_spectrum_pair(ExperimentConfig())
-        assert threads == {threading.get_ident()}
-        assert len(set(draws)) == 2  # the worker did draw
-
-    def test_one_cpu_starts_no_thread(self, monkeypatch):
-        usable_cpus(monkeypatch, 1)
-        draws = draw_threads(monkeypatch)
-        cfg = ExperimentConfig()
-        before = threading.active_count()
-        pair = run_spectrum_pair(cfg)
-        assert threading.active_count() == before
-        assert draws == [threading.get_ident()] * 2
-        assert pair[2].tobytes() == serial_spectrum_pair(cfg)[2].tobytes()
-
-    def test_worker_failure_reaches_the_caller(self, monkeypatch, physics):
-        # A draw that fails on the worker thread raises on the calling thread
-        # what the same record raises when it is drawn there.
-        kernel = signal_chain.dark_port_split_probability
-
-        def undriven_nan(kick, state, beta):
-            p = kernel(kick, state, beta)
-            return p if np.any(kick) else np.full_like(p, np.nan)
-
-        monkeypatch.setattr(signal_chain, "dark_port_split_probability", undriven_nan)
-        with pytest.raises(ValueError) as serial:
-            synthesize_run(0.0, 100.0, FS, physics, physics.n_photons_per_sample(), 1)
-        usable_cpus(monkeypatch, 2)
-        draws = draw_threads(monkeypatch)
-        before = threading.active_count()
-        with pytest.raises(ValueError) as threaded:
-            run_spectrum_pair(ExperimentConfig())
-        assert threading.active_count() == before
-        assert str(threaded.value) == str(serial.value) == "p < 0, p > 1 or p contains NaNs"
-        assert len(draws) == 2 and draws.count(threading.get_ident()) == 1
-
-    def test_calling_thread_failure_joins_the_worker(self, monkeypatch):
-        # The driven record's kick is beyond the kernel's range; the undriven
-        # draw has started on the worker and is joined before the error leaves.
-        usable_cpus(monkeypatch, 2)
-        draws = draw_threads(monkeypatch)
-        before = threading.active_count()
-        with pytest.raises(WeakValueValidityError, match=r"k\*sigma = 0.632 exceeds 0.5"):
-            run_spectrum_pair(ExperimentConfig(spectrum_dnu=6e12))
-        assert threading.active_count() == before
-        assert len(draws) == 1 and draws[0] != threading.get_ident()
 
 
 class TestCsvRoundTrip:

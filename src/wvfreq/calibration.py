@@ -73,6 +73,19 @@ def _packaged_reference_lines():
     return load_reference_lines(resources.files("wvfreq").joinpath("data", _LINES_RESOURCE))
 
 
+def _squared_spread(values, name):
+    """Mean and sum of squared deviations of ``values``, refused unless a normal float."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = values.mean()
+        spread = ((values - mean) ** 2).sum()
+    if not np.finfo(float).tiny <= spread < np.inf:
+        raise NumericalError(
+            f"the spread of the {name} cannot be squared in float64: "
+            f"sum of squared deviations = {spread:.3g}"
+        )
+    return mean, spread
+
+
 def fit_scan_calibration(observed_positions, references):
     """OLS fit of reference frequency against observed scan position.
 
@@ -90,16 +103,10 @@ def fit_scan_calibration(observed_positions, references):
     if np.unique(x).size != x.size:
         raise ValidationError("degenerate fit: duplicate observed positions")
     y = np.asarray([ref.relative_frequency for ref in references], dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        x_mean = x.mean()
-        sxx = ((x - x_mean) ** 2).sum()
-    # A normal sxx keeps the slope, |slope| <= sqrt(syy / sxx), and its error (two roots) finite.
-    if not np.finfo(float).tiny <= sxx < np.inf:
-        raise NumericalError(
-            f"the spread of the observed positions cannot be squared in float64: "
-            f"sum of squared deviations = {sxx:.3g}"
-        )
-    y_mean = y.mean()
+    # A normal sxx keeps the slope, |slope| <= sqrt(syy / sxx), and its error (two roots)
+    # finite; a finite syy bounds every residual, |y - fit| <= sqrt(syy), and their sums.
+    x_mean, sxx = _squared_spread(x, "observed positions")
+    y_mean, _ = _squared_spread(y, "reference frequencies")
     slope = ((x - x_mean) * (y - y_mean)).sum() / sxx
     intercept = y_mean - slope * x_mean
     residuals = y - (slope * x + intercept)

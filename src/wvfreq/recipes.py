@@ -3,12 +3,13 @@
 Each recipe runs one of the canonical measurements end to end on a resolved
 configuration and returns plain data plus CSV text. A recipe that draws
 records builds the request's one ``RecordPlan`` first, which runs every
-configuration check, and then draws each record from it with its own
-generator: sweep points are seeded ``seed + point_index`` and the spectrum's
-undriven record ``seed + 1``, so the order of the draws never changes the
-result. The sweep reads each point's record with the request's one
-lock-in kernel, and weights its fit with the closed-form error of that
-reading. Every record is drawn on the calling thread.
+configuration check, and then draws each record by handing that plan to
+``synthesize_run`` with the record's own seed: sweep points are seeded
+``seed + point_index`` and the spectrum's undriven record ``seed + 1``, so
+the order of the draws never changes the result. The sweep reads each
+point's record with the request's one lock-in kernel, and weights its fit
+with the closed-form error of that reading, from the ``split_profile`` the
+record was drawn from. Every record is drawn on the calling thread.
 """
 
 from dataclasses import dataclass
@@ -33,11 +34,11 @@ from .noise import (
     SensitivityReport,
 )
 from .signal_chain import (
-    PhotonDraw,
     RecordPlan,
     lock_in_kernel,
     power_spectrum,
     slope_fit,
+    split_profile,
     synthesize_run,
     timeseries_to_csv,
 )
@@ -53,11 +54,11 @@ def _plan(physics, duration, **needs):
     )
 
 
-def _record(plan, dnu_peak, seed, photons=None):
+def _record(plan, dnu_peak, seed):
     """One raw record of the request, drawn from its plan by ``synthesize_run``."""
     return synthesize_run(
         dnu_peak, plan.duration, plan.sample_rate, plan.physics, plan.n_per_sample, seed,
-        photons=photons or PhotonDraw(plan, dnu_peak, seed),
+        plan=plan,
     )
 
 
@@ -88,15 +89,13 @@ def run_slope_sweep(config):
     deflections = np.empty(shifts.size)
     errors = np.empty(shifts.size)
     for i, dnu in enumerate(shifts):
-        seed = config.seed + i
         try:
-            draw = PhotonDraw(plan, dnu, seed)
-            record = _record(plan, dnu, seed, photons=draw)
+            record = _record(plan, dnu, config.seed + i)
         except SimulationError as exc:
             raise type(exc)(f"sweep point {i} (dnu={dnu:.6g} Hz): {exc}") from exc
         deflections[i] = kernel @ record.samples
         sigma_x = split_noise(
-            plan.calibration, plan.n_detected, draw.profile, plan.dark_mean,
+            plan.calibration, plan.n_detected, split_profile(plan, dnu), plan.dark_mean,
             plan.extensions.electronic_noise,
         )
         errors[i] = np.sqrt(2.0 / (n_cycles * per_cycle)) * sigma_x

@@ -22,26 +22,26 @@ unit circle, on an FFT grid padded past the length over which the impulse
 response decays below 1e-20, so the circular convolution equals the
 recursive filter to rounding; numpy's FFT is all it needs.
 
-The sampled drive repeats every P samples (``modulation_period``), so the
-dark-port kernel runs over one period and ``synthesize_run`` reuses it.
-Later periods reuse the first period's values instead of their own phases
-2 pi f t, whose rounding grows with t. The kernel maps the drive to the
-split probability p continuously, so the two differ wherever that rounding
-reaches p: at the default 7.4 MHz / 10 Hz / 1 kHz, 419 of 1e5 samples differ
-by one ulp over 100 s and 83 686 of 1e6 over 1000 s; over 1000 s at a 250 Hz
-drive, up to 36 ulps near the drive's zero crossings, and over 100 s at a
-1 GHz drive, 15 ulps. The reused value, from the smaller phase, is the more
-accurate one. It is not bit-identical to a per-sample evaluation, and a
-one-ulp move can change the drawn count: at a 250 Hz drive the reused
-period holds p = 0.5 exactly where a per-sample evaluation gives 0.5 -+ 1
-ulp, which flips the binomial sampler's min(p, 1 - p) branch (2013 of
-60 000 counts differ over 60 s).
+The sampled drive repeats every P samples (``modulation_period``), so
+``split_profile`` runs the dark-port kernel over one period and
+``synthesize_run`` reuses it. Later periods reuse the first period's values
+instead of their own phases 2 pi f t, whose rounding grows with t. The
+kernel maps the drive to the split probability p continuously, so the two
+differ wherever that rounding reaches p: at the default 7.4 MHz / 10 Hz /
+1 kHz, 419 of 1e5 samples differ by one ulp over 100 s and 83 686 of 1e6
+over 1000 s; over 1000 s at a 250 Hz drive, up to 36 ulps near the drive's
+zero crossings, and over 100 s at a 1 GHz drive, 15 ulps. The reused value,
+from the smaller phase, is the more accurate one. It is not bit-identical
+to a per-sample evaluation, and a one-ulp move can change the drawn count:
+at a 250 Hz drive the reused period holds p = 0.5 exactly where a
+per-sample evaluation gives 0.5 -+ 1 ulp, which flips the binomial
+sampler's min(p, 1 - p) branch (2013 of 60 000 counts differ over 60 s).
 
 Determinism: each record's randomness flows through one generator seeded by
 the run seed, in a fixed order: the photon counts in phase order (every
 sample of a period's first phase, then of its second, and so on over the
 record's whole periods, then the samples after the last whole period), in
-calls of at most DRAW_BLOCK samples that give the same stream as one
+``_draw_counts``'s calls of at most DRAW_BLOCK samples, the same stream as one
 whole-record call in that order, then any noise-extension draws as
 whole-record calls in sample order. A fixed seed therefore reproduces the
 output byte for byte in the same software environment.
@@ -66,10 +66,15 @@ STAGE_Q = 1.0  # first-order prototype: bandwidth = center frequency
 IMPULSE_TAIL = 1e-20  # the FFT padding outlasts the impulse response's decay to this level
 # The largest mean numpy's Poisson draw accepts: 10 standard deviations below int64's limit.
 POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
-# Samples per binomial call, whole phases of the drive where they fit: bounds the
-# draw's temporaries.
+# Samples per binomial call of ``_draw_counts``, whole phases of the drive where they
+# fit: bounds the draw's temporaries.
 DRAW_BLOCK = 1 << 16
 _INTP_MAX = np.iinfo(np.intp).max  # numpy's largest array, in bytes
+# numpy's normal draw stays within 13.71 standard deviations: its ziggurat tail
+# returns r - log1p(-u) / r with r = 3.654 and u a 53-bit uniform below 1, so at
+# most 3.654 + 53 ln 2 / 3.654. Electronic noise up to DBL_MAX / 16 rms draws no
+# inf, with room left for the position estimate it is added to.
+ELECTRONIC_NOISE_MAX = np.finfo(float).max / 16
 
 
 @dataclass
@@ -146,6 +151,11 @@ class NoiseExtensions:
         for name in ("electronic_noise", "dark_count_rate"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.electronic_noise > ELECTRONIC_NOISE_MAX:
+            raise ValidationError(
+                f"electronic_noise must be <= {ELECTRONIC_NOISE_MAX:.4g} m, "
+                f"got {self.electronic_noise}"
+            )
 
 
 def fft_length(n):
@@ -317,52 +327,50 @@ class RecordPlan:
         )
 
 
-class PhotonDraw:
-    """One record's right-hand photon counts.
+@functools.lru_cache(maxsize=1)
+def split_profile(plan, dnu_peak):
+    """The dark-port kernel on the plan's m = min(P, N) sample times, read-only.
 
-    It runs the dark-port kernel on its ``RecordPlan``'s m = min(P, N) sample
-    times, keeps that one-period split probability (``profile``), seeds the
-    record's generator and allocates its int64 count buffer; the plan has
-    checked everything else. ``draw`` then fills the buffer in phase order: a
-    phase's samples share one p, so numpy's binomial sampler sets up once per
-    phase and call, not once per sample.
+    Sample k's split probability at drive amplitude ``dnu_peak``; the record's
+    later periods repeat it. The one cached profile is the one the last
+    record was drawn from, so a sweep reads each point's sigma_x from it
+    without running the kernel again.
     """
+    physics = plan.physics
+    t = np.arange(plan.period) / plan.sample_rate
+    dnu = dnu_peak * np.sin(2.0 * np.pi * plan.mod_frequency * t)
+    # The kernel refuses |k sigma| above its limit (WeakValueValidityError).
+    profile = dark_port_split_probability(
+        physics.kick_of_shift(dnu), physics.state, physics.config.background_fraction
+    )
+    profile.setflags(write=False)
+    return profile
 
-    def __init__(self, plan, dnu_peak, seed):
-        self.plan = plan
-        physics = plan.physics
-        t = np.arange(plan.period) / plan.sample_rate
-        dnu = dnu_peak * np.sin(2.0 * np.pi * plan.mod_frequency * t)
-        # The kernel refuses |k sigma| above its limit (WeakValueValidityError).
-        self.profile = dark_port_split_probability(
-            physics.kick_of_shift(dnu), physics.state, physics.config.background_fraction
-        )
-        self.counts = np.empty(plan.n_samples, dtype=np.int64)
-        self.rng = np.random.default_rng(seed)
 
-    def draw(self):
-        """Fill the counts in phase order: the same stream as one whole-record call.
+def _draw_counts(rng, n, profile, n_samples):
+    """Binomial(n, p) counts of an n_samples record, drawn from ``rng`` in phase order.
 
-        The record is q whole periods of m = ``profile.size`` samples and r
-        more. Phase by phase, a block's phases fill their q samples of a
-        strided (q, m) view with one binomial call, its p broadcast from the
-        profile; a phase of more than DRAW_BLOCK samples is drawn in runs.
-        The r samples after the last whole period follow in sample order.
-        Returns the counts.
-        """
-        rng, n, profile, counts = self.rng, self.plan.n_detected, self.profile, self.counts
-        m = profile.size
-        q = counts.size // m
-        periods = counts[: q * m].reshape(q, m)
-        width = max(DRAW_BLOCK // q, 1)  # phases in a block
-        for k0 in range(0, m, width):
-            k1 = min(k0 + width, m)
-            for j0 in range(0, q, DRAW_BLOCK):  # one run, unless a phase outgrows a block
-                j1 = min(j0 + DRAW_BLOCK, q)
-                drawn = rng.binomial(n, profile[k0:k1, None], (k1 - k0, j1 - j0))
-                periods[j0:j1, k0:k1] = drawn.T
-        counts[q * m :] = rng.binomial(n, profile[: counts.size - q * m])
-        return counts
+    The record is q whole periods of m = ``profile.size`` samples and r
+    more. A phase's samples share one p, so numpy's binomial sampler sets up
+    once per phase and call, not once per sample: phase by phase, a block's
+    phases fill their q samples of a strided (q, m) view with one call, its
+    p broadcast from the profile; a phase of more than DRAW_BLOCK samples is
+    drawn in runs. The r samples after the last whole period follow in
+    sample order. This is the same stream as one whole-record call.
+    """
+    counts = np.empty(n_samples, dtype=np.int64)
+    m = profile.size
+    q = n_samples // m
+    periods = counts[: q * m].reshape(q, m)
+    width = max(DRAW_BLOCK // q, 1)  # phases in a block
+    for k0 in range(0, m, width):
+        k1 = min(k0 + width, m)
+        for j0 in range(0, q, DRAW_BLOCK):  # one run, unless a phase outgrows a block
+            j1 = min(j0 + DRAW_BLOCK, q)
+            drawn = rng.binomial(n, profile[k0:k1, None], (k1 - k0, j1 - j0))
+            periods[j0:j1, k0:k1] = drawn.T
+    counts[q * m :] = rng.binomial(n, profile[: n_samples - q * m])
+    return counts
 
 
 def synthesize_run(
@@ -374,7 +382,7 @@ def synthesize_run(
     seed,
     modulation=None,
     extensions=None,
-    photons=None,
+    plan=None,
 ):
     """Simulate the raw split-detector record for a modulated run.
 
@@ -385,29 +393,26 @@ def synthesize_run(
     its test oracle). The sampled drive repeats every P =
     ``modulation_period`` samples, so the kernel runs on min(P, N) sample
     times, and the counts are drawn from that one-period profile in phase
-    order, in calls of at most DRAW_BLOCK samples (``PhotonDraw``): kernel
-    work is O(min(P, N)), the photon draws are O(N), and no full-length
-    split probability is built. Each sample's count is Binomial(n, p) at
-    its own phase; the phase order decides only which variate of the stream
-    lands on which sample. ``modulation`` sets the drive's frequency
-    (default: a 10 Hz sine); its ``amplitude`` is not read, ``dnu_peak`` is.
-    Output samples are calibrated position estimates in meters (unfiltered).
-    Deterministic for a fixed seed.
+    order, in calls of at most DRAW_BLOCK samples (``split_profile``,
+    ``_draw_counts``): kernel work is O(min(P, N)), the photon draws are
+    O(N), and no full-length split probability is built. Each sample's count
+    is Binomial(n, p) at its own phase; the phase order decides only which
+    variate of the stream lands on which sample. ``modulation`` sets the
+    drive's frequency (default: a 10 Hz sine); its ``amplitude`` is not
+    read, ``dnu_peak`` is. Output samples are calibrated position estimates
+    in meters (unfiltered). Deterministic for a fixed seed.
 
     The ``RecordPlan`` built from the arguments checks them before anything
-    is drawn. A recipe that holds the request's plan passes ``photons``,
-    this record's ``PhotonDraw`` from that plan, instead.
+    is drawn. A recipe passes its request's ``plan`` instead, and then only
+    ``dnu_peak`` and ``seed`` are read from the arguments.
     """
-    photons = photons or PhotonDraw(
-        RecordPlan.build(
-            physics, duration, sample_rate, n_per_sample,
-            (modulation or ModulationConfig()).mod_frequency, extensions or NoiseExtensions(),
-        ),
-        dnu_peak, seed,
+    plan = plan or RecordPlan.build(
+        physics, duration, sample_rate, n_per_sample,
+        (modulation or ModulationConfig()).mod_frequency, extensions or NoiseExtensions(),
     )
-    n_right = photons.draw()
+    rng, n_samples = np.random.default_rng(seed), plan.n_samples
+    n_right = _draw_counts(rng, plan.n_detected, split_profile(plan, dnu_peak), n_samples)
     # The noise-extension draws follow the counts from the same stream, whole-record calls.
-    plan, rng, n_samples = photons.plan, photons.rng, n_right.size
     total = float(plan.n_detected)
     if plan.extensions.dark_count_rate > 0.0:
         dark = rng.poisson(plan.dark_mean, n_samples)

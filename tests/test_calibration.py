@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wvfreq import cli
 from wvfreq.calibration import (
     ReferenceLine,
     ScanCalibration,
@@ -132,6 +133,20 @@ class TestFitScanCalibration:
         unscaled = fit_scan_calibration(np.arange(1, 7), rb_lines)
         assert cal.slope == pytest.approx(unscaled.slope * 1e153, rel=1e-12)
         assert cal.slope_error == pytest.approx(unscaled.slope_error * 1e153, rel=1e-12)
+
+    def test_reference_spread_beyond_float64_is_named(self, tmp_path, capsys):
+        # Positions 3.0 ... 3.5 against references 1 ... 5 MHz and 1e300 MHz:
+        # the references' sum of squared deviations overflows, and the
+        # refusal names them instead of numpy's square.
+        positions = tmp_path / "positions.txt"
+        positions.write_text("".join(f"{3.0 + i / 10}\n" for i in range(6)))
+        references = tmp_path / "references.txt"
+        references.write_text("a, 1\nb, 2\nc, 3\nd, 4\ne, 5\nf, 1e300\n")
+        assert cli.main(["calibrate", str(positions), "--references", str(references)]) == 4
+        assert capsys.readouterr().err == (
+            "numerical error: the spread of the reference frequencies cannot be squared "
+            "in float64: sum of squared deviations = inf\n"
+        )
 
 
 class TestFitProperties:

@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from wvfreq import cli, recipes
+from wvfreq import cli, recipes, signal_chain
 from wvfreq.config import (
     ExperimentConfig,
     config_from_file,
@@ -19,7 +19,7 @@ from wvfreq.config import (
     resolved_metadata,
 )
 from wvfreq.errors import ValidationError
-from wvfreq.signal_chain import timeseries_from_csv
+from wvfreq.signal_chain import ELECTRONIC_NOISE_MAX, timeseries_from_csv
 from wvfreq.units import csv_columns, parse_quantity
 
 
@@ -431,7 +431,7 @@ class TestCli:
         # No sweep message carries a "sweep point 0" prefix.
         with (
             mock.patch.object(recipes, "synthesize_run", side_effect=AssertionError) as run,
-            mock.patch.object(recipes.PhotonDraw, "draw", side_effect=AssertionError) as draw,
+            mock.patch.object(signal_chain, "_draw_counts", side_effect=AssertionError) as draw,
         ):
             assert cli.main([command, flag]) == 2
         assert run.call_count == draw.call_count == 0
@@ -475,6 +475,26 @@ class TestCli:
             assert np.all(np.isfinite(fit)) and fit[1] > 0.0
             fits.append(np.array(fit) / noise)
         np.testing.assert_allclose(fits[1:], [fits[0]] * 2, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("noise", ["1e306m", "1e307m", "1e308m", "1.7e308m"])
+    @pytest.mark.parametrize(
+        "command", [["simulate", "--duration", "0.1s"], ["slope"], ["spectrum"]],
+        ids=["simulate", "slope", "spectrum"],
+    )
+    def test_extreme_electronic_noise_never_prints_inf(self, tmp_path, capsys, command, noise):
+        # numpy's normal draw overflows to inf without a floating-point flag,
+        # so a noise that could draw one is refused by name; below the bound a
+        # run either writes finite numbers or stops with one line.
+        out = tmp_path / "x.csv"
+        code = cli.main(command + [f"--electronic-noise={noise}", "-o", str(out)])
+        err = capsys.readouterr().err
+        if code == 0:
+            text = out.read_text().lower()
+            assert "inf" not in text and "nan" not in text
+        else:
+            assert code in (2, 3, 4) and err.count("\n") == 1
+        if float(noise[:-1]) > ELECTRONIC_NOISE_MAX:
+            assert code == 2 and err.startswith("error: electronic_noise must be <= ")
 
     def test_slope_filter_gain_cancels(self, tmp_path):
         # The lock-in kernel divides the gain back out, so a gain of 1e300

@@ -21,7 +21,7 @@ from wvfreq.noise import (
     split_noise,
     usable_range,
 )
-from wvfreq.signal_chain import NoiseExtensions, PhotonDraw, RecordPlan, synthesize_run
+from wvfreq.signal_chain import NoiseExtensions, RecordPlan, split_profile, synthesize_run
 
 SIGMA = 388e-6
 
@@ -453,9 +453,9 @@ class TestSplitNoise:
         plan = RecordPlan.build(
             physics, 10.0, 1000.0, physics.n_photons_per_sample(), 10.0, NoiseExtensions()
         )
-        draw = PhotonDraw(plan, 1e12, seed=42)
-        record = synthesize_run(1e12, 10.0, 1000.0, physics, plan.n_per_sample, 42, photons=draw)
-        mean = plan.calibration * (2.0 * np.tile(draw.profile, 100) - 1.0)
-        predicted = split_noise(plan.calibration, plan.n_detected, draw.profile)
+        record = synthesize_run(1e12, 10.0, 1000.0, physics, plan.n_per_sample, 42, plan=plan)
+        profile = split_profile(plan, 1e12)
+        mean = plan.calibration * (2.0 * np.tile(profile, 100) - 1.0)
+        predicted = split_noise(plan.calibration, plan.n_detected, profile)
         assert (record.samples - mean).std() == pytest.approx(predicted, rel=0.03, abs=0.0)
         assert predicted < 0.8 * split_noise(plan.calibration, plan.n_detected, 0.5)

@@ -18,7 +18,7 @@ from oracles import (
     serial_spectrum_pair,
     stage_coefficients,
 )
-from wvfreq import cli, recipes
+from wvfreq import cli, recipes, signal_chain
 from wvfreq.config import ExperimentConfig, resolve
 from wvfreq.errors import AliasingError, ValidationError
 from wvfreq.interferometer import dark_port_split_probability
@@ -32,9 +32,9 @@ from wvfreq.signal_chain import (
     FilterSpec,
     ModulationConfig,
     NoiseExtensions,
-    PhotonDraw,
     RecordPlan,
     TimeSeries,
+    _draw_counts,
     bandpass,
     cascade_response,
     extract_peaks,
@@ -44,6 +44,7 @@ from wvfreq.signal_chain import (
     modulation_period,
     power_spectrum,
     slope_fit,
+    split_profile,
     synthesize_run,
     timeseries_from_csv,
     timeseries_to_csv,
@@ -641,18 +642,19 @@ class TestSynthesizeRun:
         # The counts of the q whole periods of m samples are one binomial
         # stream over the profile's phases, each repeated q times, then r
         # samples in sample order; no call draws more than DRAW_BLOCK.
-        record = PhotonDraw(plan_for(physics, duration, sample_rate, mod_frequency), 7.4e6, 29)
+        plan = plan_for(physics, duration, sample_rate, mod_frequency)
+        profile = split_profile(plan, 7.4e6)
+        calls = BinomialCalls(np.random.default_rng(29))
+        counts = _draw_counts(calls, plan.n_detected, profile, plan.n_samples)
         m, q, r = shape
-        assert (record.profile.size, *divmod(record.counts.size, m)) == shape
-        record.rng = calls = BinomialCalls(record.rng)
-        record.draw()
+        assert (profile.size, *divmod(counts.size, m)) == shape
         assert max(calls.sizes) <= DRAW_BLOCK
-        assert sum(calls.sizes) == record.counts.size
+        assert sum(calls.sizes) == counts.size
         rng = np.random.default_rng(29)
-        whole = rng.binomial(record.plan.n_detected, np.repeat(record.profile, q))
-        rest = rng.binomial(record.plan.n_detected, record.profile[:r])
+        whole = rng.binomial(plan.n_detected, np.repeat(profile, q))
+        rest = rng.binomial(plan.n_detected, profile[:r])
         expected = np.concatenate([whole.reshape(m, q).T.ravel(), rest])
-        assert record.counts.tobytes() == expected.tobytes()
+        assert counts.tobytes() == expected.tobytes()
 
     def test_each_phase_draws_its_own_law(self, physics):
         # A driven 100 s record at the defaults: each phase's mean count lies
@@ -660,14 +662,16 @@ class TestSynthesizeRun:
         # standard errors from one phase to the next (the median step), so
         # counts stored at another phase's samples fail it.
         cfg = physics.config
-        record = PhotonDraw(plan_for(physics, 100.0), cfg.spectrum_dnu, cfg.seed)
-        phases = record.draw().reshape(-1, 100)
+        plan = plan_for(physics, 100.0)
+        profile = split_profile(plan, cfg.spectrum_dnu)
+        rng = np.random.default_rng(cfg.seed)
+        phases = _draw_counts(rng, plan.n_detected, profile, plan.n_samples).reshape(-1, 100)
         t = np.arange(100) / cfg.sample_rate
         dnu = cfg.spectrum_dnu * np.sin(2.0 * np.pi * cfg.mod_frequency * t)
         p = dark_port_split_probability(
             physics.kick_of_shift(dnu), physics.state, cfg.background_fraction
         )
-        n = record.plan.n_detected
+        n = plan.n_detected
         standard_error = np.sqrt(n * p * (1.0 - p) / phases.shape[0])
         assert np.median(np.abs(np.diff(n * p)) / standard_error[1:]) > 4.0
         assert np.all(np.abs(phases.mean(axis=0) - n * p) < 4.0 * standard_error)
@@ -680,16 +684,16 @@ class TestSynthesizeRun:
         # ulps of the phase carried through the kernel's slope: one ulp at 1
         # and 10 Hz, up to 5 at 50 Hz and 36 near 250 Hz's zero crossings.
         dnu_peak = 7.4e6
-        record = PhotonDraw(plan_for(physics, 1000.0, FS, mod_frequency), dnu_peak, 0)
+        plan = plan_for(physics, 1000.0, FS, mod_frequency)
 
         def kernel(dnu):
             return dark_port_split_probability(
                 physics.kick_of_shift(dnu), physics.state, physics.config.background_fraction
             )
 
-        phase = 2.0 * np.pi * mod_frequency * (np.arange(record.counts.size) / FS)
+        phase = 2.0 * np.pi * mod_frequency * (np.arange(plan.n_samples) / FS)
         direct = kernel(dnu_peak * np.sin(phase))
-        gap = np.abs(np.resize(record.profile, direct.size) - direct)
+        gap = np.abs(np.resize(split_profile(plan, dnu_peak), direct.size) - direct)
         slope = np.abs(np.diff(kernel(np.array([0.0, 1e3]))))[0] / 1e3
         assert np.all(gap <= np.spacing(direct) + 3.0 * slope * dnu_peak * np.spacing(phase))
         if mod_frequency <= 10.0:
@@ -851,18 +855,18 @@ class TestRecordPlan:
     def test_one_plan_per_request(self, monkeypatch, tmp_path, argv, records, layout):
         # Every record of a request is drawn from the one plan its recipe built.
         plans, draws = [], []
-        build, init = RecordPlan.build.__func__, PhotonDraw.__init__
+        build = RecordPlan.build.__func__
 
         def spy_build(cls, *args, **kwargs):
             plans.append(build(cls, *args, **kwargs))
             return plans[-1]
 
-        def spy_init(self, plan, dnu_peak, seed):
+        def spy_run(*args, plan, **kwargs):
             draws.append(plan)
-            init(self, plan, dnu_peak, seed)
+            return synthesize_run(*args, plan=plan, **kwargs)
 
         monkeypatch.setattr(RecordPlan, "build", classmethod(spy_build))
-        monkeypatch.setattr(PhotonDraw, "__init__", spy_init)
+        monkeypatch.setattr(recipes, "synthesize_run", spy_run)
         assert cli.main(argv + ["-o", str(tmp_path / "out.csv")]) == 0
         assert len(plans) == 1
         assert len(draws) == records and all(plan is plans[0] for plan in draws)
@@ -870,6 +874,29 @@ class TestRecordPlan:
         if argv == ["slope"]:
             spec = plans[0].physics.filter_spec
             assert plans[0].n_fft == cascade_response(spec, FS, 3000)[0]
+
+    @pytest.mark.parametrize(
+        "argv,kernel_runs", [(["slope"], 6), (["spectrum"], 2), (["simulate"], 1)]
+    )
+    def test_one_kernel_run_per_record(self, monkeypatch, tmp_path, argv, kernel_runs):
+        # The sweep reads each point's sigma_x from the cached profile its
+        # record was drawn from, so the kernel runs once per record.
+        calls = []
+
+        def spy_kernel(*args, **kwargs):
+            calls.append(args)
+            return dark_port_split_probability(*args, **kwargs)
+
+        split_profile.cache_clear()
+        monkeypatch.setattr(signal_chain, "dark_port_split_probability", spy_kernel)
+        assert cli.main(argv + ["-o", str(tmp_path / "out.csv")]) == 0
+        assert len(calls) == kernel_runs
+
+    def test_split_profile_is_read_only(self, physics):
+        profile = split_profile(plan_for(physics, 1.0), 7.4e6)
+        assert profile.size == 100 and not profile.flags.writeable
+        with pytest.raises(ValueError):
+            profile[0] = 0.5
 
     def test_stage_functions_agree_with_the_plan(self, physics):
         plan = plan_for(physics, 3.0, filter_spec=physics.filter_spec, segments=4)

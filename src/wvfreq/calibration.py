@@ -8,6 +8,7 @@ frequency quoted by the instrument.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -51,7 +52,7 @@ def load_reference_lines(path=None):
     The packaged set is parsed once per process; a file at ``path`` is read
     on every call. File format: ``name, relative_frequency_mhz[, note]``
     records with '#' comments. Frequencies are returned in Hz, and must be
-    strictly ordered.
+    finite there and strictly ordered.
     """
     if path is None:
         return _packaged_reference_lines()
@@ -60,8 +61,10 @@ def load_reference_lines(path=None):
         fields = [f.strip() for f in line.split(",")]
         if len(fields) < 2:
             raise ValidationError(f"{where}: reference record needs name, MHz")
-        mhz = finite_number(fields[1], where)
-        lines.append(ReferenceLine(label=fields[0], relative_frequency=mhz * 1e6))
+        hz = finite_number(fields[1], where) * 1e6
+        if not math.isfinite(hz):
+            raise ValidationError(f"{where}: {fields[1]} MHz is not a finite frequency in Hz")
+        lines.append(ReferenceLine(label=fields[0], relative_frequency=hz))
     rel = [line.relative_frequency for line in lines]
     if any(b <= a for a, b in zip(rel, rel[1:])):
         raise ValidationError("reference lines must be strictly increasing in frequency")

@@ -263,8 +263,15 @@ def calibrate_apex_angle(target_slope, path_length, carrier, material):
     apex angle gamma = 2*asin(1/sqrt(n0^2 + r^2)) only describes the prism.
     Getting r back from gamma would cancel near grazing incidence, where r is
     small. r falls strictly with gamma on (0, 2*asin(1/n0)), so a target
-    outside the slopes of that bracket is provably unreachable.
+    outside the slopes of that bracket is provably unreachable. The point
+    depends on these four arguments alone, so it is computed once per
+    process for each (``_calibrated_point``).
     """
+    return _calibrated_point(target_slope, path_length, carrier, material)
+
+
+@functools.lru_cache(maxsize=32)
+def _calibrated_point(target_slope, path_length, carrier, material):
     if path_length <= 0:
         raise ValidationError(f"path length must be positive, got {path_length}")
     wavelength = carrier.wavelength

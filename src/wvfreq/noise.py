@@ -20,6 +20,7 @@ lambda^2, at the index where the kick reaches the k*sigma threshold. It and
 ``ideal_sensitivity`` read the prism's ``dispersion.OperatingPoint``.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,7 +128,14 @@ def usable_range(point, sigma, threshold=0.5):
     window the result is clamped there and flagged. A root that does not
     give back dn through ``index_step`` to 1e-9 is refused: below a step of
     about 1.5e-33 (fused silica at 780 nm) ``np.roots`` returns that root as 0.
+    The range depends on these three arguments alone, so it is computed once
+    per process for each (``_usable_range``).
     """
+    return _usable_range(point, sigma, threshold)
+
+
+@functools.lru_cache(maxsize=32)
+def _usable_range(point, sigma, threshold):
     if not 0.0 < threshold <= 1.0:
         raise ValidationError(f"threshold must lie in (0, 1], got {threshold}")
     material, carrier = point.prism.material, point.carrier

@@ -53,6 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dispersion import dispersive_deflection, momentum_kick
 from .errors import AliasingError, ValidationError
 from .interferometer import (
     dark_port_split_calibration,
@@ -70,11 +71,17 @@ POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).ma
 # fit: bounds the draw's temporaries.
 DRAW_BLOCK = 1 << 16
 _INTP_MAX = np.iinfo(np.intp).max  # numpy's largest array, in bytes
-# numpy's normal draw stays within 13.71 standard deviations: its ziggurat tail
-# returns r - log1p(-u) / r with r = 3.654 and u a 53-bit uniform below 1, so at
-# most 3.654 + 53 ln 2 / 3.654. Electronic noise up to DBL_MAX / 16 rms draws no
-# inf, with room left for the position estimate it is added to.
+# numpy's normal draw stays within NORMAL_DRAW_MAX standard deviations: its
+# ziggurat tail returns r - log1p(-u) / r with r = 3.654 and u a 53-bit uniform
+# below 1, so at most 3.654 + 53 ln 2 / 3.654. Electronic noise up to
+# DBL_MAX / 16 rms draws no inf, with room left for the position estimate it is
+# added to.
+NORMAL_DRAW_MAX = 13.71
 ELECTRONIC_NOISE_MAX = np.finfo(float).max / 16
+# ``split_profile`` caches at most PROFILE_CACHE_ENTRIES profiles of at most
+# PROFILE_CACHE_SAMPLES float64 values: 32 x 4096 x 8 bytes = 1 MiB.
+PROFILE_CACHE_ENTRIES = 32
+PROFILE_CACHE_SAMPLES = 1 << 12
 
 
 @dataclass
@@ -314,35 +321,61 @@ class RecordPlan:
             raise ValidationError(
                 f"{dark_mean:.3g} dark counts per sample exceed the Poisson draw's int64 range"
             )
+        calibration = dark_port_split_calibration(state, beta)
         n_fft = per_cycle = seg_len = 0
         if filter_spec is not None:
             n_fft, _ = cascade_response(filter_spec, sample_rate, n_samples)
             per_cycle = samples_per_cycle(1.0 / mod_frequency, sample_rate)
         if segments is not None:
             seg_len = segment_length(n_samples, segments)
+            # A sample is at most x = c + NORMAL_DRAW_MAX sigma_e (the estimate
+            # lies in [-c, c]), and |rfft(x w)| / sum(w) <= max|x|, so a
+            # segment's power is at most x^2. The periodogram sums ``segments``
+            # of them and doubles their mean, so max(segments, 2) x^2 must be finite.
+            x_max = math.sqrt(np.finfo(float).max / max(segments, 2))
+            noise_max = (x_max - calibration) / NORMAL_DRAW_MAX
+            if extensions.electronic_noise > noise_max:
+                raise ValidationError(
+                    f"electronic_noise must be <= {noise_max:.4g} m for a {segments}-segment "
+                    f"spectrum, got {extensions.electronic_noise}"
+                )
         return cls(
             physics, duration, sample_rate, n_per_sample, mod_frequency, extensions, n_samples,
             min(modulation_period(mod_frequency, sample_rate), n_samples), n_detected,
-            dark_mean, dark_port_split_calibration(state, beta), n_fft, per_cycle, seg_len,
+            dark_mean, calibration, n_fft, per_cycle, seg_len,
         )
 
 
-@functools.lru_cache(maxsize=1)
 def split_profile(plan, dnu_peak):
     """The dark-port kernel on the plan's m = min(P, N) sample times, read-only.
 
     Sample k's split probability at drive amplitude ``dnu_peak``; the record's
-    later periods repeat it. The one cached profile is the one the last
-    record was drawn from, so a sweep reads each point's sigma_x from it
-    without running the kernel again.
+    later periods repeat it. The profile reads only the operating point, the
+    carrier, the interferometer state, ``background_fraction``, the plan's m,
+    ``sample_rate`` and ``mod_frequency``, and ``dnu_peak``: never the seed.
+    It is cached on those for the life of the process, so a sweep reads each
+    point's sigma_x from the profile its record was drawn from, and a later
+    request at the same point and drive runs no kernel. The cache holds at
+    most PROFILE_CACHE_ENTRIES profiles of at most PROFILE_CACHE_SAMPLES
+    values, 1 MiB at worst; a longer profile (m = N at a rate that shares no
+    short period with the drive) is computed on every call and never held.
     """
     physics = plan.physics
-    t = np.arange(plan.period) / plan.sample_rate
-    dnu = dnu_peak * np.sin(2.0 * np.pi * plan.mod_frequency * t)
-    # The kernel refuses |k sigma| above its limit (WeakValueValidityError).
-    profile = dark_port_split_probability(
-        physics.kick_of_shift(dnu), physics.state, physics.config.background_fraction
+    key = (
+        physics.point, physics.carrier, physics.state, physics.config.background_fraction,
+        plan.period, plan.sample_rate, plan.mod_frequency, dnu_peak,
     )
+    return (_profile if plan.period <= PROFILE_CACHE_SAMPLES else _profile.__wrapped__)(*key)
+
+
+@functools.lru_cache(maxsize=PROFILE_CACHE_ENTRIES)
+def _profile(point, carrier, state, background_fraction, period, sample_rate, mod_frequency,
+             dnu_peak):
+    t = np.arange(period) / sample_rate
+    dnu = dnu_peak * np.sin(2.0 * np.pi * mod_frequency * t)
+    # The kernel refuses |k sigma| above its limit (WeakValueValidityError).
+    kick = momentum_kick(dispersive_deflection(point, dnu), carrier)
+    profile = dark_port_split_probability(kick, state, background_fraction)
     profile.setflags(write=False)
     return profile
 
@@ -467,8 +500,10 @@ def slope_fit(shifts, deflections, errors):
     equations. Points are put in a canonical order before summation, so the
     result is bit-identical under any permutation of the inputs. The errors
     are divided by 2^k, the power of two of the largest, so that no weight
-    or sum over- or underflows, and the slope error is scaled back: the
-    scaling is exact, so the result does not depend on it.
+    or sum over- or underflows, and the slope error is scaled back; the
+    deflections are divided by 2^j, the power of two of the largest |y|, so
+    that no sum of w x y overflows, and the slope is scaled back. The
+    scalings are exact, so the result does not depend on them.
     """
     x = np.asarray(shifts, dtype=float)
     y = np.asarray(deflections, dtype=float)
@@ -481,7 +516,8 @@ def slope_fit(shifts, deflections, errors):
         raise ValidationError("errors must be positive and match the points")
     order = np.lexsort((err, y, x))
     k = np.frexp(err.max())[1]
-    x, y, err = x[order], y[order], np.ldexp(err[order], -k)
+    j = np.frexp(np.abs(y).max())[1]
+    x, y, err = x[order], np.ldexp(y[order], -j), np.ldexp(err[order], -k)
     w = 1.0 / err**2
     sw = w.sum()
     sx = (w * x).sum()
@@ -490,7 +526,7 @@ def slope_fit(shifts, deflections, errors):
     sxy = (w * x * y).sum()
     denom = sw * sxx - sx**2
     slope = (sw * sxy - sx * sy) / denom
-    return float(slope), float(np.ldexp(np.sqrt(sw / denom), k))
+    return float(np.ldexp(slope, j)), float(np.ldexp(np.sqrt(sw / denom), k))
 
 
 def hann_window(n):

@@ -148,6 +148,18 @@ class TestFitScanCalibration:
             "in float64: sum of squared deviations = inf\n"
         )
 
+    def test_reference_frequency_beyond_float64_in_hz_is_named(self, tmp_path, capsys):
+        # 1e303 MHz is a finite number, but 1e309 Hz is not: the reader
+        # refuses the line instead of handing the fit an infinite frequency.
+        positions = tmp_path / "positions.txt"
+        positions.write_text("".join(f"{3.0 + i / 10}\n" for i in range(6)))
+        references = tmp_path / "references.txt"
+        references.write_text("a, 1\nb, 2\nc, 3\nd, 4\ne, 5\nf, 1e303\n")
+        assert cli.main(["calibrate", str(positions), "--references", str(references)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {references}:6: 1e303 MHz is not a finite frequency in Hz\n"
+        )
+
 
 class TestFitProperties:
     @settings(max_examples=40)

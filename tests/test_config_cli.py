@@ -74,6 +74,7 @@ class TestConfig:
 
         calls = []
         original = dispersion.sellmeier_index
+        dispersion._calibrated_point.cache_clear()
         monkeypatch.setattr(
             dispersion, "sellmeier_index", lambda *args: calls.append(args) or original(*args)
         )
@@ -459,12 +460,12 @@ class TestCli:
         assert not (tmp_path / "x.csv").exists()
 
     def test_slope_reads_huge_electronic_noise(self, tmp_path):
-        # sigma_e^2 would overflow, and the fit's weights 1/err^2 underflow,
-        # without their power-of-two scaling. Where sigma_e swamps the shot
-        # noise, each record is sigma_e times the same normal draws, so the
-        # slope and its error scale with sigma_e.
+        # sigma_e^2 would overflow, the fit's weights 1/err^2 underflow and
+        # its sums of w x y overflow, without their power-of-two scaling.
+        # Where sigma_e swamps the shot noise, each record is sigma_e times
+        # the same normal draws, so the slope and its error scale with sigma_e.
         fits = []
-        for noise in (1e100, 1e200, 1e300):
+        for noise in (1e100, 1e200, 1e300, 1e306, 1e307):
             out = tmp_path / f"slope-{noise:g}.csv"
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -474,7 +475,7 @@ class TestCli:
             fit = [float(header[name]) for name in names]
             assert np.all(np.isfinite(fit)) and fit[1] > 0.0
             fits.append(np.array(fit) / noise)
-        np.testing.assert_allclose(fits[1:], [fits[0]] * 2, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(fits[1:], [fits[0]] * 4, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("noise", ["1e306m", "1e307m", "1e308m", "1.7e308m"])
     @pytest.mark.parametrize(
@@ -495,6 +496,28 @@ class TestCli:
             assert code in (2, 3, 4) and err.count("\n") == 1
         if float(noise[:-1]) > ELECTRONIC_NOISE_MAX:
             assert code == 2 and err.startswith("error: electronic_noise must be <= ")
+
+    def test_spectrum_refuses_noise_its_periodogram_cannot_square(self, tmp_path, capsys):
+        # A 16-segment periodogram squares samples up to c + 13.71 sigma_e and
+        # sums 16 of their powers: the plan refuses a sigma_e past that bound,
+        # and just below it the spectrum is finite.
+        plan = recipes._plan(resolve(ExperimentConfig()), 100.0, segments=16)
+        bound = float((np.sqrt(np.finfo(float).max / 16) - plan.calibration) / 13.71)
+        out = tmp_path / "x.csv"
+        for noise, code in [(bound * (1 + 1e-9), 2), (bound * (1 - 1e-9), 0)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                argv = ["spectrum", f"--electronic-noise={noise!r}m", "-o", str(out)]
+                assert cli.main(argv) == code
+            err = capsys.readouterr().err
+            if code == 2:
+                assert err == (
+                    f"error: electronic_noise must be <= {bound:.4g} m for a 16-segment "
+                    f"spectrum, got {noise!r}\n"
+                )
+            else:
+                text = out.read_text().lower()
+                assert err == "" and "inf" not in text and "nan" not in text
 
     def test_slope_filter_gain_cancels(self, tmp_path):
         # The lock-in kernel divides the gain back out, so a gain of 1e300

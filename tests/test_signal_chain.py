@@ -19,7 +19,7 @@ from oracles import (
     stage_coefficients,
 )
 from wvfreq import cli, recipes, signal_chain
-from wvfreq.config import ExperimentConfig, resolve
+from wvfreq.config import ExperimentConfig, config_from_mapping, resolve
 from wvfreq.errors import AliasingError, ValidationError
 from wvfreq.interferometer import dark_port_split_probability
 from wvfreq.noise import split_noise
@@ -28,6 +28,7 @@ from wvfreq.signal_chain import (
     DRAW_BLOCK,
     IMPULSE_TAIL,
     POISSON_MEAN_MAX,
+    PROFILE_CACHE_SAMPLES,
     STAGE_Q,
     FilterSpec,
     ModulationConfig,
@@ -441,6 +442,20 @@ class TestSlopeFit:
         for _ in range(5):
             perm = rng.permutation(9)
             assert slope_fit(x[perm], y[perm], e[perm]) == base
+
+    @pytest.mark.parametrize("j", [1022, -900])
+    def test_deflection_scale_is_exact(self, j):
+        # Scaled by 2^1022 the normal equations' sw * sum(w x y) would
+        # overflow unless the fit scales the deflections back first.
+        rng = np.random.default_rng(3)
+        x = np.linspace(7.43e5, 7.4e6, 6)
+        e = 1e-14 * (1.0 + rng.random(6))
+        y = 9.1e-18 * 78.0 * x + rng.normal(0.0, 1e-14, 6)
+        slope, error = slope_fit(x, y, e)
+        with np.errstate(all="raise"):
+            scaled_slope, scaled_error = slope_fit(x, np.ldexp(y, j), e)
+        assert scaled_slope == np.ldexp(slope, j)
+        assert scaled_error == error
 
     @pytest.mark.parametrize("k", [600, -600])
     def test_error_scale_is_exact(self, k):
@@ -887,10 +902,98 @@ class TestRecordPlan:
             calls.append(args)
             return dark_port_split_probability(*args, **kwargs)
 
-        split_profile.cache_clear()
+        signal_chain._profile.cache_clear()
         monkeypatch.setattr(signal_chain, "dark_port_split_probability", spy_kernel)
         assert cli.main(argv + ["-o", str(tmp_path / "out.csv")]) == 0
         assert len(calls) == kernel_runs
+
+    def test_second_request_mix_runs_no_seed_free_work(self, monkeypatch, tmp_path):
+        # A default slope, spectrum and simulate share 7 profiles, and none of
+        # the profiles, the apex calibration or the usable range reads the
+        # seed: the same mix at another seed runs the dark-port kernel, the
+        # Sellmeier index and the range cubic no more.
+        from wvfreq import dispersion, noise
+
+        mix = [["slope"], ["spectrum"], ["simulate", "--dnu-peak", "7.4MHz"], ["range"],
+               ["sensitivity"]]
+        signal_chain._profile.cache_clear()
+        for argv in mix:
+            assert cli.main(argv + ["--seed", "11", "-o", str(tmp_path / "out.csv")]) == 0
+        assert signal_chain._profile.cache_info().currsize == 7
+        calls = {}
+        for module, name in [
+            (signal_chain, "dark_port_split_probability"),
+            (dispersion, "sellmeier_index"),
+            (noise, "index_step_frequency"),
+        ]:
+            calls[name] = []
+            original = getattr(module, name)
+            spy = lambda *args, _log=calls[name], _fn=original: _log.append(args) or _fn(*args)
+            monkeypatch.setattr(module, name, spy)
+        for argv in mix:
+            assert cli.main(argv + ["--seed", "12", "-o", str(tmp_path / "out.csv")]) == 0
+        assert {name: len(log) for name, log in calls.items()} == dict.fromkeys(calls, 0)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("postselection", 0.02), ("phi", 0.3), ("unamplified_slope", 5e-18),
+            ("apex_angle", 1.0), ("wavelength", 8e-7), ("sigma", 3e-4), ("path_length", 0.3),
+            ("background_fraction", 0.02), ("material", "bk7"), ("sample_rate", 2000.0),
+            ("mod_frequency", 20.0), ("drive", 3.7e6),
+        ],
+    )
+    def test_profiles_are_not_shared_across_kernel_inputs(
+        self, physics, monkeypatch, field, value
+    ):
+        # Each field the kernel reads is in the profile's cache key: with the
+        # default's profile cached, a config that differs in one field gets
+        # its own kernel's values.
+        def direct(phys, plan, dnu_peak):
+            t = np.arange(plan.period) / plan.sample_rate
+            kick = phys.kick_of_shift(dnu_peak * np.sin(2.0 * np.pi * plan.mod_frequency * t))
+            return dark_port_split_probability(
+                kick, phys.state, phys.config.background_fraction
+            )
+
+        base_plan = plan_for(physics, 1.0)
+        base = split_profile(base_plan, 7.4e6)
+        dnu_peak = value if field == "drive" else 7.4e6
+        changed = physics if field == "drive" else resolve(config_from_mapping({field: value}))
+        cfg = changed.config
+        plan = plan_for(changed, 1.0, cfg.sample_rate, cfg.mod_frequency)
+        runs = []
+        spy = lambda *args: runs.append(args) or dark_port_split_probability(*args)  # noqa: E731
+        monkeypatch.setattr(signal_chain, "dark_port_split_probability", spy)
+        profile = split_profile(plan, dnu_peak)
+        assert np.array_equal(profile, direct(changed, plan, dnu_peak))
+        assert not np.array_equal(profile, base)
+        # Both stay cached, each under its own key.
+        assert split_profile(base_plan, 7.4e6) is base and split_profile(plan, dnu_peak) is profile
+        assert len(runs) == 1
+
+    def test_profile_cache_is_bounded_in_bytes(self, physics, monkeypatch):
+        # A record whose rate shares no short period with the drive has
+        # m = N; a profile over PROFILE_CACHE_SAMPLES values is never held,
+        # so the cache never holds more than its stated 1 MiB.
+        cache = signal_chain._profile
+        assert PROFILE_CACHE_SAMPLES * 8 * cache.cache_info().maxsize == 1 << 20
+        runs = []
+
+        def spy_kernel(*args, **kwargs):
+            runs.append(args)
+            return dark_port_split_probability(*args, **kwargs)
+
+        monkeypatch.setattr(signal_chain, "dark_port_split_probability", spy_kernel)
+        for n, held in [(PROFILE_CACHE_SAMPLES, 1), (PROFILE_CACHE_SAMPLES + 1, 0)]:
+            cache.cache_clear()
+            runs.clear()
+            plan = plan_for(physics, 1.0, sample_rate=n + 1e-7)
+            assert plan.period == n
+            for _ in range(2):
+                assert split_profile(plan, 7.4e6).size == n
+            assert cache.cache_info().currsize == held
+            assert len(runs) == 2 - held
 
     def test_split_profile_is_read_only(self, physics):
         profile = split_profile(plan_for(physics, 1.0), 7.4e6)

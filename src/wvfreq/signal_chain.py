@@ -79,7 +79,8 @@ _INTP_MAX = np.iinfo(np.intp).max  # numpy's largest array, in bytes
 NORMAL_DRAW_MAX = 13.71
 ELECTRONIC_NOISE_MAX = np.finfo(float).max / 16
 # ``split_profile`` caches at most PROFILE_CACHE_ENTRIES profiles of at most
-# PROFILE_CACHE_SAMPLES float64 values: 32 x 4096 x 8 bytes = 1 MiB.
+# PROFILE_CACHE_SAMPLES float64 values: 32 x 4096 x 8 bytes = 1 MiB, plus the
+# last longer profile, which is no larger than one record's sample array.
 PROFILE_CACHE_ENTRIES = 32
 PROFILE_CACHE_SAMPLES = 1 << 12
 
@@ -357,15 +358,16 @@ def split_profile(plan, dnu_peak):
     point's sigma_x from the profile its record was drawn from, and a later
     request at the same point and drive runs no kernel. The cache holds at
     most PROFILE_CACHE_ENTRIES profiles of at most PROFILE_CACHE_SAMPLES
-    values, 1 MiB at worst; a longer profile (m = N at a rate that shares no
-    short period with the drive) is computed on every call and never held.
+    values, 1 MiB at worst, plus the last longer profile (m = N at a rate
+    that shares no short period with the drive), so a sweep at such a rate
+    still reads sigma_x from the profile its record was drawn from.
     """
     physics = plan.physics
     key = (
         physics.point, physics.carrier, physics.state, physics.config.background_fraction,
         plan.period, plan.sample_rate, plan.mod_frequency, dnu_peak,
     )
-    return (_profile if plan.period <= PROFILE_CACHE_SAMPLES else _profile.__wrapped__)(*key)
+    return (_profile if plan.period <= PROFILE_CACHE_SAMPLES else _long_profile)(*key)
 
 
 @functools.lru_cache(maxsize=PROFILE_CACHE_ENTRIES)
@@ -378,6 +380,9 @@ def _profile(point, carrier, state, background_fraction, period, sample_rate, mo
     profile = dark_port_split_probability(kick, state, background_fraction)
     profile.setflags(write=False)
     return profile
+
+
+_long_profile = functools.lru_cache(maxsize=1)(_profile.__wrapped__)
 
 
 def _draw_counts(rng, n, profile, n_samples):

@@ -69,12 +69,13 @@ class TestConfig:
     @pytest.mark.parametrize("apex", [{}, {"apex_angle": "60deg"}])
     def test_index_evaluated_once_per_resolve(self, monkeypatch, apex):
         # Kick, slope, range, ideal sensitivity and metadata all read the operating point.
-        from wvfreq import dispersion
+        from wvfreq import dispersion, noise
         from wvfreq.noise import ideal_sensitivity, usable_range
 
         calls = []
         original = dispersion.sellmeier_index
         dispersion._calibrated_point.cache_clear()
+        noise._usable_range.cache_clear()
         monkeypatch.setattr(
             dispersion, "sellmeier_index", lambda *args: calls.append(args) or original(*args)
         )

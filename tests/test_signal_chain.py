@@ -891,7 +891,12 @@ class TestRecordPlan:
             assert plans[0].n_fft == cascade_response(spec, FS, 3000)[0]
 
     @pytest.mark.parametrize(
-        "argv,kernel_runs", [(["slope"], 6), (["spectrum"], 2), (["simulate"], 1)]
+        "argv,kernel_runs",
+        [
+            (["slope"], 6), (["spectrum"], 2), (["simulate"], 1),
+            # P = 10^4 > PROFILE_CACHE_SAMPLES: the longer profile is held too.
+            (["slope", "--sample-rate", "100kHz"], 6),
+        ],
     )
     def test_one_kernel_run_per_record(self, monkeypatch, tmp_path, argv, kernel_runs):
         # The sweep reads each point's sigma_x from the cached profile its
@@ -903,6 +908,7 @@ class TestRecordPlan:
             return dark_port_split_probability(*args, **kwargs)
 
         signal_chain._profile.cache_clear()
+        signal_chain._long_profile.cache_clear()
         monkeypatch.setattr(signal_chain, "dark_port_split_probability", spy_kernel)
         assert cli.main(argv + ["-o", str(tmp_path / "out.csv")]) == 0
         assert len(calls) == kernel_runs
@@ -956,6 +962,7 @@ class TestRecordPlan:
                 kick, phys.state, phys.config.background_fraction
             )
 
+        signal_chain._profile.cache_clear()
         base_plan = plan_for(physics, 1.0)
         base = split_profile(base_plan, 7.4e6)
         dnu_peak = value if field == "drive" else 7.4e6
@@ -974,10 +981,12 @@ class TestRecordPlan:
 
     def test_profile_cache_is_bounded_in_bytes(self, physics, monkeypatch):
         # A record whose rate shares no short period with the drive has
-        # m = N; a profile over PROFILE_CACHE_SAMPLES values is never held,
-        # so the cache never holds more than its stated 1 MiB.
-        cache = signal_chain._profile
+        # m = N; a profile over PROFILE_CACHE_SAMPLES values goes to a
+        # one-entry cache of its own, so the cache never holds more than its
+        # stated 1 MiB plus the last longer profile.
+        cache, long_cache = signal_chain._profile, signal_chain._long_profile
         assert PROFILE_CACHE_SAMPLES * 8 * cache.cache_info().maxsize == 1 << 20
+        assert long_cache.cache_info().maxsize == 1
         runs = []
 
         def spy_kernel(*args, **kwargs):
@@ -987,13 +996,19 @@ class TestRecordPlan:
         monkeypatch.setattr(signal_chain, "dark_port_split_probability", spy_kernel)
         for n, held in [(PROFILE_CACHE_SAMPLES, 1), (PROFILE_CACHE_SAMPLES + 1, 0)]:
             cache.cache_clear()
+            long_cache.cache_clear()
             runs.clear()
             plan = plan_for(physics, 1.0, sample_rate=n + 1e-7)
             assert plan.period == n
             for _ in range(2):
                 assert split_profile(plan, 7.4e6).size == n
             assert cache.cache_info().currsize == held
-            assert len(runs) == 2 - held
+            assert long_cache.cache_info().currsize == 1 - held
+            assert len(runs) == 1
+        # A second longer profile replaces the first.
+        plan = plan_for(physics, 1.0, sample_rate=PROFILE_CACHE_SAMPLES + 2 + 1e-7)
+        assert split_profile(plan, 7.4e6).size == PROFILE_CACHE_SAMPLES + 2
+        assert long_cache.cache_info().currsize == 1 and len(runs) == 2
 
     def test_split_profile_is_read_only(self, physics):
         profile = split_profile(plan_for(physics, 1.0), 7.4e6)

@@ -182,11 +182,6 @@ class ResolvedPhysics:
     filter_spec: FilterSpec
     extensions: NoiseExtensions
 
-    def kick_of_shift(self, frequency_shift):
-        """Transverse momentum kick (rad/m) for a carrier frequency shift."""
-        delta = dispersion.dispersive_deflection(self.point, frequency_shift)
-        return dispersion.momentum_kick(delta, self.carrier)
-
     def deflection_slope(self):
         return dispersion.deflection_slope(self.point)
 

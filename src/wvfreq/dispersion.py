@@ -249,6 +249,11 @@ def momentum_kick(deflection, carrier):
     return deflection * carrier.wavenumber
 
 
+def kick_of_shift(point, frequency_shift):
+    """Transverse momentum kick (rad/m) for a frequency shift of the point's carrier."""
+    return momentum_kick(dispersive_deflection(point, frequency_shift), point.carrier)
+
+
 def deflection_slope(point):
     """Local deflection slope d(delta)/d(nu) = 2 (dn/dnu) / r in rad/Hz."""
     return 2.0 * point.index_slope / point.denominator

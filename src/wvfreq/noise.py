@@ -99,11 +99,10 @@ def ideal_sensitivity(power, point, sigma):
     Sets R = 1 at one second of integration, solves for the minimum
     deflection and converts through the local dispersion slope.
     """
-    carrier = point.carrier
-    n = photon_number(power, carrier, 1.0)
+    n = photon_number(power, point.carrier, 1.0)
     if n <= 0:
         raise ValidationError("zero photon budget: sensitivity is unbounded")
-    delta_min = 1.0 / (np.sqrt(8.0 * n / np.pi) * carrier.wavenumber * sigma)
+    delta_min = 1.0 / shot_noise_snr(n, point.carrier.wavenumber, sigma, 1.0)
     return delta_min / deflection_slope(point)
 
 

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import dispersive_deflection, momentum_kick
+from .dispersion import kick_of_shift
 from .errors import AliasingError, ValidationError
 from .interferometer import (
     dark_port_split_calibration,
@@ -297,12 +297,14 @@ class RecordPlan:
             )
         state, beta = physics.state, physics.config.background_fraction
         p_ps = postselection_probability(state.phi)
-        n_detected = int(round((p_ps + beta) * n_per_sample))
-        if n_detected > np.iinfo(np.int64).max:
+        # As Python floats, so that an overflow reaches the check as inf.
+        detected = float(p_ps + beta) * float(n_per_sample)
+        if detected > np.iinfo(np.int64).max:
             raise ValidationError(
-                f"{n_detected:.3g} detected photons per sample exceed the binomial "
+                f"{detected:.3g} detected photons per sample exceed the binomial "
                 "draw's int64 range"
             )
+        n_detected = int(round(detected))
         if p_ps * n_per_sample < 10:
             raise ValidationError(
                 f"P_ps * n_per_sample = {p_ps * n_per_sample:.2f} < 10: too few "
@@ -351,33 +353,32 @@ def split_profile(plan, dnu_peak):
     """The dark-port kernel on the plan's m = min(P, N) sample times, read-only.
 
     Sample k's split probability at drive amplitude ``dnu_peak``; the record's
-    later periods repeat it. The profile reads only the operating point, the
-    carrier, the interferometer state, ``background_fraction``, the plan's m,
-    ``sample_rate`` and ``mod_frequency``, and ``dnu_peak``: never the seed.
-    It is cached on those for the life of the process, so a sweep reads each
-    point's sigma_x from the profile its record was drawn from, and a later
-    request at the same point and drive runs no kernel. The cache holds at
-    most PROFILE_CACHE_ENTRIES profiles of at most PROFILE_CACHE_SAMPLES
-    values, 1 MiB at worst, plus the last longer profile (m = N at a rate
-    that shares no short period with the drive), so a sweep at such a rate
-    still reads sigma_x from the profile its record was drawn from.
+    later periods repeat it. The profile reads only the operating point (its
+    carrier included), the interferometer state, ``background_fraction``, the
+    plan's m, ``sample_rate`` and ``mod_frequency``, and ``dnu_peak``: never
+    the seed. It is cached on those for the life of the process, so a sweep
+    reads each point's sigma_x from the profile its record was drawn from,
+    and a later request at the same point and drive runs no kernel. The cache
+    holds at most PROFILE_CACHE_ENTRIES profiles of at most
+    PROFILE_CACHE_SAMPLES values, 1 MiB at worst, plus the last longer
+    profile (m = N at a rate that shares no short period with the drive), so
+    a sweep at such a rate still reads sigma_x from the profile its record
+    was drawn from.
     """
     physics = plan.physics
     key = (
-        physics.point, physics.carrier, physics.state, physics.config.background_fraction,
+        physics.point, physics.state, physics.config.background_fraction,
         plan.period, plan.sample_rate, plan.mod_frequency, dnu_peak,
     )
     return (_profile if plan.period <= PROFILE_CACHE_SAMPLES else _long_profile)(*key)
 
 
 @functools.lru_cache(maxsize=PROFILE_CACHE_ENTRIES)
-def _profile(point, carrier, state, background_fraction, period, sample_rate, mod_frequency,
-             dnu_peak):
+def _profile(point, state, background_fraction, period, sample_rate, mod_frequency, dnu_peak):
     t = np.arange(period) / sample_rate
     dnu = dnu_peak * np.sin(2.0 * np.pi * mod_frequency * t)
     # The kernel refuses |k sigma| above its limit (WeakValueValidityError).
-    kick = momentum_kick(dispersive_deflection(point, dnu), carrier)
-    profile = dark_port_split_probability(kick, state, background_fraction)
+    profile = dark_port_split_probability(kick_of_shift(point, dnu), state, background_fraction)
     profile.setflags(write=False)
     return profile
 

@@ -28,7 +28,7 @@ from scipy.integrate import trapezoid
 from scipy.signal import bilinear, freqz, lfilter
 
 from wvfreq.config import resolve, resolved_metadata
-from wvfreq.dispersion import SPEED_OF_LIGHT, sellmeier_index
+from wvfreq.dispersion import SPEED_OF_LIGHT, kick_of_shift, sellmeier_index
 from wvfreq.errors import DarkPortEmptyError, GrazingIncidenceError, ValidationError
 from wvfreq.interferometer import (
     DEFAULT_GRID_HALF_WIDTH,
@@ -233,7 +233,7 @@ def direct_synthesize_run(
     beta = physics.config.background_fraction
     t = np.arange(n_samples) / sample_rate
     dnu = dnu_peak * np.sin(2.0 * np.pi * modulation.mod_frequency * t)
-    p_right = dark_port_split_probability(physics.kick_of_shift(dnu), state, beta)
+    p_right = dark_port_split_probability(kick_of_shift(physics.point, dnu), state, beta)
     calibration = dark_port_split_calibration(state, beta)
     rng = np.random.default_rng(seed)
     m = min(modulation_period(modulation.mod_frequency, sample_rate), n_samples)

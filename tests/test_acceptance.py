@@ -16,6 +16,7 @@ from oracles import (
     exact_dark_port_mean,
 )
 from wvfreq.config import ExperimentConfig, resolve
+from wvfreq.dispersion import kick_of_shift
 from wvfreq.interferometer import amplification_factor, weak_value_magnitude
 from wvfreq.noise import (
     ideal_sensitivity,
@@ -158,7 +159,7 @@ def test_criterion_7_monte_carlo_snr(physics, split_replicas):
         p_ps = np.sin(phi / 2) ** 2
         n_detected = int(round(p_ps * n_injected))
         for shift in shifts:
-            k = physics.kick_of_shift(shift)
+            k = kick_of_shift(physics.point, shift)
             profile = dark_port_profile(k, state, x)
             estimates = split_replicas(
                 x, profile, n_detected, n_reps,
@@ -248,7 +249,7 @@ def test_criterion_10_determinism(physics, split_replicas):
 
     state = physics.state
     x = dark_port_grid(state)
-    profile = dark_port_profile(physics.kick_of_shift(9.5e9), state, x)
+    profile = dark_port_profile(kick_of_shift(physics.point, 9.5e9), state, x)
     mc_a = split_replicas(x, profile, 10_000, 50, base_seed=4)
     mc_b = split_replicas(x, profile, 10_000, 50, base_seed=4)
     mc_ok = np.array_equal(mc_a, mc_b)

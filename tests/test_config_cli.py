@@ -18,6 +18,7 @@ from wvfreq.config import (
     resolve,
     resolved_metadata,
 )
+from wvfreq.dispersion import kick_of_shift
 from wvfreq.errors import ValidationError
 from wvfreq.signal_chain import ELECTRONIC_NOISE_MAX, timeseries_from_csv
 from wvfreq.units import csv_columns, parse_quantity
@@ -81,7 +82,7 @@ class TestConfig:
         )
         physics = resolve(config_from_mapping(apex))
         assert len(calls) == 1
-        physics.kick_of_shift(np.linspace(-7.4e6, 7.4e6, 5))
+        kick_of_shift(physics.point, np.linspace(-7.4e6, 7.4e6, 5))
         physics.deflection_slope()
         usable_range(physics.point, 388e-6)
         ideal_sensitivity(2e-3, physics.point, 388e-6)
@@ -446,7 +447,6 @@ class TestCli:
     @pytest.mark.parametrize(
         "args",
         [
-            ["simulate", "--duration", "0.1s", "--background-fraction=1e300"],
             ["simulate", "--sigma=1e300"],  # a Python float overflow, not a numpy one
         ],
     )
@@ -574,7 +574,7 @@ class TestCli:
         span = table[0][0]
         assert 0.18 < span < 0.19
         physics = resolve(config_from_mapping({"sigma": "1e10"}))
-        assert physics.kick_of_shift(span) * 1e10 == pytest.approx(0.5, rel=1e-12)
+        assert kick_of_shift(physics.point, span) * 1e10 == pytest.approx(0.5, rel=1e-12)
 
     @pytest.mark.parametrize("path_length", ["3e-7", "2.7e-7"])
     def test_calibration_next_to_grazing_incidence(self, capsys, path_length):
@@ -605,12 +605,14 @@ class TestCli:
             assert captured.err == f"error: apex angle must lie in [1e-09, pi), got {value}\n"
 
     def test_photon_count_beyond_int64_exit_code(self, capsys):
-        assert cli.main(["simulate", "--power", "1e200W", "--duration", "0.1s"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
-        assert captured.err.endswith("exceed the binomial draw's int64 range\n")
-        assert captured.err.count("\n") == 1
+        # A background fraction near 1e300 overflows the photon count itself.
+        for flag in ("--power=1e200W", "--background-fraction=1e300"):
+            assert cli.main(["simulate", flag, "--duration", "0.1s"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert captured.err.endswith("exceed the binomial draw's int64 range\n")
+            assert captured.err.count("\n") == 1
 
     def test_record_too_long_exit_code(self, capsys):
         # 1e15 s at 1 kHz asks numpy for 8e18 bytes, more than any 64-bit
@@ -865,17 +867,20 @@ class TestParserReuse:
         assert out == "0\n"
 
 
-# One process runs these steps in order and lists the scipy, fractions and
-# decimal modules loaded after each step. No step may load any of them; the
-# first step after the import also reads its simulated record back. The
+# One process runs these steps in order. After ``import wvfreq`` it lists the
+# numpy and wvfreq.* modules loaded, and after each later step the scipy,
+# fractions and decimal modules. No step may load any of them; the first step
+# after the import of the CLI also reads its simulated record back. The
 # script also counts the CSV writer's and reader's tables and the parsed
 # packaged data tables built by the import: none.
 _IMPORT_SCRIPT = """
 import json, sys
 out = sys.argv[1]
-loaded = lambda: sorted(
-    m for m in sys.modules if m in ("scipy", "fractions", "decimal") or m.startswith("scipy.")
+loaded = lambda roots=("scipy", "fractions", "decimal"): sorted(
+    m for m in sys.modules if m.split(".")[0] in roots
 )
+import wvfreq
+steps = [[m for m in loaded(("numpy", "wvfreq")) if m != "wvfreq"]]
 import wvfreq.cli as cli
 from wvfreq import calibration, dispersion, signal_chain, units
 built = sum(
@@ -885,7 +890,7 @@ built = sum(
         dispersion.load_material_catalog, calibration._packaged_reference_lines,
     )
 )
-steps = [loaded()]
+steps.append(loaded())
 from wvfreq.calibration import load_reference_lines
 with open(out + "/positions.txt", "w") as handle:
     handle.writelines(f"{i}.0\\n" for i in range(len(load_reference_lines())))
@@ -903,6 +908,7 @@ steps.append(loaded())
 print(json.dumps([built, steps]))
 """
 _IMPORT_STEPS = (
+    "import wvfreq",
     "import wvfreq.cli",
     "simulate and its read-back, spectrum, calibrate",
     "range, sensitivity",

@@ -16,7 +16,7 @@ from oracles import (
     unamplified_deflection,
 )
 from wvfreq import interferometer
-from wvfreq.dispersion import OpticalCarrier
+from wvfreq.dispersion import OpticalCarrier, kick_of_shift
 from wvfreq.errors import (
     DarkPortEmptyError,
     DomainError,
@@ -143,7 +143,7 @@ class TestDeflections:
         from wvfreq.config import ExperimentConfig, resolve
 
         physics = resolve(ExperimentConfig())
-        k = physics.kick_of_shift(1e6)
+        k = kick_of_shift(physics.point, 1e6)
         amplified = amplified_deflection(k, physics.state)
         assert amplified == pytest.approx(720e-12, rel=0.02)
         assert amplified == pytest.approx(7.122676844358896e-10, rel=1e-9)

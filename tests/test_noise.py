@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 from oracles import dark_port_grid, dark_port_profile, split_calibration_constant
 from wvfreq import dispersion, noise
 from wvfreq.config import ExperimentConfig, resolve
-from wvfreq.dispersion import OpticalCarrier
+from wvfreq.dispersion import OpticalCarrier, kick_of_shift
 from wvfreq.errors import NumericalError, ValidationError
 from wvfreq.noise import (
     SensitivityReport,
@@ -243,7 +243,7 @@ class TestUsableRange:
         span = usable_range(physics.point, sigma, threshold=0.5)
         assert not span.clamped
         assert span.frequency_span == pytest.approx(expected, rel=1e-5)
-        kick = physics.kick_of_shift(span.frequency_span)
+        kick = kick_of_shift(physics.point, span.frequency_span)
         assert kick * sigma == pytest.approx(0.5, rel=1e-12)
 
     def test_clamped_at_validity_edge(self, physics, carrier):
@@ -358,7 +358,7 @@ class TestSplitDetection:
         fs = 1000.0
         n_avg = int(tau * fs)
         slope_m_per_hz = (
-            2 * physics.kick_of_shift(1e6) * SIGMA**2
+            2 * kick_of_shift(physics.point, 1e6) * SIGMA**2
             / np.tan(physics.state.phi / 2) / 1e6
         )
         ideal = ideal_sensitivity(2e-3, physics.point, SIGMA)
@@ -386,7 +386,7 @@ class TestSplitDetection:
         state = physics.state
         n_injected = 1e8
         shift = 9.5e9
-        k = physics.kick_of_shift(shift)
+        k = kick_of_shift(physics.point, shift)
         x = dark_port_grid(state)
         profile = dark_port_profile(k, state, x)
         p_ps = np.sin(state.phi / 2) ** 2

@@ -1,11 +1,14 @@
-"""Regenerating ``results/`` reproduces the committed CSVs.
+"""Regenerating ``results/`` with the README's commands reproduces the committed CSVs.
 
-Runs the three recipes behind ``scripts/`` in-process at the default
-configuration. Header lines (metadata and column names) must match exactly;
-data values to a relative tolerance of 1e-12, which leaves room only for
-floating-point reduction order, not for a changed draw or estimator. The
-package version, which ``config_hash`` covers, agrees with pyproject.toml's.
-Outputs that no committed file covers are pinned by their sha256 digests.
+Runs the three ``wvfreq <subcommand> -o results/<name>`` commands that the
+README lists for regenerating ``results/``, through ``cli.main`` in a
+temporary directory, at the default configuration, and checks that the
+README lists exactly those commands. Header lines (metadata and column
+names) must match exactly; data values to a relative tolerance of 1e-12,
+which leaves room only for floating-point reduction order, not for a changed
+draw or estimator. The package version, which ``config_hash`` covers, agrees
+with pyproject.toml's. Outputs that no committed file covers are pinned by
+their sha256 digests.
 """
 
 import contextlib
@@ -19,22 +22,14 @@ import pytest
 
 import wvfreq
 from wvfreq import cli
-from wvfreq.config import ExperimentConfig
-from wvfreq.recipes import (
-    run_sensitivity,
-    run_slope_sweep,
-    run_spectrum_pair,
-    sensitivity_csv,
-    slope_sweep_csv,
-    spectrum_pair_csv,
-)
 
-RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-RECIPES = {
-    "slope_sweep.csv": lambda cfg: slope_sweep_csv(run_slope_sweep(cfg)),
-    "noise_spectrum.csv": lambda cfg: spectrum_pair_csv(*run_spectrum_pair(cfg)),
-    "sensitivity.csv": lambda cfg: sensitivity_csv(*run_sensitivity(cfg)),
+# The README's regeneration commands, as ``wvfreq <argv>``, in its order.
+REGENERATE = {
+    "slope_sweep.csv": ["slope", "-o", "results/slope_sweep.csv"],
+    "noise_spectrum.csv": ["spectrum", "-o", "results/noise_spectrum.csv"],
+    "sensitivity.csv": ["sensitivity", "-o", "results/sensitivity.csv"],
 }
 
 
@@ -45,13 +40,22 @@ def _split(text):
     return lines[:n_header], rows
 
 
-@pytest.mark.parametrize("name", sorted(RECIPES))
-def test_regenerated_results_match_committed(name):
-    header, rows = _split(RECIPES[name](ExperimentConfig()))
-    committed_header, committed_rows = _split((RESULTS / name).read_text())
+@pytest.mark.parametrize("name", sorted(REGENERATE))
+def test_regenerated_results_match_committed(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "results").mkdir()
+    assert cli.main(REGENERATE[name]) == 0
+    header, rows = _split((tmp_path / "results" / name).read_text())
+    committed_header, committed_rows = _split((ROOT / "results" / name).read_text())
     assert header == committed_header
     assert rows.shape == committed_rows.shape
     np.testing.assert_allclose(rows, committed_rows, rtol=1e-12, atol=0.0)
+
+
+def test_readme_lists_the_regeneration_commands():
+    section = (ROOT / "README.md").read_text().split("\n## Regenerating `results/`\n")[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    assert block.splitlines() == ["wvfreq " + " ".join(argv) for argv in REGENERATE.values()]
 
 
 @pytest.mark.parametrize(
@@ -84,6 +88,6 @@ def test_uncommitted_outputs_keep_their_bytes(argv, digest):
 def test_package_and_project_versions_agree():
     # config_hash covers __version__, so a change that moves output bytes bumps
     # both. A regex reads pyproject.toml: tomllib is missing before Python 3.11.
-    pyproject = (RESULTS.parent / "pyproject.toml").read_text()
+    pyproject = (ROOT / "pyproject.toml").read_text()
     versions = re.findall(r'^version\s*=\s*"([^"]+)"', pyproject, flags=re.MULTILINE)
     assert versions == [wvfreq.__version__]

@@ -20,6 +20,7 @@ from oracles import (
 )
 from wvfreq import cli, recipes, signal_chain
 from wvfreq.config import ExperimentConfig, config_from_mapping, resolve
+from wvfreq.dispersion import kick_of_shift
 from wvfreq.errors import AliasingError, ValidationError
 from wvfreq.interferometer import dark_port_split_probability
 from wvfreq.noise import split_noise
@@ -684,7 +685,7 @@ class TestSynthesizeRun:
         t = np.arange(100) / cfg.sample_rate
         dnu = cfg.spectrum_dnu * np.sin(2.0 * np.pi * cfg.mod_frequency * t)
         p = dark_port_split_probability(
-            physics.kick_of_shift(dnu), physics.state, cfg.background_fraction
+            kick_of_shift(physics.point, dnu), physics.state, cfg.background_fraction
         )
         n = plan.n_detected
         standard_error = np.sqrt(n * p * (1.0 - p) / phases.shape[0])
@@ -703,7 +704,7 @@ class TestSynthesizeRun:
 
         def kernel(dnu):
             return dark_port_split_probability(
-                physics.kick_of_shift(dnu), physics.state, physics.config.background_fraction
+                kick_of_shift(physics.point, dnu), physics.state, physics.config.background_fraction
             )
 
         phase = 2.0 * np.pi * mod_frequency * (np.arange(plan.n_samples) / FS)
@@ -957,7 +958,8 @@ class TestRecordPlan:
         # its own kernel's values.
         def direct(phys, plan, dnu_peak):
             t = np.arange(plan.period) / plan.sample_rate
-            kick = phys.kick_of_shift(dnu_peak * np.sin(2.0 * np.pi * plan.mod_frequency * t))
+            dnu = dnu_peak * np.sin(2.0 * np.pi * plan.mod_frequency * t)
+            kick = kick_of_shift(phys.point, dnu)
             return dark_port_split_probability(
                 kick, phys.state, phys.config.background_fraction
             )

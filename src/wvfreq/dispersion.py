@@ -35,7 +35,7 @@ from .errors import (
     UnreachableSlopeError,
     ValidationError,
 )
-from .units import data_lines, finite_number
+from .units import data_lines, finite_number, fmt
 
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact SI value
 TWO_PI = 2.0 * np.pi
@@ -136,7 +136,7 @@ def _check_window(model, lam):
     if np.any(lam < lo) or np.any(lam > hi):
         raise DomainError(
             f"wavelength outside {model.name} validity range "
-            f"[{lo:.3e}, {hi:.3e}] m: {np.min(lam):.6e}..{np.max(lam):.6e} m"
+            f"[{lo:.3e}, {hi:.3e}] m: {fmt(np.min(lam))}..{fmt(np.max(lam))} m"
         )
 
 

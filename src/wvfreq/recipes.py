@@ -78,6 +78,9 @@ def run_slope_sweep(config):
 
     Each point reads ``lock_in_kernel @ record.samples``. Its error, the fit's
     weight, is sqrt(2 / N_w) sigma_x over the N_w samples the lock-in reads.
+    The points are drawn from the largest shift down: the shifts are >= 0, so
+    every point's drive lies within the largest's, and a kick or wavelength
+    that only the config decides is refused before the first photon.
     """
     physics = resolve(config)
     duration = (config.n_cycles + config.settle_cycles) * (1.0 / config.mod_frequency)
@@ -88,7 +91,8 @@ def run_slope_sweep(config):
     shifts = config.sweep_shifts()
     deflections = np.empty(shifts.size)
     errors = np.empty(shifts.size)
-    for i, dnu in enumerate(shifts):
+    for i in np.argsort(shifts, kind="stable")[::-1].tolist():
+        dnu = shifts[i]
         try:
             record = _record(plan, dnu, config.seed + i)
         except SimulationError as exc:

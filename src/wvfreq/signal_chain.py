@@ -43,7 +43,11 @@ sample of a period's first phase, then of its second, and so on over the
 record's whole periods, then the samples after the last whole period), in
 ``_draw_counts``'s calls of at most DRAW_BLOCK samples, the same stream as one
 whole-record call in that order, then any noise-extension draws as
-whole-record calls in sample order. A fixed seed therefore reproduces the
+whole-record calls in sample order. A run of phases that share one p and
+hold at least SCALAR_RUN variates is drawn with p as a Python float, the
+other phases with p broadcast from the profile; numpy's sampler keeps its
+state across calls and draws the same variates either way, so how a record
+is split into calls never moves a byte. A fixed seed therefore reproduces the
 output byte for byte in the same software environment.
 """
 
@@ -68,8 +72,16 @@ IMPULSE_TAIL = 1e-20  # the FFT padding outlasts the impulse response's decay to
 # The largest mean numpy's Poisson draw accepts: 10 standard deviations below int64's limit.
 POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
 # Samples per binomial call of ``_draw_counts``, whole phases of the drive where they
-# fit: bounds the draw's temporaries.
+# fit, and at most as many phases searched for runs of one p at a time: bounds the
+# draw's temporaries.
 DRAW_BLOCK = 1 << 16
+# Variates in a run of equal p from which ``_draw_counts`` passes p as a Python
+# float. numpy's binomial then skips its broadcast iterator, a few ns a variate,
+# but a run drawn on its own costs one more call, a few us: on a 2-vCPU VM
+# (Python 3.11, numpy 2.4.6) the two break even between 256 and 384 variates a
+# phase. An undriven record's one run, or a driven 100 s record's phases of 1000
+# variates, lie above it; a slope point's 30 or a 1024 Hz record's 4 lie below.
+SCALAR_RUN = 512
 _INTP_MAX = np.iinfo(np.intp).max  # numpy's largest array, in bytes
 # numpy's normal draw stays within NORMAL_DRAW_MAX standard deviations: its
 # ziggurat tail returns r - log1p(-u) / r with r = 3.654 and u a 53-bit uniform
@@ -83,6 +95,11 @@ ELECTRONIC_NOISE_MAX = np.finfo(float).max / 16
 # last longer profile, which is no larger than one record's sample array.
 PROFILE_CACHE_ENTRIES = 32
 PROFILE_CACHE_SAMPLES = 1 << 12
+# ``power_spectrum`` caches at most WINDOW_CACHE_ENTRIES windows of at most
+# WINDOW_CACHE_SAMPLES values, each with its frequency axis of half as many:
+# 8 x 16384 x 12 bytes = 1.5 MiB, plus the last longer window.
+WINDOW_CACHE_ENTRIES = 8
+WINDOW_CACHE_SAMPLES = 1 << 14
 
 
 @dataclass
@@ -392,10 +409,13 @@ def _draw_counts(rng, n, profile, n_samples):
     The record is q whole periods of m = ``profile.size`` samples and r
     more. A phase's samples share one p, so numpy's binomial sampler sets up
     once per phase and call, not once per sample: phase by phase, a block's
-    phases fill their q samples of a strided (q, m) view with one call, its
-    p broadcast from the profile; a phase of more than DRAW_BLOCK samples is
-    drawn in runs. The r samples after the last whole period follow in
-    sample order. This is the same stream as one whole-record call.
+    phases fill their q samples of a strided (q, m) view, a phase of more
+    than DRAW_BLOCK samples in pieces. Within a block, each run of phases
+    with one p whose q-fold variates reach SCALAR_RUN (an undriven record is
+    one run) is one call with that p as a Python float, and the phases
+    between such runs are one call with p broadcast from the profile. The r
+    samples after the last whole period follow in sample order. This is the
+    same stream as one whole-record call.
     """
     counts = np.empty(n_samples, dtype=np.int64)
     m = profile.size
@@ -403,13 +423,32 @@ def _draw_counts(rng, n, profile, n_samples):
     periods = counts[: q * m].reshape(q, m)
     width = max(DRAW_BLOCK // q, 1)  # phases in a block
     for k0 in range(0, m, width):
-        k1 = min(k0 + width, m)
-        for j0 in range(0, q, DRAW_BLOCK):  # one run, unless a phase outgrows a block
-            j1 = min(j0 + DRAW_BLOCK, q)
-            drawn = rng.binomial(n, profile[k0:k1, None], (k1 - k0, j1 - j0))
-            periods[j0:j1, k0:k1] = drawn.T
+        for a, b, p in _phase_runs(profile, k0, min(k0 + width, m), q):
+            for j0 in range(0, q, DRAW_BLOCK):  # one run, unless a phase outgrows a block
+                j1 = min(j0 + DRAW_BLOCK, q)
+                periods[j0:j1, a:b] = rng.binomial(n, p, (b - a, j1 - j0)).T
     counts[q * m :] = rng.binomial(n, profile[: n_samples - q * m])
     return counts
+
+
+def _phase_runs(profile, k0, k1, q):
+    """Phases k0..k1 - 1 as (start, stop, p) pieces, in order: each run of one p
+    holding at least SCALAR_RUN variates over q periods with p as a float, the
+    phases between such runs with their column of the profile."""
+    block = profile[k0:k1]
+    edges = block[1:] != block[:-1]  # edges[i]: p changes after phase k0 + i
+    done = k0
+    # Below SCALAR_RUN periods, only a run of two or more phases can reach it.
+    if q >= SCALAR_RUN or not edges.all():
+        bounds = k0 + np.flatnonzero(np.concatenate(([True], edges, [True])))
+        long = np.flatnonzero(np.diff(bounds) >= -(-SCALAR_RUN // q))
+        for start, stop in zip(bounds[long].tolist(), bounds[long + 1].tolist()):
+            if done < start:
+                yield done, start, profile[done:start, None]
+            yield start, stop, float(profile[start])
+            done = stop
+    if done < k1:
+        yield done, k1, profile[done:k1, None]
 
 
 def synthesize_run(
@@ -549,15 +588,39 @@ def segment_length(n_samples, segments):
     return n_samples // segments
 
 
+@functools.lru_cache(maxsize=WINDOW_CACHE_ENTRIES)
+def _window(seg_len, sample_rate):
+    """Hann window, coherent gain, ENBW and frequency axis of a periodogram, read-only.
+
+    They read only the segment length and the sample rate, and are cached on
+    those for the life of the process: at most WINDOW_CACHE_ENTRIES windows
+    of at most WINDOW_CACHE_SAMPLES values, 1.5 MiB at worst with their
+    frequency axes, plus the last longer window (``_long_window``), which is
+    no larger than one record's sample array.
+    """
+    win = hann_window(seg_len)
+    coherent_gain = win.sum()
+    enbw = sample_rate * (win**2).sum() / coherent_gain**2
+    freqs = np.fft.rfftfreq(seg_len, d=1.0 / sample_rate)
+    win.setflags(write=False)
+    freqs.setflags(write=False)
+    return win, coherent_gain, enbw, freqs
+
+
+_long_window = functools.lru_cache(maxsize=1)(_window.__wrapped__)
+
+
 def power_spectrum(series, segments=1):
     """One-sided Hann-windowed periodogram, segment-averaged when ``segments`` > 1.
 
     Powers are mean-square (a full-scale sine of amplitude A contributes
-    A^2/2 in its bin) and reported in dB relative to the strongest bin.
+    A^2/2 in its bin) and reported in dB relative to the strongest bin. The
+    window and frequency axis come from ``_window``'s cache, so the returned
+    ``frequencies`` are read-only and shared between calls.
     """
     seg_len = segment_length(series.samples.size, segments)
-    win = hann_window(seg_len)
-    coherent_gain = win.sum()
+    window = _window if seg_len <= WINDOW_CACHE_SAMPLES else _long_window
+    win, coherent_gain, enbw, freqs = window(seg_len, series.sample_rate)
     power = np.zeros(seg_len // 2 + 1)
     for i in range(segments):
         chunk = series.samples[i * seg_len : (i + 1) * seg_len]
@@ -567,8 +630,6 @@ def power_spectrum(series, segments=1):
     power[1:] *= 2.0  # fold negative frequencies; DC stays single-sided
     if seg_len % 2 == 0:
         power[-1] /= 2.0  # Nyquist bin is its own image
-    freqs = np.fft.rfftfreq(seg_len, d=1.0 / series.sample_rate)
-    enbw = series.sample_rate * (win**2).sum() / coherent_gain**2
     ref = float(power.max())
     if ref <= 0.0:
         ref = 1.0

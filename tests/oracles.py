@@ -13,7 +13,8 @@ and draws the photon counts in phase order, in blocks written through a
 strided view, is checked against a per-sample evaluation and one
 whole-record draw in that order, taken through a sort of the sample
 indices, and the spectrum pair against both records synthesized that way
-one after the other.
+one after the other. The periodogram, which reads its window from a cache,
+is checked against the same formula with the window built on every call.
 The CSV writer, which formats a block of cells in numpy, is checked against
 a per-row f-string writer, and the reader, which parses cells as integers
 and scales them, against one ``np.fromstring`` call on the whole body. None
@@ -42,9 +43,12 @@ from wvfreq.signal_chain import (
     NoiseExtensions,
     RecordPlan,
     STAGE_Q,
+    Spectrum,
     TimeSeries,
+    hann_window,
     modulation_period,
     power_spectrum,
+    segment_length,
 )
 from wvfreq.units import fmt
 
@@ -324,3 +328,25 @@ def fromstring_columns(text, columns):
     if values.size != n_rows * width:
         raise ValidationError("CSV body holds a value that is not a number")
     return metadata, np.ascontiguousarray(values.reshape(n_rows, width).T)
+
+
+def direct_power_spectrum(series, segments=1):
+    """``power_spectrum`` with its window, gains and frequency axis built on every call."""
+    seg_len = segment_length(series.samples.size, segments)
+    win = hann_window(seg_len)
+    coherent_gain = win.sum()
+    power = np.zeros(seg_len // 2 + 1)
+    for i in range(segments):
+        chunk = series.samples[i * seg_len : (i + 1) * seg_len]
+        power += np.abs(np.fft.rfft(chunk * win) / coherent_gain) ** 2
+    power /= segments
+    power[1:] *= 2.0
+    if seg_len % 2 == 0:
+        power[-1] /= 2.0
+    freqs = np.fft.rfftfreq(seg_len, d=1.0 / series.sample_rate)
+    enbw = series.sample_rate * (win**2).sum() / coherent_gain**2
+    ref = float(power.max())
+    if ref <= 0.0:
+        ref = 1.0
+    power_db = 10.0 * np.log10(np.maximum(power, 1e-300) / ref)
+    return Spectrum(frequencies=freqs, power_db=power_db, resolution_bw=enbw, ref_power=ref)

@@ -658,6 +658,52 @@ class TestCli:
         )
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "args,code,message",
+        [
+            (
+                ["--sweep-max", "6THz"], 3,
+                "physics validity error: sweep point 5 (dnu=6e+12 Hz): k*sigma = 0.632 "
+                "exceeds 0.5, the range of the dark-port kernel",
+            ),
+            (
+                ["--wavelength", "210.0001nm", "--sweep-max", "1THz"], 2,
+                "error: sweep point 5 (dnu=1e+12 Hz): wavelength outside fused_silica "
+                "validity range [2.100e-07, 3.710e-06] m: "
+                "2.0985310106446028e-07..2.1014730502097871e-07 m",
+            ),
+        ],
+        ids=["kernel-range", "sellmeier-window"],
+    )
+    def test_sweep_refused_before_any_photon(self, capsys, args, code, message):
+        # Both refusals depend only on the config and grow with the shift, so
+        # the sweep draws its largest point first: it is refused there, and
+        # no photon of a smaller point is drawn.
+        records = []
+        run = recipes.synthesize_run
+
+        def spy_run(dnu_peak, *rest, **kwargs):
+            records.append(dnu_peak)
+            return run(dnu_peak, *rest, **kwargs)
+
+        with (
+            mock.patch.object(recipes, "synthesize_run", spy_run),
+            mock.patch.object(signal_chain, "_draw_counts", side_effect=AssertionError) as draw,
+        ):
+            assert cli.main(["slope", *args]) == code
+        assert draw.call_count == 0
+        assert records == [float(args[-1].removesuffix("THz")) * 1e12]
+        assert capsys.readouterr().err == message + "\n"
+
+    def test_wavelength_outside_window_prints_its_digits(self, capsys):
+        # 210 nm lies just inside the window, but a 7.4 MHz drive moves it
+        # below 2.1e-07 m; the message prints the offending minimum with
+        # enough digits to show that it is below the window's edge.
+        assert cli.main(["slope", "--wavelength", "210nm"]) == 2
+        err = capsys.readouterr().err
+        lowest = err.rsplit(" m: ", 1)[1].split("..")[0]
+        assert float(lowest) < 2.1e-07
+
     def test_negative_seed_exit_code(self, tmp_path, capsys):
         code = cli.main(
             ["simulate", "--seed", "-1", "--duration", "0.1s",

@@ -70,8 +70,16 @@ def test_readme_lists_the_regeneration_commands():
             ["slope", "--dark-count-rate", "1kHz", "--electronic-noise", "1e-9m"],
             "d1dd6302d680a49234a6b0723e6eb1978525bf49bebd6ae9541e9464f67f7c9b",
         ),
+        # Both records drawn with scalar-p runs: 1000 samples a phase, and one
+        # undriven run. results/noise_spectrum.csv is compared to 1e-12 only.
+        (["spectrum"], "a174ee62a292368002f434ba28d38a5aef2439891dd29fa5cd391980540ba02f"),
+        (
+            ["simulate", "--duration", "10s"],
+            "10f51c640c79ebeb7e4907a981035fb96d52f6fd753787ba17fbc55bb6beaf8e",
+        ),
     ],
-    ids=["simulate", "range", "slope-noise"],  # a re-taken digest keeps its test's name
+    # A re-taken digest keeps its test's name.
+    ids=["simulate", "range", "slope-noise", "spectrum", "simulate-undriven"],
 )
 def test_uncommitted_outputs_keep_their_bytes(argv, digest):
     """Byte for byte in the same software environment, as ``config_hash`` promises.

@@ -11,6 +11,7 @@ from scipy.signal import freqz, get_window
 from oracles import (
     dark_port_grid,
     dark_port_profile,
+    direct_power_spectrum,
     direct_synthesize_run,
     frequency_response,
     lfilter_cascade,
@@ -30,7 +31,9 @@ from wvfreq.signal_chain import (
     IMPULSE_TAIL,
     POISSON_MEAN_MAX,
     PROFILE_CACHE_SAMPLES,
+    SCALAR_RUN,
     STAGE_Q,
+    WINDOW_CACHE_SAMPLES,
     FilterSpec,
     ModulationConfig,
     NoiseExtensions,
@@ -527,6 +530,49 @@ class TestPowerSpectrum:
         assert np.array_equal(spec.power_db, 10.0 * np.log10(power / ref))
         assert spec.resolution_bw == FS * (win**2).sum() / win.sum() ** 2
 
+    @pytest.mark.parametrize(
+        "n,segments,sample_rate",
+        [(100_000, 16, FS), (2048, 4, 1024.0), (1001, 1, 1000.5), (40_000, 2, FS)],
+    )
+    def test_matches_uncached_formula(self, n, segments, sample_rate):
+        # The cached window, gains and axis give the uncached formula's bits,
+        # on the first call and on a call that finds them cached.
+        series = TimeSeries(sample_rate, np.random.default_rng(n).normal(0, 1, n))
+        expected = direct_power_spectrum(series, segments)
+        for _ in range(2):
+            spec = power_spectrum(series, segments)
+            assert spec.frequencies.tobytes() == expected.frequencies.tobytes()
+            assert spec.power_db.tobytes() == expected.power_db.tobytes()
+            assert spec.resolution_bw == expected.resolution_bw
+            assert spec.ref_power == expected.ref_power
+
+    def test_window_cache_is_read_only_and_bounded_in_bytes(self):
+        # A window and its frequency axis take 8 + 4 bytes a sample (the axis
+        # holds half as many values): the cache holds its stated 1.5 MiB, and
+        # a longer segment goes to a one-entry cache of its own.
+        cache, long_cache = signal_chain._window, signal_chain._long_window
+        entries = cache.cache_info().maxsize
+        assert entries * WINDOW_CACHE_SAMPLES * 12 == 3 << 19
+        assert long_cache.cache_info().maxsize == 1
+        for seg_len, used, unused in [
+            (WINDOW_CACHE_SAMPLES, cache, long_cache),
+            (WINDOW_CACHE_SAMPLES + 1, long_cache, cache),
+        ]:
+            cache.cache_clear()
+            long_cache.cache_clear()
+            series = TimeSeries(FS, np.ones(seg_len))
+            freqs = power_spectrum(series).frequencies
+            assert (used.cache_info().currsize, unused.cache_info().currsize) == (1, 0)
+            win, _, _, cached_freqs = used(seg_len, FS)
+            assert cached_freqs is freqs and power_spectrum(series).frequencies is freqs
+            assert win.nbytes + freqs.nbytes <= seg_len * 12 + 8
+            for array in (win, freqs):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1.0
+        for seg_len in range(16, 16 + entries + 4):
+            power_spectrum(TimeSeries(FS, np.ones(seg_len)))
+        assert cache.cache_info().currsize == entries
+
     def test_rejects_empty_and_bad_segments(self):
         with pytest.raises(ValidationError):
             power_spectrum(TimeSeries(sample_rate=FS, samples=np.zeros(8)))
@@ -616,6 +662,8 @@ class TestSynthesizeRun:
             (FS, 70.0, 10.0, 100),  # 700 periods: a block of 93 phases, then 7 phases
             (1024.0, 128.0, 10.0, 512),  # 256 periods: two 65536-sample blocks of 256 phases
             (FS, 70.0, 0.1, 1000 * 2**55),  # one period longer than a block: 65536 + 4464
+            (FS, (SCALAR_RUN - 1) / 10.0, 10.0, 100),  # each phase one variate short of scalar
+            (FS, SCALAR_RUN / 10.0, 10.0, 100),  # each phase a scalar-p run
         ],
     )
     def test_matches_direct_oracle(self, physics, sample_rate, duration, mod_frequency, period):
@@ -630,6 +678,22 @@ class TestSynthesizeRun:
         direct = direct_synthesize_run(*args, modulation=modulation)
         assert fast.samples.size == round(duration * sample_rate)
         assert fast.samples.tobytes() == direct.samples.tobytes()
+
+    @pytest.mark.parametrize(
+        "sample_rate,duration",
+        [
+            (FS, 100.0),  # 100 phases of 1000 samples: scalar calls of 65 and 35 phases
+            (1000.5, 2.0),  # one period of 2001 phases, each drawn once
+            (FS, 0.1),  # 100 samples in one period: below SCALAR_RUN, broadcast
+        ],
+    )
+    def test_undriven_matches_direct_oracle(self, physics, sample_rate, duration):
+        # An undriven record's phases share one p, one run drawn with p as a
+        # float wherever it reaches SCALAR_RUN variates: the same bytes as the
+        # per-sample kernel and one whole-record draw in phase order.
+        args = (0.0, duration, sample_rate, physics, physics.n_photons_per_sample(), 19)
+        fast = synthesize_run(*args)
+        assert fast.samples.tobytes() == direct_synthesize_run(*args).samples.tobytes()
 
     @pytest.mark.parametrize(
         "sample_rate,duration",
@@ -662,14 +726,57 @@ class TestSynthesizeRun:
         profile = split_profile(plan, 7.4e6)
         calls = BinomialCalls(np.random.default_rng(29))
         counts = _draw_counts(calls, plan.n_detected, profile, plan.n_samples)
-        m, q, r = shape
-        assert (profile.size, *divmod(counts.size, m)) == shape
+        assert (profile.size, *divmod(counts.size, profile.size)) == shape
         assert max(calls.sizes) <= DRAW_BLOCK
         assert sum(calls.sizes) == counts.size
-        rng = np.random.default_rng(29)
-        whole = rng.binomial(plan.n_detected, np.repeat(profile, q))
-        rest = rng.binomial(plan.n_detected, profile[:r])
-        expected = np.concatenate([whole.reshape(m, q).T.ravel(), rest])
+        expected = phase_ordered_stream(
+            np.random.default_rng(29), plan.n_detected, profile, plan.n_samples
+        )
+        assert counts.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "duration,sample_rate,dnu_peak,scalar,sizes",
+        [
+            (100.0, FS, 7.4e6, True, [1000] * 100),  # spectrum's driven record
+            (100.0, FS, 0.0, True, [65_000, 35_000]),  # its undriven record: one run
+            (3.0, FS, 7.4e6, False, [3000]),  # a slope point: 30 periods
+            (2.0, 1024.0, 7.4e6, False, [2048]),  # 4 periods of 512 phases
+        ],
+        ids=["driven-100s", "undriven-100s", "slope", "1024Hz"],
+    )
+    def test_long_runs_draw_with_scalar_p(
+        self, physics, duration, sample_rate, dnu_peak, scalar, sizes
+    ):
+        # A run of one p over at least SCALAR_RUN variates is drawn with p as
+        # a Python float, and shorter phases with p broadcast from the
+        # profile; the stream is the phase-ordered one either way.
+        plan = plan_for(physics, duration, sample_rate)
+        profile = split_profile(plan, dnu_peak)
+        calls = BinomialCalls(np.random.default_rng(41))
+        counts = _draw_counts(calls, plan.n_detected, profile, plan.n_samples)
+        drawn = [(size, kind) for size, kind in zip(calls.sizes, calls.scalar) if size]
+        assert drawn == [(size, scalar) for size in sizes]
+        expected = phase_ordered_stream(
+            np.random.default_rng(41), plan.n_detected, profile, plan.n_samples
+        )
+        assert counts.tobytes() == expected.tobytes()
+
+    def test_run_between_broadcast_phases_keeps_phase_order(self):
+        # A block whose middle phases share one p over SCALAR_RUN variates:
+        # the phases before the run, the run with p as a float, and the phases
+        # after it, in that order; a shorter run of one p stays broadcast.
+        q = 16
+        run = -(-SCALAR_RUN // q)  # the fewest phases that reach SCALAR_RUN
+        profile = np.linspace(0.2, 0.4, run + 24)
+        profile[10 : 10 + run] = 0.3
+        profile[-6:-4] = 0.35
+        n, n_samples = 10**9, profile.size * q + 5
+        calls = BinomialCalls(np.random.default_rng(3))
+        counts = _draw_counts(calls, n, profile, n_samples)
+        assert list(zip(calls.sizes, calls.scalar)) == [
+            (10 * q, False), (run * q, True), (14 * q, False), (5, False)
+        ]
+        expected = phase_ordered_stream(np.random.default_rng(3), n, profile, n_samples)
         assert counts.tobytes() == expected.tobytes()
 
     def test_each_phase_draws_its_own_law(self, physics):
@@ -718,18 +825,20 @@ class TestSynthesizeRun:
     def test_peak_memory_is_two_record_arrays(self, physics):
         # The counts are drawn in phase order from the one-period profile, so
         # no full-length split probability or index array sits beside the
-        # counts and the estimates (tracemalloc sees numpy's buffers).
+        # counts and the estimates (tracemalloc sees numpy's buffers), with
+        # the drive on or off (one run of one p, drawn with scalar-p calls).
         n_samples = 1_000_000
-        tracemalloc.start()
-        try:
-            series = synthesize_run(
-                7.4e6, n_samples / FS, FS, physics, physics.n_photons_per_sample(), 5
-            )
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert series.samples.size == n_samples
-        assert peak < 2.5 * n_samples * 8
+        for dnu_peak in (7.4e6, 0.0):
+            tracemalloc.start()
+            try:
+                series = synthesize_run(
+                    dnu_peak, n_samples / FS, FS, physics, physics.n_photons_per_sample(), 5
+                )
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert series.samples.size == n_samples
+            assert peak < 2.5 * n_samples * 8
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -842,15 +951,26 @@ NOISE_TERMS = {"background_fraction": 0.02, "electronic_noise": 1e-9, "dark_coun
 
 
 class BinomialCalls:
-    """A generator stand-in that records the sample count of every binomial call."""
+    """A generator stand-in that records the sample count of every binomial call,
+    and whether its p was a Python float."""
 
     def __init__(self, rng):
-        self.rng, self.sizes = rng, []
+        self.rng, self.sizes, self.scalar = rng, [], []
 
     def binomial(self, n, p, size=None):
         drawn = self.rng.binomial(n, p, size)
         self.sizes.append(drawn.size)
+        self.scalar.append(type(p) is float)
         return drawn
+
+
+def phase_ordered_stream(rng, n, profile, n_samples):
+    """The counts of a record's q whole periods, one call over the profile's
+    phases each repeated q times, then of the r samples after them."""
+    m = profile.size
+    q, r = divmod(n_samples, m)
+    whole = rng.binomial(n, np.repeat(profile, q)).reshape(m, q).T.ravel()
+    return np.concatenate([whole, rng.binomial(n, profile[:r])])
 
 
 class TestRecordPlan:

@@ -13,12 +13,7 @@ import numpy as np
 
 from . import recipes
 from .config import CONFIG_FIELDS, ExperimentConfig, config_from_file, config_from_mapping
-from .errors import (
-    NumericalError,
-    PhysicsValidityError,
-    SimulationError,
-    ValidationError,
-)
+from .errors import NumericalError, PhysicsValidityError, ValidationError
 from .units import csv_text, parse_quantity
 
 EXIT_VALIDATION = 2
@@ -162,9 +157,6 @@ def main(argv=None):
     except (FloatingPointError, OverflowError) as exc:  # a float result out of range
         print(f"numerical error: {exc.args[-1]}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except SimulationError as exc:  # base-class fallback
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except (OSError, MemoryError) as exc:  # MemoryError: a record too long to hold
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import __version__, dispersion, interferometer
 from .errors import ValidationError
+from .noise import photon_number
 from .signal_chain import FilterSpec, NoiseExtensions
 from .units import data_lines, fmt, parse_quantity
 
@@ -186,8 +187,6 @@ class ResolvedPhysics:
         return dispersion.deflection_slope(self.point)
 
     def n_photons_per_sample(self):
-        from .noise import photon_number
-
         return photon_number(self.config.power, self.carrier, 1.0 / self.config.sample_rate)
 
 

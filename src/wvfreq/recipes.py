@@ -124,14 +124,18 @@ def slope_sweep_csv(result):
 
 
 def run_spectrum_pair(config):
-    """Driven and undriven raw-signal spectra on a shared dB reference."""
+    """Driven and undriven raw-signal spectra on a shared dB reference.
+
+    Each record's periodogram is taken before the next record is drawn, so
+    the transform's temporaries never sit beside both records. The plan has
+    already refused what it would refuse, and each record has its own seed,
+    so the order changes no byte.
+    """
     physics = resolve(config)
     cfg = config
     plan = _plan(physics, cfg.spectrum_duration, segments=cfg.spectrum_segments)
-    driven = _record(plan, cfg.spectrum_dnu, cfg.seed)
-    undriven = _record(plan, 0.0, cfg.seed + 1)
-    spec_driven = power_spectrum(driven, segments=cfg.spectrum_segments)
-    spec_undriven = power_spectrum(undriven, segments=cfg.spectrum_segments)
+    spec_driven = power_spectrum(_record(plan, cfg.spectrum_dnu, cfg.seed), cfg.spectrum_segments)
+    spec_undriven = power_spectrum(_record(plan, 0.0, cfg.seed + 1), cfg.spectrum_segments)
     # Re-reference both traces to the driven fundamental (0 dB).
     fundamental = np.argmin(np.abs(spec_driven.frequencies - cfg.mod_frequency))
     ref_db = spec_driven.power_db[fundamental]

@@ -95,11 +95,6 @@ ELECTRONIC_NOISE_MAX = np.finfo(float).max / 16
 # last longer profile, which is no larger than one record's sample array.
 PROFILE_CACHE_ENTRIES = 32
 PROFILE_CACHE_SAMPLES = 1 << 12
-# ``power_spectrum`` caches at most WINDOW_CACHE_ENTRIES windows of at most
-# WINDOW_CACHE_SAMPLES values, each with its frequency axis of half as many:
-# 8 x 16384 x 12 bytes = 1.5 MiB, plus the last longer window.
-WINDOW_CACHE_ENTRIES = 8
-WINDOW_CACHE_SAMPLES = 1 << 14
 
 
 @dataclass
@@ -296,9 +291,7 @@ class RecordPlan:
     n_detected: int  # photons per sample that reach the split detector
     dark_mean: float  # dark counts per sample
     calibration: float  # meters per unit difference-over-sum
-    n_fft: int = 0  # the bandpass's padded FFT length, for a sweep
     per_cycle: int = 0  # samples per modulation cycle, for a sweep
-    segment_length: int = 0  # samples per periodogram segment, for a spectrum
 
     @classmethod
     def build(
@@ -342,12 +335,12 @@ class RecordPlan:
                 f"{dark_mean:.3g} dark counts per sample exceed the Poisson draw's int64 range"
             )
         calibration = dark_port_split_calibration(state, beta)
-        n_fft = per_cycle = seg_len = 0
+        per_cycle = 0
         if filter_spec is not None:
-            n_fft, _ = cascade_response(filter_spec, sample_rate, n_samples)
+            cascade_response(filter_spec, sample_rate, n_samples)
             per_cycle = samples_per_cycle(1.0 / mod_frequency, sample_rate)
         if segments is not None:
-            seg_len = segment_length(n_samples, segments)
+            segment_length(n_samples, segments)
             # A sample is at most x = c + NORMAL_DRAW_MAX sigma_e (the estimate
             # lies in [-c, c]), and |rfft(x w)| / sum(w) <= max|x|, so a
             # segment's power is at most x^2. The periodogram sums ``segments``
@@ -362,7 +355,7 @@ class RecordPlan:
         return cls(
             physics, duration, sample_rate, n_per_sample, mod_frequency, extensions, n_samples,
             min(modulation_period(mod_frequency, sample_rate), n_samples), n_detected,
-            dark_mean, calibration, n_fft, per_cycle, seg_len,
+            dark_mean, calibration, per_cycle,
         )
 
 
@@ -414,8 +407,8 @@ def _draw_counts(rng, n, profile, n_samples):
     with one p whose q-fold variates reach SCALAR_RUN (an undriven record is
     one run) is one call with that p as a Python float, and the phases
     between such runs are one call with p broadcast from the profile. The r
-    samples after the last whole period follow in sample order. This is the
-    same stream as one whole-record call.
+    samples after the last whole period, if r > 0, follow in sample order.
+    This is the same stream as one whole-record call.
     """
     counts = np.empty(n_samples, dtype=np.int64)
     m = profile.size
@@ -427,7 +420,8 @@ def _draw_counts(rng, n, profile, n_samples):
             for j0 in range(0, q, DRAW_BLOCK):  # one run, unless a phase outgrows a block
                 j1 = min(j0 + DRAW_BLOCK, q)
                 periods[j0:j1, a:b] = rng.binomial(n, p, (b - a, j1 - j0)).T
-    counts[q * m :] = rng.binomial(n, profile[: n_samples - q * m])
+    if q * m < n_samples:
+        counts[q * m :] = rng.binomial(n, profile[: n_samples - q * m])
     return counts
 
 
@@ -588,44 +582,22 @@ def segment_length(n_samples, segments):
     return n_samples // segments
 
 
-@functools.lru_cache(maxsize=WINDOW_CACHE_ENTRIES)
-def _window(seg_len, sample_rate):
-    """Hann window, coherent gain, ENBW and frequency axis of a periodogram, read-only.
-
-    They read only the segment length and the sample rate, and are cached on
-    those for the life of the process: at most WINDOW_CACHE_ENTRIES windows
-    of at most WINDOW_CACHE_SAMPLES values, 1.5 MiB at worst with their
-    frequency axes, plus the last longer window (``_long_window``), which is
-    no larger than one record's sample array.
-    """
-    win = hann_window(seg_len)
-    coherent_gain = win.sum()
-    enbw = sample_rate * (win**2).sum() / coherent_gain**2
-    freqs = np.fft.rfftfreq(seg_len, d=1.0 / sample_rate)
-    win.setflags(write=False)
-    freqs.setflags(write=False)
-    return win, coherent_gain, enbw, freqs
-
-
-_long_window = functools.lru_cache(maxsize=1)(_window.__wrapped__)
-
-
 def power_spectrum(series, segments=1):
     """One-sided Hann-windowed periodogram, segment-averaged when ``segments`` > 1.
 
     Powers are mean-square (a full-scale sine of amplitude A contributes
     A^2/2 in its bin) and reported in dB relative to the strongest bin. The
-    window and frequency axis come from ``_window``'s cache, so the returned
-    ``frequencies`` are read-only and shared between calls.
+    segments are one batched transform of the record's (segments, seg_len)
+    view, summed in segment order; samples after the last whole segment are
+    dropped.
     """
     seg_len = segment_length(series.samples.size, segments)
-    window = _window if seg_len <= WINDOW_CACHE_SAMPLES else _long_window
-    win, coherent_gain, enbw, freqs = window(seg_len, series.sample_rate)
-    power = np.zeros(seg_len // 2 + 1)
-    for i in range(segments):
-        chunk = series.samples[i * seg_len : (i + 1) * seg_len]
-        spectrum = np.fft.rfft(chunk * win)
-        power += np.abs(spectrum / coherent_gain) ** 2
+    win = hann_window(seg_len)
+    coherent_gain = win.sum()
+    chunks = series.samples[: segments * seg_len].reshape(segments, seg_len)
+    spectra = np.fft.rfft(chunks * win)
+    spectra /= coherent_gain
+    power = (np.abs(spectra) ** 2).sum(axis=0)
     power /= segments
     power[1:] *= 2.0  # fold negative frequencies; DC stays single-sided
     if seg_len % 2 == 0:
@@ -635,7 +607,10 @@ def power_spectrum(series, segments=1):
         ref = 1.0
     power_db = 10.0 * np.log10(np.maximum(power, 1e-300) / ref)
     return Spectrum(
-        frequencies=freqs, power_db=power_db, resolution_bw=enbw, ref_power=ref
+        frequencies=np.fft.rfftfreq(seg_len, d=1.0 / series.sample_rate),
+        power_db=power_db,
+        resolution_bw=series.sample_rate * (win**2).sum() / coherent_gain**2,
+        ref_power=ref,
     )
 
 

@@ -331,7 +331,7 @@ def fromstring_columns(text, columns):
 
 
 def direct_power_spectrum(series, segments=1):
-    """``power_spectrum`` with its window, gains and frequency axis built on every call."""
+    """``power_spectrum`` with one transform per segment, summed in a loop."""
     seg_len = segment_length(series.samples.size, segments)
     win = hann_window(seg_len)
     coherent_gain = win.sum()

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from wvfreq import cli, recipes, signal_chain
+from wvfreq import cli, errors, recipes, signal_chain
 from wvfreq.config import (
     ExperimentConfig,
     config_from_file,
@@ -319,6 +320,24 @@ class TestCli:
         assert cli.main(["slope", *QUICK_ARGS, "-o", str(a)]) == 0
         assert cli.main(["slope", *QUICK_ARGS, "--seed", "7", "-o", str(b)]) == 0
         assert a.read_bytes() != b.read_bytes()
+
+    def test_every_error_class_has_one_exit_code(self, capsys):
+        # main maps these three bases to exits 2, 3 and 4; every other class
+        # in wvfreq.errors derives from exactly one of them.
+        codes = {
+            errors.ValidationError: 2, errors.PhysicsValidityError: 3, errors.NumericalError: 4,
+        }
+        classes = [
+            cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+            if cls.__module__ == errors.__name__ and cls is not errors.SimulationError
+        ]
+        assert set(codes) < set(classes)
+        for cls in classes:
+            bases = [base for base in codes if issubclass(cls, base)]
+            assert len(bases) == 1, cls.__name__
+            with mock.patch.object(recipes, "run_range", side_effect=cls("raised")):
+                assert cli.main(["range"]) == codes[bases[0]], cls.__name__
+            assert capsys.readouterr().err.endswith("raised\n")
 
     def test_validation_exit_code(self, capsys):
         assert cli.main(["slope", "--sweep-points", "1"]) == 2

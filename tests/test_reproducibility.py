@@ -77,9 +77,25 @@ def test_readme_lists_the_regeneration_commands():
             ["simulate", "--duration", "10s"],
             "10f51c640c79ebeb7e4907a981035fb96d52f6fd753787ba17fbc55bb6beaf8e",
         ),
+        # The periodogram at a 1024 Hz rate, and with odd 33 333-sample
+        # segments that leave one sample out.
+        (
+            [
+                "spectrum", "--sample-rate", "1024Hz", "--spectrum-duration", "2s",
+                "--spectrum-segments", "4",
+            ],
+            "68ea5f8f762dd9b57655d8b82e0170475a3809991822b6b47a3adcc245598563",
+        ),
+        (
+            ["spectrum", "--spectrum-segments", "3"],
+            "3c3280d6b00f3416bd4d9d1cf27d4bddd55c6fb70035443befc7b769387cd085",
+        ),
     ],
     # A re-taken digest keeps its test's name.
-    ids=["simulate", "range", "slope-noise", "spectrum", "simulate-undriven"],
+    ids=[
+        "simulate", "range", "slope-noise", "spectrum", "simulate-undriven",
+        "spectrum-1024Hz", "spectrum-odd-segments",
+    ],
 )
 def test_uncommitted_outputs_keep_their_bytes(argv, digest):
     """Byte for byte in the same software environment, as ``config_hash`` promises.

@@ -33,7 +33,6 @@ from wvfreq.signal_chain import (
     PROFILE_CACHE_SAMPLES,
     SCALAR_RUN,
     STAGE_Q,
-    WINDOW_CACHE_SAMPLES,
     FilterSpec,
     ModulationConfig,
     NoiseExtensions,
@@ -532,46 +531,22 @@ class TestPowerSpectrum:
 
     @pytest.mark.parametrize(
         "n,segments,sample_rate",
-        [(100_000, 16, FS), (2048, 4, 1024.0), (1001, 1, 1000.5), (40_000, 2, FS)],
+        [
+            (100_000, 16, FS), (2048, 4, 1024.0), (1001, 1, 1000.5), (40_000, 2, FS),
+            # Samples left after the last whole segment, odd segments, the shortest one.
+            (100_003, 16, FS), (99_999, 3, FS), (16, 1, FS), (17, 1, FS),
+        ],
     )
-    def test_matches_uncached_formula(self, n, segments, sample_rate):
-        # The cached window, gains and axis give the uncached formula's bits,
-        # on the first call and on a call that finds them cached.
+    def test_matches_per_segment_oracle(self, n, segments, sample_rate):
+        # The batched transform gives the bits of one transform per segment,
+        # summed in segment order.
         series = TimeSeries(sample_rate, np.random.default_rng(n).normal(0, 1, n))
         expected = direct_power_spectrum(series, segments)
-        for _ in range(2):
-            spec = power_spectrum(series, segments)
-            assert spec.frequencies.tobytes() == expected.frequencies.tobytes()
-            assert spec.power_db.tobytes() == expected.power_db.tobytes()
-            assert spec.resolution_bw == expected.resolution_bw
-            assert spec.ref_power == expected.ref_power
-
-    def test_window_cache_is_read_only_and_bounded_in_bytes(self):
-        # A window and its frequency axis take 8 + 4 bytes a sample (the axis
-        # holds half as many values): the cache holds its stated 1.5 MiB, and
-        # a longer segment goes to a one-entry cache of its own.
-        cache, long_cache = signal_chain._window, signal_chain._long_window
-        entries = cache.cache_info().maxsize
-        assert entries * WINDOW_CACHE_SAMPLES * 12 == 3 << 19
-        assert long_cache.cache_info().maxsize == 1
-        for seg_len, used, unused in [
-            (WINDOW_CACHE_SAMPLES, cache, long_cache),
-            (WINDOW_CACHE_SAMPLES + 1, long_cache, cache),
-        ]:
-            cache.cache_clear()
-            long_cache.cache_clear()
-            series = TimeSeries(FS, np.ones(seg_len))
-            freqs = power_spectrum(series).frequencies
-            assert (used.cache_info().currsize, unused.cache_info().currsize) == (1, 0)
-            win, _, _, cached_freqs = used(seg_len, FS)
-            assert cached_freqs is freqs and power_spectrum(series).frequencies is freqs
-            assert win.nbytes + freqs.nbytes <= seg_len * 12 + 8
-            for array in (win, freqs):
-                with pytest.raises(ValueError, match="read-only"):
-                    array[0] = 1.0
-        for seg_len in range(16, 16 + entries + 4):
-            power_spectrum(TimeSeries(FS, np.ones(seg_len)))
-        assert cache.cache_info().currsize == entries
+        spec = power_spectrum(series, segments)
+        assert spec.frequencies.tobytes() == expected.frequencies.tobytes()
+        assert spec.power_db.tobytes() == expected.power_db.tobytes()
+        assert spec.resolution_bw == expected.resolution_bw
+        assert spec.ref_power == expected.ref_power
 
     def test_rejects_empty_and_bad_segments(self):
         with pytest.raises(ValidationError):
@@ -749,13 +724,13 @@ class TestSynthesizeRun:
     ):
         # A run of one p over at least SCALAR_RUN variates is drawn with p as
         # a Python float, and shorter phases with p broadcast from the
-        # profile; the stream is the phase-ordered one either way.
+        # profile; the stream is the phase-ordered one either way. Each of
+        # these records is whole periods, so no empty tail call follows.
         plan = plan_for(physics, duration, sample_rate)
         profile = split_profile(plan, dnu_peak)
         calls = BinomialCalls(np.random.default_rng(41))
         counts = _draw_counts(calls, plan.n_detected, profile, plan.n_samples)
-        drawn = [(size, kind) for size, kind in zip(calls.sizes, calls.scalar) if size]
-        assert drawn == [(size, scalar) for size in sizes]
+        assert list(zip(calls.sizes, calls.scalar)) == [(size, scalar) for size in sizes]
         expected = phase_ordered_stream(
             np.random.default_rng(41), plan.n_detected, profile, plan.n_samples
         )
@@ -977,14 +952,11 @@ class TestRecordPlan:
     @pytest.mark.parametrize(
         "argv,records,layout",
         [
-            (["slope"], 6, dict(n_samples=3000, period=100, per_cycle=100, segment_length=0)),
-            (
-                ["spectrum"], 2,
-                dict(n_samples=100_000, period=100, per_cycle=0, segment_length=6250, n_fft=0),
-            ),
+            (["slope"], 6, dict(n_samples=3000, period=100, per_cycle=100)),
+            (["spectrum"], 2, dict(n_samples=100_000, period=100, per_cycle=0)),
             (
                 ["simulate", "--dnu-peak", "7.4MHz"], 1,
-                dict(n_samples=2500, period=100, per_cycle=0, segment_length=0, n_fft=0),
+                dict(n_samples=2500, period=100, per_cycle=0),
             ),
         ],
     )
@@ -1007,9 +979,6 @@ class TestRecordPlan:
         assert len(plans) == 1
         assert len(draws) == records and all(plan is plans[0] for plan in draws)
         assert {name: getattr(plans[0], name) for name in layout} == layout
-        if argv == ["slope"]:
-            spec = plans[0].physics.filter_spec
-            assert plans[0].n_fft == cascade_response(spec, FS, 3000)[0]
 
     @pytest.mark.parametrize(
         "argv,kernel_runs",
@@ -1143,7 +1112,7 @@ class TestRecordPlan:
         series = synthesize_run(7.4e6, 3.0, FS, physics, plan.n_per_sample, 5)
         assert series.samples.size == plan.n_samples
         assert bandpass(series, physics.filter_spec).samples.size == plan.n_samples
-        assert power_spectrum(series, 4).frequencies.size == plan.segment_length // 2 + 1
+        assert power_spectrum(series, 4).frequencies.size == plan.n_samples // 4 // 2 + 1
         assert plan.per_cycle == 100 and plan.period == 100
 
 
@@ -1159,6 +1128,20 @@ class TestSpectrumPair:
         for got, want in zip(pair[:3], expected[:3]):
             assert got.tobytes() == want.tobytes()
         assert pair[3] == expected[3]
+
+    def test_peak_memory_is_under_three_and_a_half_records(self):
+        # Each record's periodogram is taken before the next record is drawn,
+        # so the batched transform's temporaries sit beside one record, not two.
+        cfg = ExperimentConfig()
+        run_spectrum_pair(cfg)  # fills the seed-free caches
+        n_samples = int(cfg.spectrum_duration * cfg.sample_rate)
+        tracemalloc.start()
+        try:
+            run_spectrum_pair(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * n_samples * 8
 
 
 class TestCsvRoundTrip:

@@ -1,3 +1,3 @@
 """Weak-value amplified optical frequency measurement simulator."""
 
-__version__ = "0.1.3"
+__version__ = "0.1.4"

@@ -43,8 +43,7 @@ CONFIG_FIELDS = {
     "sweep_min": ("frequency", "smallest modulation amplitude (default 743kHz)"),
     "sweep_max": ("frequency", "largest modulation amplitude (default 7.4MHz)"),
     "sweep_points": (None, "number of sweep points (default 6)"),
-    "filter_center": ("frequency", "bandpass center (default 10Hz)"),
-    "filter_stages": (None, "bandpass stage count (default 2)"),
+    "filter_stages": (None, "stages of the bandpass centred on mod_frequency (default 2)"),
     "filter_gain": (None, "post-filter gain (default 1e4)"),
     "spectrum_duration": ("time", "record length for noise spectra (default 100s)"),
     "spectrum_dnu": ("frequency", "drive amplitude for the driven spectrum (default 7.4MHz)"),
@@ -96,7 +95,6 @@ class ExperimentConfig:
     sweep_min: float = 0.743e6
     sweep_max: float = 7.4e6
     sweep_points: int = 6
-    filter_center: float = 10.0
     filter_stages: int = 2
     filter_gain: float = 1e4
     spectrum_duration: float = 100.0
@@ -213,7 +211,8 @@ def resolve(config):
     )
     return ResolvedPhysics(
         config=config, carrier=carrier, point=point, state=state,
-        filter_spec=FilterSpec(config.filter_center, config.filter_stages, config.filter_gain),
+        # Centred on the drive: the lock-in reads it through unity gain and zero phase.
+        filter_spec=FilterSpec(config.mod_frequency, config.filter_stages, config.filter_gain),
         extensions=NoiseExtensions(config.electronic_noise, config.dark_count_rate),
     )
 
@@ -226,6 +225,7 @@ def resolved_metadata(physics):
         value = getattr(cfg, field_info.name)
         if value is not None:
             meta[field_info.name] = value
+    meta["filter_center"] = physics.filter_spec.center
     meta["derived_phi"] = physics.state.phi
     meta["derived_postselection"] = interferometer.postselection_probability(
         physics.state.phi

@@ -30,6 +30,7 @@ from .errors import (
     ValidationError,
     WeakValueValidityError,
 )
+from .units import fmt
 
 KICK_SIGMA_LIMIT = 0.5  # largest |k sigma| the dark-port kernel accepts
 
@@ -162,7 +163,7 @@ def dark_port_split_probability(k, state, background_fraction=0.0):
     ks_max = max(ks.max(initial=0.0), -ks.min(initial=0.0))
     if not ks_max <= KICK_SIGMA_LIMIT:
         raise WeakValueValidityError(
-            f"k*sigma = {ks_max:.3g} exceeds {KICK_SIGMA_LIMIT}, the range of the "
+            f"k*sigma = {fmt(ks_max)} exceeds {KICK_SIGMA_LIMIT}, the range of the "
             "dark-port kernel"
         )
     # E is not kept, so one fewer live array is held while the series runs.

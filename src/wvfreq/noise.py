@@ -27,6 +27,7 @@ import numpy as np
 
 from .dispersion import SPEED_OF_LIGHT, deflection_slope, index_step, index_step_frequency
 from .errors import NumericalError, ValidationError
+from .interferometer import KICK_SIGMA_LIMIT
 
 PLANCK = 6.62607015e-34  # J s, exact SI value
 
@@ -119,7 +120,8 @@ def measured_sensitivity(min_shift, integration_time):
 
 
 def usable_range(point, sigma, threshold=0.5):
-    """Largest frequency offset keeping k(nu)*sigma below ``threshold``.
+    """Largest frequency offset keeping k(nu)*sigma below ``threshold``, which
+    lies in (0, KICK_SIGMA_LIMIT]: the kernel refuses a drive beyond that.
 
     k sigma = 2 k0 sigma Delta_n / r reaches the threshold at the index step
     dn = threshold r / (2 k0 sigma), where the Sellmeier sum is inverted in
@@ -135,8 +137,8 @@ def usable_range(point, sigma, threshold=0.5):
 
 @functools.lru_cache(maxsize=32)
 def _usable_range(point, sigma, threshold):
-    if not 0.0 < threshold <= 1.0:
-        raise ValidationError(f"threshold must lie in (0, 1], got {threshold}")
+    if not 0.0 < threshold <= KICK_SIGMA_LIMIT:
+        raise ValidationError(f"threshold must lie in (0, {KICK_SIGMA_LIMIT}], got {threshold}")
     material, carrier = point.prism.material, point.carrier
     wavelength, n0 = carrier.wavelength, point.n0
     dn = threshold * point.denominator / (2.0 * carrier.wavenumber * sigma)

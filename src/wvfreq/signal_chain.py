@@ -103,7 +103,6 @@ class TimeSeries:
 
     sample_rate: float
     samples: np.ndarray
-    t0: float = 0.0
 
     def __post_init__(self):
         if not self.sample_rate > 0:
@@ -113,7 +112,7 @@ class TimeSeries:
             raise ValidationError("samples must be a non-empty 1-D array")
 
     def times(self):
-        return self.t0 + np.arange(self.samples.size) / self.sample_rate
+        return np.arange(self.samples.size) / self.sample_rate
 
 
 @dataclass(frozen=True)
@@ -229,7 +228,7 @@ def bandpass(series, spec):
     n = series.samples.size
     n_fft, response = cascade_response(spec, series.sample_rate, n)
     out = np.fft.irfft(np.fft.rfft(series.samples, n_fft) * response, n_fft)[:n]
-    return TimeSeries(sample_rate=series.sample_rate, samples=out, t0=series.t0)
+    return TimeSeries(sample_rate=series.sample_rate, samples=out)
 
 
 @functools.lru_cache(maxsize=4)
@@ -243,8 +242,8 @@ def lock_in_kernel(spec, sample_rate, n_samples, per_cycle, n_cycles):
     raw record's inner product with the filter's adjoint applied to the
     window w: g = irfft(conj(H) rfft(w, n_fft))[:N] / gain, and each sweep
     point reads ``g @ record.samples``, with no per-record FFT. The bandpass
-    has unity gain and zero phase at its center, so the in-phase term alone
-    reads the drive's amplitude.
+    is centred on the drive (``config.resolve``), where it has unity gain and
+    zero phase, so the in-phase term alone reads the drive's amplitude.
     """
     available = n_samples // per_cycle
     if available < n_cycles:
@@ -620,16 +619,11 @@ _TIMESERIES_COLUMNS = ("time_s", "position_m")
 
 
 def timeseries_to_csv(series, metadata=None):
-    meta = {"sample_rate": float(series.sample_rate), "t0": float(series.t0)}
-    meta.update(metadata or {})
+    meta = {"sample_rate": float(series.sample_rate), **(metadata or {})}
     return csv_text(meta, _TIMESERIES_COLUMNS, series.times(), series.samples)
 
 
 def timeseries_from_csv(text):
     header, (_, samples) = csv_columns(text, _TIMESERIES_COLUMNS)
-    series = TimeSeries(
-        sample_rate=finite_number(header.get("sample_rate", ""), "CSV metadata 'sample_rate'"),
-        samples=samples,
-        t0=finite_number(header.get("t0", "0"), "CSV metadata 't0'"),
-    )
-    return series, header
+    rate = finite_number(header.get("sample_rate", ""), "CSV metadata 'sample_rate'")
+    return TimeSeries(sample_rate=rate, samples=samples), header

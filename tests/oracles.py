@@ -13,8 +13,9 @@ and draws the photon counts in phase order, in blocks written through a
 strided view, is checked against a per-sample evaluation and one
 whole-record draw in that order, taken through a sort of the sample
 indices, and the spectrum pair against both records synthesized that way
-one after the other. The periodogram, which reads its window from a cache,
-is checked against the same formula with the window built on every call.
+one after the other. The periodogram, one batched transform of the record's
+(segments, segment length) view, is checked against one transform per
+segment, summed in a loop.
 The CSV writer, which formats a block of cells in numpy, is checked against
 a per-row f-string writer, and the reader, which parses cells as integers
 and scales them, against one ``np.fromstring`` call on the whole body. None

@@ -201,7 +201,8 @@ REFUSED_BEFORE_ANY_RECORD = [
     for command in ("slope", "spectrum", "simulate", "sensitivity", "range")
     for flag, message in (
         ("--filter-stages=0", "filter_stages must be >= 1, got 0"),
-        ("--filter-center=0Hz", "filter_center must be positive, got 0.0"),
+        # The bandpass is centred on the drive, so a zero centre is a zero drive.
+        ("--mod-frequency=0Hz", "mod_frequency must be positive, got 0.0"),
         ("--electronic-noise=-1m", "electronic_noise must be >= 0, got -1.0"),
         ("--dark-count-rate=-1Hz", "dark_count_rate must be >= 0, got -1.0"),
         ("--sweep-points=1", "sweep_points must be in [2, 9223372036854775807], got 1"),
@@ -233,27 +234,22 @@ REFUSED_BEFORE_ANY_RECORD = [
         "cycle period 0.1 s is not a whole number of samples at 1024.0 Hz",
         "slope",
     ),
-    # The padding, ln 1e-20 / ln|z| * (stages + 1) samples, grows as
-    # 1 / filter_center. At these two centres the padded FFT's bytes still
-    # fit in intp, and numpy refuses the allocation (a prefix is matched).
-    ("--filter-center=2.04e-13Hz", "Unable to allocate 767. PiB for an array", "slope"),
-    ("--filter-center=5e-14Hz", "Unable to allocate 3.05 EiB for an array", "slope"),
-    # Below about 3.8e-14 Hz, or past about 7.9e14 stages, they do not.
+    # The padding, ln 1e-20 / ln|z| * (stages + 1) samples, is about 14.7
+    # drive cycles a stage: only the stage count grows it beyond the record.
+    # At these two counts the padded FFT's bytes still fit in intp, and numpy
+    # refuses the allocation (a prefix is matched).
+    ("--filter-stages=1e14", "Unable to allocate 521. PiB for an array", "slope"),
+    ("--filter-stages=5e14", "Unable to allocate 2.55 EiB for an array", "slope"),
+    # Past about 7.9e14 stages they do not.
 ] + [
     (
-        f"--filter-center={center}",
-        f"a 2-stage {center.rstrip('Hz')} Hz bandpass at 1000.0 Hz rings longer than a "
-        "float64 array can hold",
-        "slope",
-    )
-    for center in ("1e-14Hz", "1e-15Hz", "1e-30", "1e-300Hz")
-] + [
-    (
-        "--filter-stages=1e18",
-        "a 1000000000000000000-stage 10.0 Hz bandpass at 1000.0 Hz rings longer than "
+        f"--filter-stages={stages}",
+        f"a {int(float(stages))}-stage 10.0 Hz bandpass at 1000.0 Hz rings longer than "
         "a float64 array can hold",
         "slope",
-    ),
+    )
+    for stages in ("1e15", "1e16", "1e18", "1e31", "1e300")
+] + [
     ("--spectrum-segments=0", "cannot split 100000 samples into 0 segments", "spectrum"),
     ("--spectrum-duration=0.1s", "cannot split 100 samples into 16 segments", "spectrum"),
     (
@@ -432,6 +428,9 @@ class TestCli:
                 "record duration must be positive, got -1.0 s",
             ),
             (["spectrum", "--spectrum-duration=0s"], "record duration must be positive, got 0.0 s"),
+            # Above the kernel's limit the range would name drives it refuses.
+            (["range", "--range-threshold", "1"], "threshold must lie in (0, 0.5], got 1.0"),
+            (["sensitivity", "--range-threshold", "1"], "threshold must lie in (0, 0.5], got 1.0"),
         ):
             assert cli.main(args) == 2
             assert capsys.readouterr().err == f"error: {message}\n"
@@ -661,8 +660,8 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "physics validity error: k*sigma = 0.632 exceeds 0.5, the range of the "
-            "dark-port kernel\n"
+            "physics validity error: k*sigma = 0.63245397653798907 exceeds 0.5, the "
+            "range of the dark-port kernel\n"
         )
         assert not (tmp_path / "x.csv").exists()
 
@@ -672,8 +671,8 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "physics validity error: sweep point 1 (dnu=6e+12 Hz): k*sigma = 0.632 exceeds "
-            "0.5, the range of the dark-port kernel\n"
+            "physics validity error: sweep point 1 (dnu=6e+12 Hz): "
+            "k*sigma = 0.63245397653798907 exceeds 0.5, the range of the dark-port kernel\n"
         )
         assert not (tmp_path / "x.csv").exists()
 
@@ -682,8 +681,8 @@ class TestCli:
         [
             (
                 ["--sweep-max", "6THz"], 3,
-                "physics validity error: sweep point 5 (dnu=6e+12 Hz): k*sigma = 0.632 "
-                "exceeds 0.5, the range of the dark-port kernel",
+                "physics validity error: sweep point 5 (dnu=6e+12 Hz): "
+                "k*sigma = 0.63245397653798907 exceeds 0.5, the range of the dark-port kernel",
             ),
             (
                 ["--wavelength", "210.0001nm", "--sweep-max", "1THz"], 2,
@@ -752,6 +751,42 @@ class TestCli:
         )
         assert code == 3
         assert "physics validity" in capsys.readouterr().err
+
+    def test_drive_of_the_printed_range_prints_its_excess(self, capsys):
+        # The printed range is the positive side's; a drive of that size
+        # reaches |k sigma| just above 0.5 at its negative crest, and the
+        # refusal prints enough digits to show it.
+        args = ["simulate", "--dnu-peak", "4748005356984.6514Hz", "--duration", "0.1s"]
+        assert cli.main(args) == 3
+        err = capsys.readouterr().err
+        assert err == (
+            "physics validity error: k*sigma = 0.50040223430884712 exceeds 0.5, the "
+            "range of the dark-port kernel\n"
+        )
+
+    def test_filter_center_is_refused(self, tmp_path, capsys):
+        # The bandpass is centred on the drive; no flag or key moves it.
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["slope", "--filter-center", "12Hz"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --filter-center 12Hz" in capsys.readouterr().err
+        path = tmp_path / "run.cfg"
+        path.write_text("filter_center = 10Hz\n")
+        assert cli.main(["slope", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown config key 'filter_center'; known keys: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["slope", "spectrum", "sensitivity", "range", "simulate"])
+    def test_header_filter_center_is_the_drive(self, tmp_path, command):
+        out = tmp_path / "out.csv"
+        assert cli.main([command, "--mod-frequency", "20Hz", "-o", str(out)]) == 0
+        header = dict(
+            line[2:].split(" = ", 1) for line in out.read_text().splitlines()
+            if line.startswith("# ")
+        )
+        assert header["filter_center"] == header["mod_frequency"] == "20"
 
     def test_calibrate_roundtrip(self, tmp_path, capsys):
         pos_file = _positions_file(tmp_path)

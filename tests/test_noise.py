@@ -147,7 +147,7 @@ def usable_range_root_finds():
         ("fused_silica", "bk7"),
         (633e-9, 780e-9, 1550e-9),
         (0.1e-3, 0.388e-3, 1e-3, 5e-3),
-        (0.05, 0.2, 0.5, 1.0),
+        (0.05, 0.2, 0.35, 0.5),
         (0.05, 0.27, 2.0),
     )
     for material, wavelength, sigma, threshold, path_length in grid:
@@ -181,7 +181,7 @@ class TestUsableRange:
             root = brentq(excess, 0.0, edge, xtol=1e-3, rtol=1e-12, maxiter=500)
             assert abs(span - root) <= tol, cfg
             compared += 1
-        assert compared == 287  # one config of the grid is clamped
+        assert compared == 288  # no config of the grid is clamped
 
     def test_published_range(self, physics, carrier):
         span = usable_range(physics.point, SIGMA, threshold=0.5)
@@ -202,8 +202,10 @@ class TestUsableRange:
         assert spans[0] == pytest.approx(1000.0 * spans[1], rel=1e-6)
 
     def test_threshold_validation(self, physics, carrier):
-        with pytest.raises(ValidationError):
-            usable_range(physics.point, SIGMA, threshold=0.0)
+        # Above KICK_SIGMA_LIMIT the range would name drives the kernel refuses.
+        for threshold in (0.0, np.nextafter(0.5, 1.0), 1.0):
+            with pytest.raises(ValidationError, match=r"threshold must lie in \(0, 0.5\]"):
+                usable_range(physics.point, SIGMA, threshold=threshold)
 
     def test_sigma_scaling(self, physics, carrier):
         base = usable_range(physics.point, SIGMA, 0.5).frequency_span

@@ -63,19 +63,19 @@ def test_readme_lists_the_regeneration_commands():
     [
         (
             ["simulate", "--duration", "2.5s", "--dnu-peak", "7.4MHz"],
-            "4a93f69d44c50883c007f49235ace6d30ae276e91350748107a2a513f7c27897",
+            "b340c607367b6332675ff695bbf2cbefd65ef54d947de2c35169fe184f4719a5",
         ),
-        (["range"], "9de749ca90e8a5ddbadf3dd29ee460b37d7563d9b77eb4ed3f6e384b91b3f12d"),
+        (["range"], "5e3b594f0a4508ce9de3e6cfb61a6bd88aed47433cf7dc73a70c26d00566f9af"),
         (
             ["slope", "--dark-count-rate", "1kHz", "--electronic-noise", "1e-9m"],
-            "d1dd6302d680a49234a6b0723e6eb1978525bf49bebd6ae9541e9464f67f7c9b",
+            "d008455579b16f12337596f509d223befc0d160055aeebd7dc0584f0247c9b35",
         ),
         # Both records drawn with scalar-p runs: 1000 samples a phase, and one
         # undriven run. results/noise_spectrum.csv is compared to 1e-12 only.
-        (["spectrum"], "a174ee62a292368002f434ba28d38a5aef2439891dd29fa5cd391980540ba02f"),
+        (["spectrum"], "d56cb2b6222458ec7ab00f88894f150779251d781447fec0b9dc07119b279534"),
         (
             ["simulate", "--duration", "10s"],
-            "10f51c640c79ebeb7e4907a981035fb96d52f6fd753787ba17fbc55bb6beaf8e",
+            "5cf4d14e518c2b3d157652c78ee85ededb0dbd02511c8728226a8ed15d5c3f64",
         ),
         # The periodogram at a 1024 Hz rate, and with odd 33 333-sample
         # segments that leave one sample out.
@@ -84,11 +84,11 @@ def test_readme_lists_the_regeneration_commands():
                 "spectrum", "--sample-rate", "1024Hz", "--spectrum-duration", "2s",
                 "--spectrum-segments", "4",
             ],
-            "68ea5f8f762dd9b57655d8b82e0170475a3809991822b6b47a3adcc245598563",
+            "ffa0512029ba9c35477e1e1279b8ab4935872323b586fc715cd827fab5f48af5",
         ),
         (
             ["spectrum", "--spectrum-segments", "3"],
-            "3c3280d6b00f3416bd4d9d1cf27d4bddd55c6fb70035443befc7b769387cd085",
+            "5ad25af9368c7652bd4082bad263fe96520779265b9a404d6e4e289e651f4afa",
         ),
     ],
     # A re-taken digest keeps its test's name.

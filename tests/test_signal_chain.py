@@ -243,7 +243,7 @@ class TestBandpass:
         expected = lfilter_cascade(raw, spec)
         out = bandpass(raw, spec)
         assert out.samples.shape == expected.shape
-        assert (out.sample_rate, out.t0) == (raw.sample_rate, raw.t0)
+        assert out.sample_rate == raw.sample_rate
         assert np.abs(out.samples - expected).max() <= 1e-12 * np.abs(expected).max()
 
     @pytest.mark.parametrize("stages", [1, 2, 3, 4])
@@ -1147,12 +1147,11 @@ class TestSpectrumPair:
 class TestCsvRoundTrip:
     def test_timeseries_bit_exact(self):
         rng = np.random.default_rng(2)
-        series = TimeSeries(sample_rate=FS, samples=rng.normal(0, 1e-9, 256), t0=0.25)
+        series = TimeSeries(sample_rate=FS, samples=rng.normal(0, 1e-9, 256))
         text = timeseries_to_csv(series, {"seed": 2, "config_hash": "abc123"})
         parsed, meta = timeseries_from_csv(text)
         assert meta["config_hash"] == "abc123"
         assert parsed.sample_rate == series.sample_rate
-        assert parsed.t0 == series.t0
         assert np.array_equal(parsed.samples, series.samples)
         assert timeseries_to_csv(parsed, {"seed": 2, "config_hash": "abc123"}) == text
 
@@ -1180,12 +1179,10 @@ class TestCsvRoundTrip:
     @pytest.mark.parametrize(
         "metadata, name, value",
         [
-            ("# t0 = 0\n", "sample_rate", ""),
+            ("# seed = 2\n", "sample_rate", ""),
             ("# sample_rate = abc\n", "sample_rate", "abc"),
             ("# sample_rate = inf\n", "sample_rate", "inf"),
             ("# sample_rate = nan\n", "sample_rate", "nan"),
-            ("# sample_rate = 1000\n# t0 = nan\n", "t0", "nan"),
-            ("# sample_rate = 1000\n# t0 = -1e999\n", "t0", "-1e999"),
         ],
     )
     def test_bad_metadata_rejected(self, metadata, name, value):

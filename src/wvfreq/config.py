@@ -11,6 +11,7 @@ carry unit suffixes (see units.py). CLI flags override file values.
 """
 
 import hashlib
+import re
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -60,6 +61,7 @@ CONFIG_FIELDS = {
 _EXCLUSIVE_PAIRS = (("phi", "postselection"), ("apex_angle", "unamplified_slope"))
 
 _INTP_MAX = int(np.iinfo(np.intp).max)
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
 # The fields that no object built by resolve() checks: name -> (test, the rule it states).
 _FIELD_RULES = {
     "mod_frequency": (lambda v: v > 0, "positive"),
@@ -131,7 +133,8 @@ def _coerce(name, raw):
     if kind is int:
         if value != int(value):
             raise ValidationError(f"{name} must be an integer, got {raw!r}")
-        return int(value)
+        # The float rounds integers above 2^53; an integer literal or int is taken exactly.
+        return int(raw) if _INTEGER.fullmatch(str(raw)) else int(value)
     return value
 
 

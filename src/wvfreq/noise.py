@@ -156,15 +156,19 @@ def _usable_range(point, sigma, threshold):
     return UsableRange(frequency_span=span, clamped=False)
 
 
-def split_estimate(n_right, n_total, calibration):
+def split_estimate(n_right, n_total, calibration, out=None):
     """Calibrated difference-over-sum position estimate, elementwise.
 
     ``calibration`` * (2 n_right - n_total) / n_total, in the units of the
-    calibration constant (meters per unit asymmetry). The array is the left
-    operand of each product, so numpy reuses the temporaries in place: the
-    estimate needs one array of the counts' length beside them, not two.
+    calibration constant (meters per unit asymmetry). The first product is
+    the one temporary, the next two steps run in place on it, and the quotient
+    is written into ``out`` when one is given, which may be ``n_right``'s own
+    buffer: n_right is read only by the first product.
     """
-    return (2.0 * n_right - n_total) * calibration / n_total
+    estimate = 2.0 * n_right
+    estimate -= n_total
+    estimate *= calibration
+    return np.divide(estimate, n_total, out=out)
 
 
 def split_noise(calibration, n_detected, p_right, dark_mean=0.0, electronic_noise=0.0):

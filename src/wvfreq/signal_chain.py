@@ -47,8 +47,10 @@ whole-record calls in sample order. A run of phases that share one p and
 hold at least SCALAR_RUN variates is drawn with p as a Python float, the
 other phases with p broadcast from the profile; numpy's sampler keeps its
 state across calls and draws the same variates either way, so how a record
-is split into calls never moves a byte. A fixed seed therefore reproduces the
-output byte for byte in the same software environment.
+is split into calls never moves a byte. The estimate is then finished in the
+counts' own buffer, FINISH_BLOCK samples at a time, by elementwise arithmetic,
+so how it is blocked never moves a byte either. A fixed seed therefore
+reproduces the output byte for byte in the same software environment.
 """
 
 import functools
@@ -82,6 +84,11 @@ DRAW_BLOCK = 1 << 16
 # phase. An undriven record's one run, or a driven 100 s record's phases of 1000
 # variates, lie above it; a slope point's 30 or a 1024 Hz record's 4 lie below.
 SCALAR_RUN = 512
+# Samples per block of ``synthesize_run``'s finish, which writes each block's
+# position estimate over its counts: a block's float64 temporary, 64 KiB, stays
+# below glibc's 128 KiB mmap threshold, so it reuses freed heap pages instead of
+# mapping and faulting in fresh ones on every call (DRAW_BLOCK's 512 KiB would).
+FINISH_BLOCK = 1 << 13
 _INTP_MAX = np.iinfo(np.intp).max  # numpy's largest array, in bytes
 # numpy's normal draw stays within NORMAL_DRAW_MAX standard deviations: its
 # ziggurat tail returns r - log1p(-u) / r with r = 3.654 and u a 53-bit uniform
@@ -468,7 +475,12 @@ def synthesize_run(
     ``_draw_counts``): kernel work is O(min(P, N)), the photon draws are
     O(N), and no full-length split probability is built. Each sample's count
     is Binomial(n, p) at its own phase; the phase order decides only which
-    variate of the stream lands on which sample. ``modulation`` sets the
+    variate of the stream lands on which sample. Any dark counts' right-hand
+    share is added to the counts in place, and ``split_estimate`` then runs
+    on FINISH_BLOCK samples at a time, each block's estimate written over its
+    counts through a float64 view of the same buffer, and any electronic
+    noise is added to it in place: besides the counts, only the
+    noise-extension draws take full-length arrays. ``modulation`` sets the
     drive's frequency (default: a 10 Hz sine); its ``amplitude`` is not
     read, ``dnu_peak`` is. Output samples are calibrated position estimates
     in meters (unfiltered). Deterministic for a fixed seed.
@@ -484,14 +496,18 @@ def synthesize_run(
     rng, n_samples = np.random.default_rng(seed), plan.n_samples
     n_right = _draw_counts(rng, plan.n_detected, split_profile(plan, dnu_peak), n_samples)
     # The noise-extension draws follow the counts from the same stream, whole-record calls.
-    total = float(plan.n_detected)
+    n_detected, dark = float(plan.n_detected), None
     if plan.extensions.dark_count_rate > 0.0:
         dark = rng.poisson(plan.dark_mean, n_samples)
-        n_right = n_right + rng.binomial(dark, 0.5)
-        total = total + dark
-    estimates = split_estimate(n_right, total, plan.calibration)
+        n_right += rng.binomial(dark, 0.5)
+    # Each block's estimate overwrites the counts it is computed from.
+    estimates = n_right.view(np.float64)
+    for i in range(0, n_samples, FINISH_BLOCK):
+        block = slice(i, i + FINISH_BLOCK)
+        total = n_detected if dark is None else n_detected + dark[block]
+        split_estimate(n_right[block], total, plan.calibration, out=estimates[block])
     if plan.extensions.electronic_noise > 0.0:
-        estimates = estimates + rng.normal(0.0, plan.extensions.electronic_noise, n_samples)
+        estimates += rng.normal(0.0, plan.extensions.electronic_noise, n_samples)
     return TimeSeries(sample_rate=plan.sample_rate, samples=estimates)
 
 

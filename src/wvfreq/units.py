@@ -77,7 +77,10 @@ def parse_quantity(text, dimension=None):
     once scaled, is rejected.
     """
     if not isinstance(text, str):
-        return _finite(float(text), text)
+        try:
+            return _finite(float(text), text)
+        except OverflowError:  # an int beyond the float range
+            raise ValidationError(f"quantity {text!r} is not finite") from None
     match = _QUANTITY_RE.match(text)
     if match is None:
         raise ValidationError(f"cannot parse quantity {text!r}")

@@ -1,5 +1,5 @@
-"""Shared Monte Carlo oracle for the split-detector tests, and the suite's
-hypothesis profile.
+"""Shared Monte Carlo oracle for the split-detector tests, the memory tests'
+peak measurement, and the suite's hypothesis profile.
 
 A run takes p_right and the calibration once from the quadrature oracles on
 a tabulated profile. Replica i draws its right-hand count from
@@ -7,6 +7,8 @@ a tabulated profile. Replica i draws its right-hand count from
 however it is scheduled, and one ``split_estimate`` call turns all counts
 into position estimates.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,3 +54,21 @@ def split_replicas():
 def split_std_error():
     """``(x_grid, intensity, n_detected) -> std of one estimate``."""
     return _std_error
+
+
+def _peak_bytes(fn):
+    """Peak bytes that tracemalloc (which sees numpy's buffers) traces during
+    ``fn()``, after one untraced call has filled the caches it reads."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="session")
+def peak_bytes():
+    """``fn -> peak traced bytes of a warm fn()``."""
+    return _peak_bytes

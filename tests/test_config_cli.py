@@ -56,7 +56,10 @@ class TestUnits:
         with pytest.raises(ValidationError):
             parse_quantity("not-a-number")
 
-    @pytest.mark.parametrize("text", ["1e309", "-1e309", "1e300THz", float("inf"), float("nan")])
+    @pytest.mark.parametrize(
+        "text",
+        ["1e309", "-1e309", "1e300THz", float("inf"), float("nan"), pytest.param(10**400, id="int")],
+    )
     def test_not_finite(self, text):
         with pytest.raises(ValidationError, match="is not finite"):
             parse_quantity(text, "frequency")
@@ -173,6 +176,23 @@ class TestConfig:
             with pytest.raises(ValidationError, match="integer"):
                 config_from_mapping({name: "2.5"})
             assert type(getattr(config_from_mapping({name: "7"}), name)) is int
+
+    def test_int_field_above_two_to_the_53_is_exact(self, tmp_path):
+        # A float holds 2^53 + 1 as 2^53, so an integer literal or a Python
+        # int is taken as written; exponent forms still pass through the float.
+        big = 2**53 + 1
+        for name in ("seed", "n_cycles"):
+            for raw in (str(big), f" +{big} ", big):
+                assert getattr(config_from_mapping({name: raw}), name) == big
+        path = tmp_path / "run.cfg"
+        path.write_text(f"seed = {big}\nn_cycles = {big}\n")
+        cfg = config_from_file(path)
+        assert (cfg.seed, cfg.n_cycles) == (big, big)
+        assert config_from_mapping({"n_cycles": "1e3"}).n_cycles == 1000
+        assert config_from_mapping({"filter_stages": "1e31"}).filter_stages == int(1e31)
+        with pytest.raises(ValidationError) as info:
+            config_from_mapping({"seed": "1.5"})
+        assert str(info.value) == "seed must be an integer, got '1.5'"
 
     def test_metadata_and_hash(self):
         physics = resolve(ExperimentConfig())
@@ -787,6 +807,16 @@ class TestCli:
             if line.startswith("# ")
         )
         assert header["filter_center"] == header["mod_frequency"] == "20"
+
+    def test_seed_above_two_to_the_53_reaches_header_and_draw(self, tmp_path, capsys):
+        assert cli.main(["range", "--seed", "9007199254740993"]) == 0
+        assert "# seed = 9007199254740993\n" in capsys.readouterr().out
+        rows = []
+        for seed in ("9007199254740992", "9007199254740993"):
+            out = tmp_path / f"{seed}.csv"
+            assert cli.main(["simulate", "--duration", "0.1s", "--seed", seed, "-o", str(out)]) == 0
+            rows.append([line for line in out.read_text().splitlines() if line[0] != "#"])
+        assert rows[0] != rows[1]
 
     def test_calibrate_roundtrip(self, tmp_path, capsys):
         pos_file = _positions_file(tmp_path)

@@ -9,7 +9,6 @@ fallback would fail them.
 """
 
 import itertools
-import tracemalloc
 from decimal import Decimal
 from unittest import mock
 
@@ -166,20 +165,15 @@ class TestCompaction:
             table = table.view(np.uint8).reshape(-1, 8)
             assert (table[:, kept[word]] != 0).all(), word
 
-    def test_peak_memory_per_cell(self):
+    def test_peak_memory_per_cell(self, peak_bytes):
         # The spectrum table: 3126 rows of frequency, driven and undriven dB.
         # Compaction allocates no index array, so the peak holds the block's
-        # few 48-byte rows and 8-byte digit arrays a cell (241 B in all).
+        # few 48-byte rows and 8-byte digit arrays a cell (241 B in all); the
+        # warm call builds the layout tables.
         rng = np.random.default_rng(1406)
         n_rows = 3126
         table = [np.linspace(0.0, 500.0, n_rows), *rng.normal(-85.0, 5.0, (2, n_rows))]
-        csv_text({}, ("f", "a", "b"), *table)  # builds the layout tables
-        tracemalloc.start()
-        try:
-            csv_text({"k": 1.0}, ("f", "a", "b"), *table)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(lambda: csv_text({"k": 1.0}, ("f", "a", "b"), *table))
         assert peak / (3 * n_rows) < 270
 
 

@@ -18,7 +18,7 @@ class DomainError(ValidationError):
 
 
 class AliasingError(ValidationError):
-    """Sample rate too low for the requested filter band."""
+    """Sample rate too low for the drive (Nyquist) or the requested filter band."""
 
 
 class PhysicsValidityError(SimulationError):

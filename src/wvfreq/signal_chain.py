@@ -304,6 +304,17 @@ class RecordPlan:
         cls, physics, duration, sample_rate, n_per_sample, mod_frequency, extensions,
         filter_spec=None, segments=None,
     ):
+        """The plan of a ``duration`` s record, or a ValidationError naming the
+        first check it fails, in this order: a duration that is not positive,
+        or not a whole number of drive cycles; a photon count beyond the
+        binomial draw's int64 range, or fewer than 10 postselected photons a
+        sample; a record that holds more samples than an array can index, or
+        none; a drive at or above the Nyquist frequency, sample_rate / 2 (an
+        AliasingError: its samples would read the drive as an alias, or as
+        nothing when sampled once a period); a dark-count mean beyond the
+        Poisson draw's range; and, when given, the sweep's bandpass and cycle
+        and the spectrum's segment split and electronic-noise bound.
+        """
         if not duration > 0:
             raise ValidationError(f"record duration must be positive, got {duration} s")
         cycles = duration * mod_frequency
@@ -334,6 +345,11 @@ class RecordPlan:
         n_samples = int(round(duration * sample_rate))
         if n_samples < 1:
             raise ValidationError(f"a {duration} s record at {sample_rate} Hz holds no sample")
+        if mod_frequency >= sample_rate / 2:
+            raise AliasingError(
+                f"a {mod_frequency} Hz drive is at or above the {sample_rate / 2} Hz Nyquist "
+                f"frequency of a {sample_rate} Hz sample rate"
+            )
         dark_mean = extensions.dark_count_rate / sample_rate
         if dark_mean > 0.0 and n_detected + dark_mean > POISSON_MEAN_MAX:
             # The photon and dark counts are summed in int64 too.
@@ -605,14 +621,23 @@ def power_spectrum(series, segments=1):
     segments are one batched transform of the record's (segments, seg_len)
     view, summed in segment order; samples after the last whole segment are
     dropped.
+
+    The spectra are scaled by the coherent gain c as one multiply of their
+    float64 view by 1/c, not numpy's complex division. That division by
+    c + 0j computes (re + im·0)·(1/c) and (im − re·0)·(1/c), so the two
+    differ only in the sign of a zero part, which squaring erases: every
+    power keeps its bits.
     """
     seg_len = segment_length(series.samples.size, segments)
     win = hann_window(seg_len)
     coherent_gain = win.sum()
     chunks = series.samples[: segments * seg_len].reshape(segments, seg_len)
     spectra = np.fft.rfft(chunks * win)
-    spectra /= coherent_gain
-    power = (np.abs(spectra) ** 2).sum(axis=0)
+    parts = spectra.view(np.float64)
+    parts *= 1.0 / coherent_gain
+    power = np.abs(spectra)
+    power *= power
+    power = power.sum(axis=0)
     power /= segments
     power[1:] *= 2.0  # fold negative frequencies; DC stays single-sided
     if seg_len % 2 == 0:

@@ -536,19 +536,27 @@ def csv_columns(text, columns):
         key, equals, value = line[1:].partition("=")
         if equals:
             metadata[key.strip()] = value.strip()
-    data = text[start + len(column_line) :].rstrip().encode()
+    start += len(column_line)
+    stop = len(text)
+    while stop > start and text[stop - 1].isspace():  # what rstrip strips, uncopied
+        stop -= 1
+    data = text[start:stop].encode()
     if not data:
         raise ValidationError("CSV has no data rows")
-    data += b"\n"  # so that every row, the last too, ends with one
     width = len(columns)
-    n_rows = data.count(b"\n")
+    # The last row has no newline of its own; its block and the fallback's
+    # input get one, so that every row they read ends with one.
+    n_rows = np.count_nonzero(np.frombuffer(data, np.uint8) == ord("\n")) + 1
     table = np.empty((width, n_rows))
     row = start = 0
     while start < len(data):
-        end = data.find(b"\n", min(start + _BLOCK_BYTES, len(data) - 1)) + 1
-        values = _read_block(data[start:end], width)
+        end = data.find(b"\n", start + _BLOCK_BYTES) + 1 or len(data)
+        block = data[start:end]
+        if end == len(data):
+            block += b"\n"
+        values = _read_block(block, width)
         if values is None:
-            return metadata, _whole_body(data, width)
+            return metadata, _whole_body(data + b"\n", width)
         rows = values.size // width
         table[:, row : row + rows] = values.reshape(rows, width).T
         row += rows

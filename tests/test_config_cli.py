@@ -280,6 +280,16 @@ REFUSED_BEFORE_ANY_RECORD = [
     ("--duration=0.15s", "duration 0.15 s is not a whole number of 10.0 Hz cycles", "simulate"),
 ]
 
+# A drive at or above the Nyquist frequency: each exited 0 before, with a
+# spectrum peaked at the 400 Hz alias of a 600 Hz drive, or, sampled once a
+# period, a record that holds no drive at all (sin 2 pi k = 0).
+ABOVE_NYQUIST = [
+    (["spectrum", "--mod-frequency", "600Hz"], 600.0, 1000.0),
+    (["spectrum", "--sample-rate", "19Hz"], 10.0, 19.0),
+    (["simulate", "--sample-rate", "15Hz", "--duration", "1s"], 10.0, 15.0),
+    (["simulate", "--mod-frequency", "1000Hz", "--duration", "0.1s"], 1000.0, 1000.0),
+]
+
 
 def _positions_file(tmp_path):
     """The packaged reference lines' positions on a 2.3e8 Hz/unit, 5 MHz scan."""
@@ -481,6 +491,24 @@ class TestCli:
             assert err.startswith(f"error: {message}") and err.count("\n") == 1
         else:
             assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("args,drive,rate", ABOVE_NYQUIST)
+    def test_drive_above_nyquist_refused_before_any_photon(
+        self, tmp_path, capsys, args, drive, rate
+    ):
+        out = tmp_path / "x.csv"
+        with mock.patch.object(
+            signal_chain, "_draw_counts", side_effect=AssertionError
+        ) as draw:
+            assert cli.main([*args, "-o", str(out)]) == 2
+        assert draw.call_count == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: a {drive} Hz drive is at or above the {rate / 2} Hz Nyquist frequency "
+            f"of a {rate} Hz sample rate\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "args",

@@ -539,17 +539,26 @@ class TestPowerSpectrum:
         assert spec.resolution_bw == FS * (win**2).sum() / win.sum() ** 2
 
     @pytest.mark.parametrize(
-        "n,segments,sample_rate",
+        "n,segments,sample_rate,zeros",
         [
-            (100_000, 16, FS), (2048, 4, 1024.0), (1001, 1, 1000.5), (40_000, 2, FS),
+            (100_000, 16, FS, ()), (2048, 4, 1024.0, ()), (1001, 1, 1000.5, ()),
+            (40_000, 2, FS, ()),
             # Samples left after the last whole segment, odd segments, the shortest one.
-            (100_003, 16, FS), (99_999, 3, FS), (16, 1, FS), (17, 1, FS),
+            (100_003, 16, FS, ()), (99_999, 3, FS, ()), (16, 1, FS, ()), (17, 1, FS, ()),
+            # Exact zeros, the one input where scaling by a multiply and numpy's
+            # complex division differ before squaring (in a zero's sign): a -0.0
+            # and a +0.0 segment beside noise, and a record of -0.0 alone.
+            (4096, 4, FS, ((1024, 2048, -0.0), (2048, 3072, 0.0))),
+            (1000, 1, FS, ((0, 1000, -0.0),)),
         ],
     )
-    def test_matches_per_segment_oracle(self, n, segments, sample_rate):
+    def test_matches_per_segment_oracle(self, n, segments, sample_rate, zeros):
         # The batched transform gives the bits of one transform per segment,
         # summed in segment order.
-        series = TimeSeries(sample_rate, np.random.default_rng(n).normal(0, 1, n))
+        samples = np.random.default_rng(n).normal(0, 1, n)
+        for start, stop, zero in zeros:
+            samples[start:stop] = zero
+        series = TimeSeries(sample_rate, samples)
         expected = direct_power_spectrum(series, segments)
         spec = power_spectrum(series, segments)
         assert spec.frequencies.tobytes() == expected.frequencies.tobytes()

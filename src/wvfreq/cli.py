@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: slope, spectrum, sensitivity, range, calibrate, simulate.
-Exit codes: 0 success, 2 validation error, 3 physics-validity error,
+Exit codes: 0 success; a failure exits with its error base's ``exit_code``
+(``wvfreq.errors``): 2 validation error, 3 physics-validity error,
 4 numerical failure.
 """
 
@@ -13,12 +14,8 @@ import numpy as np
 
 from . import recipes
 from .config import CONFIG_FIELDS, ExperimentConfig, config_from_file, config_from_mapping
-from .errors import NumericalError, PhysicsValidityError, ValidationError
-from .units import csv_text, parse_quantity
-
-EXIT_VALIDATION = 2
-EXIT_PHYSICS = 3
-EXIT_NUMERICAL = 4
+from .errors import NumericalError, SimulationError, ValidationError
+from .units import parse_quantity
 
 
 _CSV_TO_STDOUT = "CSV output path (default stdout)"
@@ -105,17 +102,13 @@ def _dispatch(args):
         _write(recipes.spectrum_pair_csv(freqs, driven, undriven, meta), args.output)
         return 0
     if args.command == "sensitivity":
-        report, meta = recipes.run_sensitivity(_build_config(args))
-        sys.stdout.write(recipes.sensitivity_text(report))
+        row, meta = recipes.run_sensitivity(_build_config(args))
+        sys.stdout.write(recipes.sensitivity_text(row))
         if args.output:
-            _write(recipes.sensitivity_csv(report, meta), args.output)
+            _write(recipes.sensitivity_csv(row, meta), args.output)
         return 0
     if args.command == "range":
-        span, meta = recipes.run_range(_build_config(args))
-        text = csv_text(
-            meta, ("usable_range_hz", "clamped"), span.frequency_span, span.clamped
-        )
-        _write(text, args.output)
+        _write(recipes.report_csv(*recipes.run_range(_build_config(args))), args.output)
         return 0
     if args.command == "calibrate":
         probe = parse_quantity(args.propagate, "frequency") if args.propagate else None
@@ -145,21 +138,14 @@ def main(argv=None):
         # An overflow or 0/0 anywhere in a request ends it, rather than printing inf or nan.
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             return _dispatch(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except PhysicsValidityError as exc:
-        print(f"physics validity error: {exc}", file=sys.stderr)
-        return EXIT_PHYSICS
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except SimulationError as exc:  # its base carries the exit code and label
+        kind, message = type(exc), exc
     except (FloatingPointError, OverflowError) as exc:  # a float result out of range
-        print(f"numerical error: {exc.args[-1]}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        kind, message = NumericalError, exc.args[-1]
     except (OSError, MemoryError) as exc:  # MemoryError: a record too long to hold
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        kind, message = ValidationError, exc
+    print(f"{kind.label}: {message}", file=sys.stderr)
+    return kind.exit_code
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all simulator modules.
 
-The CLI maps these onto exit codes: ValidationError and subclasses exit
-with 2, PhysicsValidityError with 3, NumericalError with 4.
+Each of the three bases carries the CLI's exit code and stderr label for
+itself and its subclasses: ValidationError exits with 2, PhysicsValidityError
+with 3, NumericalError with 4.
 """
 
 
@@ -12,17 +13,21 @@ class SimulationError(Exception):
 class ValidationError(SimulationError):
     """Malformed or inconsistent inputs (bad config, shape/length mismatch)."""
 
+    exit_code, label = 2, "error"
+
 
 class DomainError(ValidationError):
     """Argument outside the mathematical domain of an operation."""
 
 
 class AliasingError(ValidationError):
-    """Sample rate too low for the drive (Nyquist) or the requested filter band."""
+    """A drive or bandpass centre at or above the Nyquist frequency."""
 
 
 class PhysicsValidityError(SimulationError):
     """Inputs valid but outside the regime where the model applies."""
+
+    exit_code, label = 3, "physics validity error"
 
 
 class GrazingIncidenceError(PhysicsValidityError):
@@ -43,3 +48,5 @@ class UnreachableSlopeError(PhysicsValidityError):
 
 class NumericalError(SimulationError):
     """A numerical routine failed to converge or produced an inconsistent value."""
+
+    exit_code, label = 4, "numerical error"

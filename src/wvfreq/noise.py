@@ -33,36 +33,6 @@ PLANCK = 6.62607015e-34  # J s, exact SI value
 
 
 @dataclass(frozen=True)
-class SensitivityReport:
-    snr: float
-    min_deflection: float
-    min_frequency_shift: float
-    integration_time: float
-    sensitivity_per_rt_hz: float
-    ideal_sensitivity_per_rt_hz: float
-    usable_range_hz: float
-    range_clamped: bool
-
-    def __post_init__(self):
-        for name in (
-            "snr",
-            "min_deflection",
-            "min_frequency_shift",
-            "sensitivity_per_rt_hz",
-            "ideal_sensitivity_per_rt_hz",
-            "usable_range_hz",
-        ):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be non-negative")
-        expected = self.min_frequency_shift * np.sqrt(self.integration_time)
-        if abs(expected - self.sensitivity_per_rt_hz) > 1e-12 * expected:
-            raise ValidationError(
-                "sensitivity_per_rt_hz inconsistent with min shift and "
-                "integration time"
-            )
-
-
-@dataclass(frozen=True)
 class UsableRange:
     """Largest usable frequency offset; ``clamped`` marks truncation at the
     edge of the Sellmeier validity window."""

@@ -22,7 +22,7 @@ from .calibration import (
     propagate_calibration_error,
 )
 from .config import resolve, resolved_metadata
-from .errors import SimulationError
+from .errors import SimulationError, ValidationError
 from .interferometer import amplification_factor
 from .noise import (
     ideal_sensitivity,
@@ -31,7 +31,6 @@ from .noise import (
     shot_noise_snr,
     split_noise,
     usable_range,
-    SensitivityReport,
 )
 from .signal_chain import (
     RecordPlan,
@@ -80,8 +79,14 @@ def run_slope_sweep(config):
     weight, is sqrt(2 / N_w) sigma_x over the N_w samples the lock-in reads.
     The points are drawn from the largest shift down: the shifts are >= 0, so
     every point's drive lies within the largest's, and a kick or wavelength
-    that only the config decides is refused before the first photon.
+    that only the config decides is refused before the first photon, as is
+    a sweep whose shifts are all one value, which has no slope.
     """
+    if config.sweep_min == config.sweep_max:
+        raise ValidationError(
+            f"sweep_min and sweep_max are both {config.sweep_min} Hz: a sweep of one "
+            "shift has no slope"
+        )
     physics = resolve(config)
     duration = (config.n_cycles + config.settle_cycles) * (1.0 / config.mod_frequency)
     spec = physics.filter_spec
@@ -156,62 +161,64 @@ def spectrum_pair_csv(frequencies, driven_db, undriven_db, metadata):
 
 
 def run_sensitivity(config):
-    """Ideal and scaled sensitivities, SNR at the minimum sweep point, range."""
+    """The sensitivity report's one row and its metadata.
+
+    The row maps each CSV column to its value, in column order: the
+    shot-noise SNR and deflection at the minimum sweep point, the scaled and
+    ideal sensitivities and the usable range. ``sensitivity_csv`` and
+    ``sensitivity_text`` both read it, so a figure is named once.
+    """
     physics = resolve(config)
     cfg = config
     # The range first: it refuses a sigma wide enough to overflow the SNR terms.
     span = usable_range(physics.point, cfg.sigma, cfg.range_threshold)
     ideal = ideal_sensitivity(cfg.power, physics.point, cfg.sigma)
-    min_shift = cfg.sweep_min
-    scaled = measured_sensitivity(min_shift, cfg.integration_time)
-    slope = physics.deflection_slope()
-    delta_min = slope * min_shift
+    scaled = measured_sensitivity(cfg.sweep_min, cfg.integration_time)
+    delta_min = physics.deflection_slope() * cfg.sweep_min
     n_tau = photon_number(cfg.power, physics.carrier, cfg.integration_time)
-    snr = shot_noise_snr(n_tau, physics.carrier.wavenumber, cfg.sigma, delta_min)
-    return SensitivityReport(
-        snr=snr,
-        min_deflection=delta_min,
-        min_frequency_shift=min_shift,
-        integration_time=cfg.integration_time,
-        sensitivity_per_rt_hz=scaled,
-        ideal_sensitivity_per_rt_hz=ideal,
-        usable_range_hz=span.frequency_span,
-        range_clamped=span.clamped,
-    ), resolved_metadata(physics)
+    return {
+        "snr": shot_noise_snr(n_tau, physics.carrier.wavenumber, cfg.sigma, delta_min),
+        "min_deflection_rad": delta_min,
+        "min_frequency_shift_hz": cfg.sweep_min,
+        "integration_time_s": cfg.integration_time,
+        "sensitivity_hz_rthz": scaled,
+        "ideal_sensitivity_hz_rthz": ideal,
+        "usable_range_hz": span.frequency_span,
+        "range_clamped": span.clamped,
+    }, resolved_metadata(physics)
 
 
-def sensitivity_csv(report, metadata):
-    columns = (
-        "snr", "min_deflection_rad", "min_frequency_shift_hz", "integration_time_s",
-        "sensitivity_hz_rthz", "ideal_sensitivity_hz_rthz", "usable_range_hz", "range_clamped",
-    )
-    return csv_text(
-        metadata, columns, report.snr, report.min_deflection, report.min_frequency_shift,
-        report.integration_time, report.sensitivity_per_rt_hz,
-        report.ideal_sensitivity_per_rt_hz, report.usable_range_hz, report.range_clamped,
-    )
+def report_csv(row, metadata):
+    """A one-row report, keyed by its column names in column order, as CSV text."""
+    return csv_text(metadata, tuple(row), *row.values())
 
 
-def sensitivity_text(report):
-    ratio = report.sensitivity_per_rt_hz / report.ideal_sensitivity_per_rt_hz
-    flag = " (clamped to material validity window)" if report.range_clamped else ""
+def sensitivity_csv(row, metadata):
+    """``report_csv`` under its own name, which ``bench/workloads.py`` times."""
+    return report_csv(row, metadata)
+
+
+def sensitivity_text(row):
+    ratio = row["sensitivity_hz_rthz"] / row["ideal_sensitivity_hz_rthz"]
+    flag = " (clamped to material validity window)" if row["range_clamped"] else ""
     return (
-        f"shot-noise SNR at {report.min_frequency_shift / 1e3:.1f} kHz, "
-        f"{report.integration_time * 1e3:.0f} ms: {report.snr:.3f}\n"
-        f"minimum deflection: {report.min_deflection:.4e} rad\n"
-        f"sensitivity (scaled to 1 s): "
-        f"{report.sensitivity_per_rt_hz / 1e3:.1f} kHz/sqrt(Hz)\n"
+        f"shot-noise SNR at {row['min_frequency_shift_hz'] / 1e3:.1f} kHz, "
+        f"{row['integration_time_s'] * 1e3:.0f} ms: {row['snr']:.3f}\n"
+        f"minimum deflection: {row['min_deflection_rad']:.4e} rad\n"
+        f"sensitivity (scaled to 1 s): {row['sensitivity_hz_rthz'] / 1e3:.1f} kHz/sqrt(Hz)\n"
         f"ideal shot-noise sensitivity: "
-        f"{report.ideal_sensitivity_per_rt_hz / 1e3:.1f} kHz/sqrt(Hz)\n"
+        f"{row['ideal_sensitivity_hz_rthz'] / 1e3:.1f} kHz/sqrt(Hz)\n"
         f"ratio to shot-noise limit: {ratio:.2f}\n"
-        f"usable range: {report.usable_range_hz / 1e12:.2f} THz{flag}\n"
+        f"usable range: {row['usable_range_hz'] / 1e12:.2f} THz{flag}\n"
     )
 
 
 def run_range(config):
+    """The usable-range report's one row, as ``run_sensitivity``'s, and its metadata."""
     physics = resolve(config)
     span = usable_range(physics.point, config.sigma, config.range_threshold)
-    return span, resolved_metadata(physics)
+    row = {"usable_range_hz": span.frequency_span, "clamped": span.clamped}
+    return row, resolved_metadata(physics)
 
 
 def run_simulate(config, dnu_peak, duration):

@@ -197,6 +197,15 @@ def fft_length(n):
     return best
 
 
+def _refuse_above_nyquist(drive, sample_rate):
+    """The one aliasing rule: a drive at or above sample_rate / 2 is an AliasingError."""
+    if drive >= sample_rate / 2:
+        raise AliasingError(
+            f"a {drive} Hz drive is at or above the {sample_rate / 2} Hz Nyquist "
+            f"frequency of a {sample_rate} Hz sample rate"
+        )
+
+
 @functools.lru_cache(maxsize=4)
 def cascade_response(spec, sample_rate, n_samples):
     """FFT length and gain * H^stages on its rfft grid, for an n_samples record.
@@ -208,13 +217,10 @@ def cascade_response(spec, sample_rate, n_samples):
     padding of ceil(ln IMPULSE_TAIL / ln|z|) * (stages + 1) samples outlasts
     the cascade's impulse response, so the wrapped-around tail of the
     circular convolution is below IMPULSE_TAIL. A padded length that a
-    float64 array could not hold is refused before anything is allocated.
+    float64 array could not hold is refused before anything is allocated, and
+    so is a center at or above the Nyquist frequency, by the record plan's rule.
     """
-    if sample_rate < 20.0 * spec.center:
-        raise AliasingError(
-            f"sample rate {sample_rate} Hz too low for a {spec.center} Hz "
-            "bandpass (need >= 20x center)"
-        )
+    _refuse_above_nyquist(spec.center, sample_rate)
     r = math.tan(math.pi * spec.center / sample_rate)
     # ln|z| = log1p(|z|^2 - 1) / 2, with |z|^2 - 1 = -2 (r/Q) / (1 + r/Q + r^2).
     log_pole = 0.5 * math.log1p(-2.0 * r / STAGE_Q / (1.0 + r / STAGE_Q + r * r))
@@ -345,11 +351,7 @@ class RecordPlan:
         n_samples = int(round(duration * sample_rate))
         if n_samples < 1:
             raise ValidationError(f"a {duration} s record at {sample_rate} Hz holds no sample")
-        if mod_frequency >= sample_rate / 2:
-            raise AliasingError(
-                f"a {mod_frequency} Hz drive is at or above the {sample_rate / 2} Hz Nyquist "
-                f"frequency of a {sample_rate} Hz sample rate"
-            )
+        _refuse_above_nyquist(mod_frequency, sample_rate)
         dark_mean = extensions.dark_count_rate / sample_rate
         if dark_mean > 0.0 and n_detected + dark_mean > POISSON_MEAN_MAX:
             # The photon and dark counts are summed in int64 too.

@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -244,9 +245,17 @@ REFUSED_BEFORE_ANY_RECORD = [
         ("--background-fraction=-1", "background fraction must be >= 0"),
     )
 ] + [
+    # The bandpass is centred on the drive, so a drive at the Nyquist
+    # frequency is refused by the one aliasing rule, before the bandpass.
     (
-        "--sample-rate=100Hz",
-        "sample rate 100.0 Hz too low for a 10.0 Hz bandpass (need >= 20x center)",
+        "--sample-rate=20Hz",
+        "a 10.0 Hz drive is at or above the 10.0 Hz Nyquist frequency of a 20.0 Hz sample rate",
+        "slope",
+    ),
+    # A sweep_max equal to the default sweep_min: every shift is one value.
+    (
+        "--sweep-max=743kHz",
+        "sweep_min and sweep_max are both 743000.0 Hz: a sweep of one shift has no slope",
         "slope",
     ),
     (
@@ -332,6 +341,27 @@ class TestCli:
         assert "ideal_sensitivity_hz_rthz" in text
         assert "# config_hash =" in text
 
+    @pytest.mark.parametrize("args", [[], ["--sigma", "2mm", "--sweep-min", "1MHz"]])
+    def test_sensitivity_text_and_csv_share_one_row(self, tmp_path, capsys, args):
+        # Every kHz and THz figure on stdout is a CSV frequency column's value
+        # as sensitivity_text formats it, and every such column is on stdout:
+        # a figure added to one output and not the other fails here.
+        out_path = tmp_path / "sens.csv"
+        assert cli.main(["sensitivity", *args, "-o", str(out_path)]) == 0
+        stdout = capsys.readouterr().out
+        text = out_path.read_text()
+        header = next(line for line in text.splitlines() if not line.startswith("#"))
+        columns = tuple(header.split(","))
+        _, table = csv_columns(text, columns)
+        unmatched = [float(value[0]) for name, value in zip(columns, table) if "_hz" in name]
+        formats = {"kHz": lambda v: f"{v / 1e3:.1f}", "THz": lambda v: f"{v / 1e12:.2f}"}
+        figures = re.findall(r"(\S+) (kHz|THz)", stdout)
+        assert len(figures) == len(unmatched)
+        for figure, unit in figures:
+            matches = [value for value in unmatched if formats[unit](value) == figure]
+            assert matches, (figure, unit)
+            unmatched.remove(matches[0])
+
     def test_slope_deterministic_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert cli.main(["slope", *QUICK_ARGS, "-o", str(a)]) == 0
@@ -348,22 +378,27 @@ class TestCli:
         assert a.read_bytes() != b.read_bytes()
 
     def test_every_error_class_has_one_exit_code(self, capsys):
-        # main maps these three bases to exits 2, 3 and 4; every other class
-        # in wvfreq.errors derives from exactly one of them.
-        codes = {
-            errors.ValidationError: 2, errors.PhysicsValidityError: 3, errors.NumericalError: 4,
+        # main maps these three bases to exits 2, 3 and 4 and their stderr
+        # prefixes; every other class in wvfreq.errors derives from exactly
+        # one of them. The contract is written out here, not read from the
+        # classes.
+        contract = {
+            errors.ValidationError: (2, "error: "),
+            errors.PhysicsValidityError: (3, "physics validity error: "),
+            errors.NumericalError: (4, "numerical error: "),
         }
         classes = [
             cls for _, cls in inspect.getmembers(errors, inspect.isclass)
             if cls.__module__ == errors.__name__ and cls is not errors.SimulationError
         ]
-        assert set(codes) < set(classes)
+        assert set(contract) < set(classes)
         for cls in classes:
-            bases = [base for base in codes if issubclass(cls, base)]
+            bases = [base for base in contract if issubclass(cls, base)]
             assert len(bases) == 1, cls.__name__
+            code, prefix = contract[bases[0]]
             with mock.patch.object(recipes, "run_range", side_effect=cls("raised")):
-                assert cli.main(["range"]) == codes[bases[0]], cls.__name__
-            assert capsys.readouterr().err.endswith("raised\n")
+                assert cli.main(["range"]) == code, cls.__name__
+            assert capsys.readouterr().err == f"{prefix}raised\n", cls.__name__
 
     def test_validation_exit_code(self, capsys):
         assert cli.main(["slope", "--sweep-points", "1"]) == 2
@@ -522,9 +557,23 @@ class TestCli:
             assert cli.main(args + ["-o", str(tmp_path / "x.csv")]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("numerical error: ")
+        assert captured.err.startswith("numerical error: ")  # then the C library's text
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
+        # The float branch prints the exception's last argument (an
+        # OverflowError's is its strerror); the OS and memory branch its text.
+        for exc, code, err in (
+            (FloatingPointError("overflow encountered in multiply"), 4,
+             "numerical error: overflow encountered in multiply\n"),
+            (OverflowError(34, "Numerical result out of range"), 4,
+             "numerical error: Numerical result out of range\n"),
+            (FileNotFoundError(2, "No such file or directory"), 2,
+             "error: [Errno 2] No such file or directory\n"),
+            (MemoryError("raised"), 2, "error: raised\n"),
+        ):
+            with mock.patch.object(recipes, "run_range", side_effect=exc):
+                assert cli.main(["range"]) == code, type(exc).__name__
+            assert capsys.readouterr().err == err
 
     def test_slope_reads_huge_electronic_noise(self, tmp_path):
         # sigma_e^2 would overflow, the fit's weights 1/err^2 underflow and

@@ -12,7 +12,6 @@ from wvfreq.config import ExperimentConfig, resolve
 from wvfreq.dispersion import OpticalCarrier, kick_of_shift
 from wvfreq.errors import NumericalError, ValidationError
 from wvfreq.noise import (
-    SensitivityReport,
     ideal_sensitivity,
     measured_sensitivity,
     photon_number,
@@ -123,19 +122,6 @@ class TestSensitivities:
     def test_zero_power_unreachable(self, physics):
         with pytest.raises(ValidationError):
             ideal_sensitivity(0.0, physics.point, SIGMA)
-
-    def test_report_invariant(self):
-        with pytest.raises(ValidationError):
-            SensitivityReport(
-                snr=1.0,
-                min_deflection=1e-11,
-                min_frequency_shift=743e3,
-                integration_time=0.03,
-                sensitivity_per_rt_hz=999.0,  # inconsistent with shift * sqrt(tau)
-                ideal_sensitivity_per_rt_hz=67e3,
-                usable_range_hz=5e12,
-                range_clamped=False,
-            )
 
 
 def usable_range_root_finds():

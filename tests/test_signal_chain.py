@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -228,8 +229,14 @@ class TestBandpass:
         assert cascade_response(spec, sample_rate, n_fft - padding + 1)[0] > n_fft
 
     def test_aliasing_guard(self):
-        with pytest.raises(AliasingError):
-            bandpass(TimeSeries(sample_rate=100.0, samples=np.zeros(64)), FilterSpec())
+        # A centre at or above the Nyquist frequency, by the record plan's rule.
+        for sample_rate in (20.0, 19.0):
+            message = (
+                f"a 10.0 Hz drive is at or above the {sample_rate / 2} Hz Nyquist frequency "
+                f"of a {sample_rate} Hz sample rate"
+            )
+            with pytest.raises(AliasingError, match=f"^{re.escape(message)}$"):
+                bandpass(TimeSeries(sample_rate=sample_rate, samples=np.zeros(64)), FilterSpec())
 
     @pytest.mark.parametrize(
         "sample_rate,duration,stages",

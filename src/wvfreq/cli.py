@@ -94,21 +94,20 @@ def build_parser():
 
 def _dispatch(args):
     if args.command == "slope":
-        result = recipes.run_slope_sweep(_build_config(args))
-        _write(recipes.slope_sweep_csv(result), args.output)
+        _write(recipes.slope_sweep_csv(recipes.run_slope_sweep(_build_config(args))), args.output)
         return 0
     if args.command == "spectrum":
-        freqs, driven, undriven, meta = recipes.run_spectrum_pair(_build_config(args))
-        _write(recipes.spectrum_pair_csv(freqs, driven, undriven, meta), args.output)
+        result = recipes.run_spectrum_pair(_build_config(args))
+        _write(recipes.spectrum_pair_csv(result), args.output)
         return 0
     if args.command == "sensitivity":
-        row, meta = recipes.run_sensitivity(_build_config(args))
-        sys.stdout.write(recipes.sensitivity_text(row))
+        result = recipes.run_sensitivity(_build_config(args))
+        sys.stdout.write(recipes.sensitivity_text(result))
         if args.output:
-            _write(recipes.sensitivity_csv(row, meta), args.output)
+            _write(recipes.sensitivity_csv(result), args.output)
         return 0
     if args.command == "range":
-        _write(recipes.report_csv(*recipes.run_range(_build_config(args))), args.output)
+        _write(recipes.table_csv(recipes.run_range(_build_config(args))), args.output)
         return 0
     if args.command == "calibrate":
         probe = parse_quantity(args.propagate, "frequency") if args.propagate else None

@@ -212,6 +212,8 @@ def resolve(config):
     state = interferometer.InterferometerState(
         phi=phi, path_length=config.path_length, beam=beam
     )
+    # phi = pi (postselection 1) amplifies nothing: refused here, before any record.
+    interferometer.weak_value_magnitude(phi)
     return ResolvedPhysics(
         config=config, carrier=carrier, point=point, state=state,
         # Centred on the drive: the lock-in reads it through unity gain and zero phase.

@@ -134,9 +134,10 @@ def get_material(name):
 def _check_window(model, lam):
     lo, hi = model.valid_range
     if np.any(lam < lo) or np.any(lam > hi):
+        least, most = fmt(np.min(lam)), fmt(np.max(lam))
+        seen = least if least == most else f"{least}..{most}"  # one wavelength, named once
         raise DomainError(
-            f"wavelength outside {model.name} validity range "
-            f"[{lo:.3e}, {hi:.3e}] m: {fmt(np.min(lam))}..{fmt(np.max(lam))} m"
+            f"wavelength outside {model.name} validity range [{lo:.3e}, {hi:.3e}] m: {seen} m"
         )
 
 

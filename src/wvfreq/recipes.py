@@ -1,7 +1,10 @@
 """Experiment recipes behind the CLI subcommands.
 
 Each recipe runs one of the canonical measurements end to end on a resolved
-configuration and returns plain data plus CSV text. A recipe that draws
+configuration. A table recipe (slope, spectrum, sensitivity, range) returns
+its table, a dict from each CSV column name to its values in column order,
+and the header metadata; ``table_csv`` writes that pair, so a column is
+named once, where its values are computed. A recipe that draws
 records builds the request's one ``RecordPlan`` first, which runs every
 configuration check, and then draws each record by handing that plan to
 ``synthesize_run`` with the record's own seed: sweep points are seeded
@@ -12,8 +15,6 @@ with the closed-form error of that reading, from the ``split_profile`` the
 record was drawn from. Every record is drawn on the calling thread.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .calibration import (
@@ -23,7 +24,6 @@ from .calibration import (
 )
 from .config import resolve, resolved_metadata
 from .errors import SimulationError, ValidationError
-from .interferometer import amplification_factor
 from .noise import (
     ideal_sensitivity,
     measured_sensitivity,
@@ -61,26 +61,24 @@ def _record(plan, dnu_peak, seed):
     )
 
 
-@dataclass
-class SlopeSweepResult:
-    shifts: np.ndarray  # Hz
-    deflections: np.ndarray  # m
-    errors: np.ndarray  # m
-    slope: float  # m/Hz
-    slope_error: float  # m/Hz
-    amplification: float
-    metadata: dict
+def table_csv(result):
+    """A recipe's (table, metadata) as CSV text, its columns in the table's order."""
+    table, metadata = result
+    return csv_text(metadata, tuple(table), *table.values())
 
 
 def run_slope_sweep(config):
     """Modulation-amplitude sweep read by a lock-in, with a weighted linear fit.
 
-    Each point reads ``lock_in_kernel @ record.samples``. Its error, the fit's
-    weight, is sqrt(2 / N_w) sigma_x over the N_w samples the lock-in reads.
-    The points are drawn from the largest shift down: the shifts are >= 0, so
-    every point's drive lies within the largest's, and a kick or wavelength
-    that only the config decides is refused before the first photon, as is
-    a sweep whose shifts are all one value, which has no slope.
+    Returns the sweep's table, a dict from each CSV column to its values in
+    column order, and its metadata, which carries the fitted slope and its
+    error. Each point reads ``lock_in_kernel @ record.samples``. Its error,
+    the fit's weight, is sqrt(2 / N_w) sigma_x over the N_w samples the
+    lock-in reads. The points are drawn from the largest shift down: the
+    shifts are >= 0, so every point's drive lies within the largest's, and a
+    kick or wavelength that only the config decides is refused before the
+    first photon, as is a sweep whose shifts are all one value, which has no
+    slope.
     """
     if config.sweep_min == config.sweep_max:
         raise ValidationError(
@@ -112,24 +110,17 @@ def run_slope_sweep(config):
     metadata = resolved_metadata(physics)
     metadata["fitted_slope_m_per_hz"] = slope
     metadata["fitted_slope_error_m_per_hz"] = slope_error
-    return SlopeSweepResult(
-        shifts=shifts,
-        deflections=deflections,
-        errors=errors,
-        slope=slope,
-        slope_error=slope_error,
-        amplification=amplification_factor(physics.state),
-        metadata=metadata,
-    )
+    return {"dnu_hz": shifts, "deflection_m": deflections, "std_of_mean_m": errors}, metadata
 
 
 def slope_sweep_csv(result):
-    columns = ("dnu_hz", "deflection_m", "std_of_mean_m")
-    return csv_text(result.metadata, columns, result.shifts, result.deflections, result.errors)
+    """``table_csv`` under its own name, which ``bench/workloads.py`` times."""
+    return table_csv(result)
 
 
 def run_spectrum_pair(config):
-    """Driven and undriven raw-signal spectra on a shared dB reference.
+    """Driven and undriven raw-signal spectra on a shared dB reference: the
+    table and its metadata, as ``run_slope_sweep`` returns them.
 
     Each record's periodogram is taken before the next record is drawn, so
     the transform's temporaries never sit beside both records. The plan has
@@ -146,27 +137,27 @@ def run_spectrum_pair(config):
     ref_db = spec_driven.power_db[fundamental]
     ref_power = spec_driven.ref_power * 10.0 ** (ref_db / 10.0)
     driven_db = spec_driven.power_db - ref_db
-    undriven_db = spec_undriven.power_db + 10.0 * np.log10(
-        spec_undriven.ref_power / ref_power
-    )
+    undriven_db = spec_undriven.power_db + 10.0 * np.log10(spec_undriven.ref_power / ref_power)
     metadata = resolved_metadata(physics)
     metadata["resolution_bw_hz"] = spec_driven.resolution_bw
     metadata["ref_power"] = ref_power
-    return spec_driven.frequencies, driven_db, undriven_db, metadata
+    return {
+        "frequency_hz": spec_driven.frequencies, "driven_db": driven_db, "undriven_db": undriven_db
+    }, metadata
 
 
-def spectrum_pair_csv(frequencies, driven_db, undriven_db, metadata):
-    columns = ("frequency_hz", "driven_db", "undriven_db")
-    return csv_text(metadata, columns, frequencies, driven_db, undriven_db)
+def spectrum_pair_csv(result):
+    """``table_csv`` under its own name, which ``bench/workloads.py`` times."""
+    return table_csv(result)
 
 
 def run_sensitivity(config):
-    """The sensitivity report's one row and its metadata.
+    """The sensitivity report's one-row table and its metadata.
 
-    The row maps each CSV column to its value, in column order: the
-    shot-noise SNR and deflection at the minimum sweep point, the scaled and
-    ideal sensitivities and the usable range. ``sensitivity_csv`` and
-    ``sensitivity_text`` both read it, so a figure is named once.
+    The row holds the shot-noise SNR and deflection at the minimum sweep
+    point, the scaled and ideal sensitivities and the usable range.
+    ``sensitivity_csv`` and ``sensitivity_text`` both read it, so a figure is
+    named once.
     """
     physics = resolve(config)
     cfg = config
@@ -188,17 +179,13 @@ def run_sensitivity(config):
     }, resolved_metadata(physics)
 
 
-def report_csv(row, metadata):
-    """A one-row report, keyed by its column names in column order, as CSV text."""
-    return csv_text(metadata, tuple(row), *row.values())
+def sensitivity_csv(result):
+    """``table_csv`` under its own name, which ``bench/workloads.py`` times."""
+    return table_csv(result)
 
 
-def sensitivity_csv(row, metadata):
-    """``report_csv`` under its own name, which ``bench/workloads.py`` times."""
-    return report_csv(row, metadata)
-
-
-def sensitivity_text(row):
+def sensitivity_text(result):
+    row = result[0]
     ratio = row["sensitivity_hz_rthz"] / row["ideal_sensitivity_hz_rthz"]
     flag = " (clamped to material validity window)" if row["range_clamped"] else ""
     return (
@@ -214,7 +201,7 @@ def sensitivity_text(row):
 
 
 def run_range(config):
-    """The usable-range report's one row, as ``run_sensitivity``'s, and its metadata."""
+    """The usable-range report's one-row table and its metadata."""
     physics = resolve(config)
     span = usable_range(physics.point, config.sigma, config.range_threshold)
     row = {"usable_range_hz": span.frequency_span, "clamped": span.clamped}

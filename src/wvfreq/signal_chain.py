@@ -43,14 +43,16 @@ sample of a period's first phase, then of its second, and so on over the
 record's whole periods, then the samples after the last whole period), in
 ``_draw_counts``'s calls of at most DRAW_BLOCK samples, the same stream as one
 whole-record call in that order, then any noise-extension draws as
-whole-record calls in sample order. A run of phases that share one p and
-hold at least SCALAR_RUN variates is drawn with p as a Python float, the
-other phases with p broadcast from the profile; numpy's sampler keeps its
-state across calls and draws the same variates either way, so how a record
-is split into calls never moves a byte. The estimate is then finished in the
-counts' own buffer, FINISH_BLOCK samples at a time, by elementwise arithmetic,
-so how it is blocked never moves a byte either. A fixed seed therefore
-reproduces the output byte for byte in the same software environment.
+whole-record calls in sample order. The record's shape decides the calls:
+an undriven record's blocks of at least SCALAR_RUN variates, and a driven
+record's phases when each holds at least SCALAR_RUN, are drawn with p as a
+Python float, other blocks with p broadcast from the profile; numpy's
+sampler keeps its state across calls and draws the same variates either
+way, so how a record is split into calls never moves a byte. The estimate
+is then finished in the counts' own buffer, FINISH_BLOCK samples at a time,
+by elementwise arithmetic, so how it is blocked never moves a byte either.
+A fixed seed therefore reproduces the output byte for byte in the same
+software environment.
 """
 
 import functools
@@ -74,15 +76,14 @@ IMPULSE_TAIL = 1e-20  # the FFT padding outlasts the impulse response's decay to
 # The largest mean numpy's Poisson draw accepts: 10 standard deviations below int64's limit.
 POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
 # Samples per binomial call of ``_draw_counts``, whole phases of the drive where they
-# fit, and at most as many phases searched for runs of one p at a time: bounds the
-# draw's temporaries.
+# fit: bounds the draw's temporaries.
 DRAW_BLOCK = 1 << 16
-# Variates in a run of equal p from which ``_draw_counts`` passes p as a Python
-# float. numpy's binomial then skips its broadcast iterator, a few ns a variate,
-# but a run drawn on its own costs one more call, a few us: on a 2-vCPU VM
-# (Python 3.11, numpy 2.4.6) the two break even between 256 and 384 variates a
-# phase. An undriven record's one run, or a driven 100 s record's phases of 1000
-# variates, lie above it; a slope point's 30 or a 1024 Hz record's 4 lie below.
+# Variates of one p from which ``_draw_counts`` passes p as a Python float.
+# numpy's binomial then skips its broadcast iterator, a few ns a variate, but
+# each such call costs one more call, a few us: on a 2-vCPU VM (Python 3.11,
+# numpy 2.4.6) the two break even between 256 and 384 variates a phase. An
+# undriven record's blocks, or a driven 100 s record's phases of 1000 variates,
+# lie above it; a slope point's 30 or a 1024 Hz record's 4 lie below.
 SCALAR_RUN = 512
 # Samples per block of ``synthesize_run``'s finish, which writes each block's
 # position estimate over its counts: a block's float64 temporary, 64 KiB, stays
@@ -319,7 +320,8 @@ class RecordPlan:
         AliasingError: its samples would read the drive as an alias, or as
         nothing when sampled once a period); a dark-count mean beyond the
         Poisson draw's range; and, when given, the sweep's bandpass and cycle
-        and the spectrum's segment split and electronic-noise bound.
+        and the spectrum's segment split, position scale and electronic-noise
+        bound.
         """
         if not duration > 0:
             raise ValidationError(f"record duration must be positive, got {duration} s")
@@ -370,6 +372,12 @@ class RecordPlan:
             # segment's power is at most x^2. The periodogram sums ``segments``
             # of them and doubles their mean, so max(segments, 2) x^2 must be finite.
             x_max = math.sqrt(np.finfo(float).max / max(segments, 2))
+            if calibration > x_max:  # then no noise bound is left to name
+                raise ValidationError(
+                    f"the position scale {calibration:.4g} m of sigma = {state.beam.sigma} m "
+                    f"exceeds {x_max:.4g} m, the largest sample a {segments}-segment "
+                    "spectrum can square"
+                )
             noise_max = (x_max - calibration) / NORMAL_DRAW_MAX
             if extensions.electronic_noise > noise_max:
                 raise ValidationError(
@@ -427,46 +435,34 @@ def _draw_counts(rng, n, profile, n_samples):
     more. A phase's samples share one p, so numpy's binomial sampler sets up
     once per phase and call, not once per sample: phase by phase, a block's
     phases fill their q samples of a strided (q, m) view, a phase of more
-    than DRAW_BLOCK samples in pieces. Within a block, each run of phases
-    with one p whose q-fold variates reach SCALAR_RUN (an undriven record is
-    one run) is one call with that p as a Python float, and the phases
-    between such runs are one call with p broadcast from the profile. The r
-    samples after the last whole period, if r > 0, follow in sample order.
-    This is the same stream as one whole-record call.
+    than DRAW_BLOCK samples in pieces. The record's shape decides each
+    block's calls: a profile of one p (an undriven record) whose block holds
+    at least SCALAR_RUN variates is one call with p as a Python float; else,
+    if q >= SCALAR_RUN, one such call per phase; else one call with p
+    broadcast from the profile. The r samples after the last whole period,
+    if r > 0, follow in sample order. This is the same stream as one
+    whole-record call.
     """
     counts = np.empty(n_samples, dtype=np.int64)
     m = profile.size
     q = n_samples // m
     periods = counts[: q * m].reshape(q, m)
     width = max(DRAW_BLOCK // q, 1)  # phases in a block
+    one_p = profile.min() == profile.max()
     for k0 in range(0, m, width):
-        for a, b, p in _phase_runs(profile, k0, min(k0 + width, m), q):
-            for j0 in range(0, q, DRAW_BLOCK):  # one run, unless a phase outgrows a block
-                j1 = min(j0 + DRAW_BLOCK, q)
-                periods[j0:j1, a:b] = rng.binomial(n, p, (b - a, j1 - j0)).T
+        k1 = min(k0 + width, m)
+        for j0 in range(0, q, DRAW_BLOCK):  # one piece, unless a phase outgrows a block
+            j1 = min(j0 + DRAW_BLOCK, q)
+            if one_p and (k1 - k0) * q >= SCALAR_RUN:
+                periods[j0:j1, k0:k1] = rng.binomial(n, float(profile[0]), (k1 - k0, j1 - j0)).T
+            elif q >= SCALAR_RUN:
+                for k in range(k0, k1):
+                    periods[j0:j1, k] = rng.binomial(n, float(profile[k]), j1 - j0)
+            else:
+                periods[j0:j1, k0:k1] = rng.binomial(n, profile[k0:k1, None], (k1 - k0, j1 - j0)).T
     if q * m < n_samples:
         counts[q * m :] = rng.binomial(n, profile[: n_samples - q * m])
     return counts
-
-
-def _phase_runs(profile, k0, k1, q):
-    """Phases k0..k1 - 1 as (start, stop, p) pieces, in order: each run of one p
-    holding at least SCALAR_RUN variates over q periods with p as a float, the
-    phases between such runs with their column of the profile."""
-    block = profile[k0:k1]
-    edges = block[1:] != block[:-1]  # edges[i]: p changes after phase k0 + i
-    done = k0
-    # Below SCALAR_RUN periods, only a run of two or more phases can reach it.
-    if q >= SCALAR_RUN or not edges.all():
-        bounds = k0 + np.flatnonzero(np.concatenate(([True], edges, [True])))
-        long = np.flatnonzero(np.diff(bounds) >= -(-SCALAR_RUN // q))
-        for start, stop in zip(bounds[long].tolist(), bounds[long + 1].tolist()):
-            if done < start:
-                yield done, start, profile[done:start, None]
-            yield start, stop, float(profile[start])
-            done = stop
-    if done < k1:
-        yield done, k1, profile[done:k1, None]
 
 
 def synthesize_run(

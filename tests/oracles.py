@@ -260,8 +260,8 @@ def direct_synthesize_run(
 
 
 def serial_spectrum_pair(config):
-    """``run_spectrum_pair`` with the driven and then the undriven record drawn
-    by ``direct_synthesize_run``."""
+    """``run_spectrum_pair``'s table and metadata, with the driven and then the
+    undriven record drawn by ``direct_synthesize_run``."""
     physics = resolve(config)
     cfg = physics.config
 
@@ -282,7 +282,11 @@ def serial_spectrum_pair(config):
     metadata = resolved_metadata(physics)
     metadata["resolution_bw_hz"] = spec_driven.resolution_bw
     metadata["ref_power"] = ref_power
-    return spec_driven.frequencies, spec_driven.power_db - ref_db, undriven_db, metadata
+    return {
+        "frequency_hz": spec_driven.frequencies,
+        "driven_db": spec_driven.power_db - ref_db,
+        "undriven_db": undriven_db,
+    }, metadata
 
 
 def per_row_csv(metadata, columns, *values):

@@ -44,8 +44,8 @@ def physics():
 
 
 @pytest.fixture(scope="module")
-def slope_result():
-    return run_slope_sweep(ExperimentConfig())
+def slope_header():
+    return run_slope_sweep(ExperimentConfig())[1]
 
 
 @pytest.fixture(scope="module")
@@ -64,16 +64,18 @@ def test_criterion_1_amplification_factor(physics):
     )
 
 
-def test_criterion_2_deflection_slope(slope_result):
-    combined = np.hypot(PAPER_SLOPE_ERR, slope_result.slope_error)
-    deviation = abs(slope_result.slope - PAPER_SLOPE)
-    identity = slope_result.slope / (PAPER_UNAMPLIFIED * slope_result.amplification)
+def test_criterion_2_deflection_slope(slope_header):
+    slope = slope_header["fitted_slope_m_per_hz"]
+    slope_error = slope_header["fitted_slope_error_m_per_hz"]
+    combined = np.hypot(PAPER_SLOPE_ERR, slope_error)
+    deviation = abs(slope - PAPER_SLOPE)
+    identity = slope / (PAPER_UNAMPLIFIED * slope_header["derived_amplification"])
     ok = deviation <= 2 * combined and abs(identity - 1) <= 0.02
     report(
         2,
         ok,
-        f"fitted slope {slope_result.slope * 1e18:.1f} ± "
-        f"{slope_result.slope_error * 1e18:.1f} pm/MHz vs 720 ± 11 "
+        f"fitted slope {slope * 1e18:.1f} ± "
+        f"{slope_error * 1e18:.1f} pm/MHz vs 720 ± 11 "
         f"(|dev| = {deviation * 1e18:.1f} <= {2 * combined * 1e18:.1f}); "
         f"slope/(9.1 x amplification) = {identity:.4f} (tolerance 2%)",
     )
@@ -211,7 +213,8 @@ def test_criterion_8_filter_response():
 
 
 def test_criterion_9_spectrum(physics, spectrum_pair):
-    freqs, driven_db, _, _ = spectrum_pair
+    table, _ = spectrum_pair
+    freqs, driven_db = table["frequency_hz"], table["driven_db"]
     fundamental = driven_db[np.argmin(np.abs(freqs - 10.0))]
     floor = np.median(driven_db[(freqs > 35) & (freqs < 45)])
     contrast = fundamental - floor

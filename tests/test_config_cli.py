@@ -228,6 +228,8 @@ REFUSED_BEFORE_ANY_RECORD = [
         ("--dark-count-rate=-1Hz", "dark_count_rate must be >= 0, got -1.0"),
         ("--sweep-points=1", "sweep_points must be in [2, 9223372036854775807], got 1"),
         ("--sweep-max=-1MHz", "sweep_max must be >= 0, got -1000000.0"),
+        # phi = pi: the dark port passes all the light and amplifies nothing.
+        ("--postselection=1", "phi must lie in (0, pi) for amplification, got 3.141592653589793"),
     )
 ] + [
     (flag, message, command)
@@ -635,6 +637,28 @@ class TestCli:
                 text = out.read_text().lower()
                 assert err == "" and "inf" not in text and "nan" not in text
 
+    @pytest.mark.parametrize(
+        "args,scale,sigma",
+        [
+            (["--sigma", "3e153"], "3.76e+153", "3e+153"),
+            (["--sigma", "1e200", "--spectrum-dnu", "0"], "1.253e+200", "1e+200"),
+        ],
+        ids=["driven", "undriven"],
+    )
+    def test_spectrum_refuses_a_scale_its_periodogram_cannot_square(
+        self, capsys, args, scale, sigma
+    ):
+        # The position scale c = sqrt(pi / 2) sigma alone exceeds
+        # sqrt(DBL_MAX / 16): no electronic-noise bound is left, so the plan
+        # names the scale and sigma, before any photon.
+        with mock.patch.object(signal_chain, "_draw_counts", side_effect=AssertionError) as draw:
+            assert cli.main(["spectrum", *args]) == 2
+        assert draw.call_count == 0
+        assert capsys.readouterr().err == (
+            f"error: the position scale {scale} m of sigma = {sigma} m exceeds 3.352e+153 m, "
+            "the largest sample a 16-segment spectrum can square\n"
+        )
+
     def test_slope_filter_gain_cancels(self, tmp_path):
         # The lock-in kernel divides the gain back out, so a gain of 1e300
         # reads the same deflections as the default 1e4.
@@ -818,6 +842,25 @@ class TestCli:
         err = capsys.readouterr().err
         lowest = err.rsplit(" m: ", 1)[1].split("..")[0]
         assert float(lowest) < 2.1e-07
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (
+                ["sensitivity", "--wavelength", "5um"],
+                "fused_silica validity range [2.100e-07, 3.710e-06] m: 4.9999999999999996e-06 m",
+            ),
+            (
+                ["range", "--material", "bk7", "--wavelength", "2.6um"],
+                "bk7 validity range [3.000e-07, 2.500e-06] m: 2.6000000000000001e-06 m",
+            ),
+        ],
+        ids=["sensitivity-5um", "range-bk7-2.6um"],
+    )
+    def test_one_wavelength_outside_window_is_named_once(self, capsys, args, message):
+        # A lone wavelength is not printed as a range from itself to itself.
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err == f"error: wavelength outside {message}\n"
 
     def test_negative_seed_exit_code(self, tmp_path, capsys):
         code = cli.main(

@@ -398,23 +398,25 @@ class TestLockInKernel:
         # point; the oracle filters and demodulates each of its records.
         cfg = ExperimentConfig(**fields)
         physics = resolve(cfg)
-        result = recipes.run_slope_sweep(cfg)
+        table, _ = recipes.run_slope_sweep(cfg)
         duration = (cfg.n_cycles + cfg.settle_cycles) / cfg.mod_frequency
-        for i, dnu in enumerate(result.shifts):
+        for i, dnu in enumerate(table["dnu_hz"]):
             record = synthesize_run(
                 dnu, duration, cfg.sample_rate, physics, physics.n_photons_per_sample(),
                 cfg.seed + i,
             )
             expected = demodulated(record, physics.filter_spec, cfg.mod_frequency, cfg.n_cycles)
-            assert result.deflections[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert table["deflection_m"][i] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_errors_are_the_closed_form(self, physics):
         # sqrt(2 / N_w) sigma_x over the 2500 window samples; at the default
         # drives p stays within 6e-6 of 1/2, so sigma_x is c / sqrt(n) to 1e-9.
-        result = recipes.run_slope_sweep(ExperimentConfig())
+        table, _ = recipes.run_slope_sweep(ExperimentConfig())
         plan = plan_for(physics, 3.0)
         sigma_x = split_noise(plan.calibration, plan.n_detected, 0.5)
-        np.testing.assert_allclose(result.errors, np.sqrt(2.0 / 2500) * sigma_x, rtol=1e-9)
+        np.testing.assert_allclose(
+            table["std_of_mean_m"], np.sqrt(2.0 / 2500) * sigma_x, rtol=1e-9
+        )
 
     def test_record_of_too_few_whole_cycles(self):
         # 2999 samples hold 29 whole 100-sample cycles.
@@ -746,16 +748,21 @@ class TestSynthesizeRun:
             (100.0, FS, 0.0, True, [65_000, 35_000]),  # its undriven record: one run
             (3.0, FS, 7.4e6, False, [3000]),  # a slope point: 30 periods
             (2.0, 1024.0, 7.4e6, False, [2048]),  # 4 periods of 512 phases
+            (2.0, 1024.0, 0.0, True, [2048]),  # its undriven record: one block of one p
+            (2.5, FS, 7.4e6, False, [2500]),  # simulate's record: 25 periods
         ],
-        ids=["driven-100s", "undriven-100s", "slope", "1024Hz"],
+        ids=[
+            "driven-100s", "undriven-100s", "slope", "1024Hz", "undriven-1024Hz", "simulate-2.5s"
+        ],
     )
     def test_long_runs_draw_with_scalar_p(
         self, physics, duration, sample_rate, dnu_peak, scalar, sizes
     ):
-        # A run of one p over at least SCALAR_RUN variates is drawn with p as
-        # a Python float, and shorter phases with p broadcast from the
-        # profile; the stream is the phase-ordered one either way. Each of
-        # these records is whole periods, so no empty tail call follows.
+        # An undriven block of at least SCALAR_RUN variates is one call with p
+        # as a Python float, and so is each phase of a record of at least
+        # SCALAR_RUN periods; any other block is one call with p broadcast
+        # from the profile. The stream is the phase-ordered one either way.
+        # Each of these records is whole periods, so no empty tail call follows.
         plan = plan_for(physics, duration, sample_rate)
         profile = split_profile(plan, dnu_peak)
         calls = BinomialCalls(np.random.default_rng(41))
@@ -767,9 +774,9 @@ class TestSynthesizeRun:
         assert counts.tobytes() == expected.tobytes()
 
     def test_run_between_broadcast_phases_keeps_phase_order(self):
-        # A block whose middle phases share one p over SCALAR_RUN variates:
-        # the phases before the run, the run with p as a float, and the phases
-        # after it, in that order; a shorter run of one p stays broadcast.
+        # A driven profile whose middle phases share one p over SCALAR_RUN
+        # variates, in records of fewer than SCALAR_RUN periods: the block is
+        # one broadcast call in phase order, then the 5-sample tail.
         q = 16
         run = -(-SCALAR_RUN // q)  # the fewest phases that reach SCALAR_RUN
         profile = np.linspace(0.2, 0.4, run + 24)
@@ -778,9 +785,7 @@ class TestSynthesizeRun:
         n, n_samples = 10**9, profile.size * q + 5
         calls = BinomialCalls(np.random.default_rng(3))
         counts = _draw_counts(calls, n, profile, n_samples)
-        assert list(zip(calls.sizes, calls.scalar)) == [
-            (10 * q, False), (run * q, True), (14 * q, False), (5, False)
-        ]
+        assert list(zip(calls.sizes, calls.scalar)) == [(profile.size * q, False), (5, False)]
         expected = phase_ordered_stream(np.random.default_rng(3), n, profile, n_samples)
         assert counts.tobytes() == expected.tobytes()
 
@@ -937,7 +942,8 @@ class TestSynthesizeRun:
         from wvfreq.recipes import run_spectrum_pair
 
         cfg = ExperimentConfig(spectrum_duration=50.0)
-        freqs, _, undriven_db, _ = run_spectrum_pair(cfg)
+        table, _ = run_spectrum_pair(cfg)
+        freqs, undriven_db = table["frequency_hz"], table["undriven_db"]
         band = (freqs > 5) & (freqs < 50)
         floor = np.median(undriven_db[band])
         assert undriven_db[band].max() <= floor + 6.0
@@ -1161,11 +1167,12 @@ class TestSpectrumPair:
         # The pair is bit-equal to both records drawn one after the other
         # by the per-sample oracle, over more than one block and less.
         cfg = ExperimentConfig(spectrum_duration=duration, sample_rate=sample_rate, **terms)
-        pair = run_spectrum_pair(cfg)
-        expected = serial_spectrum_pair(cfg)
-        for got, want in zip(pair[:3], expected[:3]):
-            assert got.tobytes() == want.tobytes()
-        assert pair[3] == expected[3]
+        table, metadata = run_spectrum_pair(cfg)
+        expected_table, expected_metadata = serial_spectrum_pair(cfg)
+        assert list(table) == list(expected_table)
+        for column, values in table.items():
+            assert values.tobytes() == expected_table[column].tobytes()
+        assert metadata == expected_metadata
 
     def test_peak_memory_is_under_three_and_a_half_records(self, peak_bytes):
         # Each record's periodogram is taken before the next record is drawn,

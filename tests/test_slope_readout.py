@@ -25,10 +25,10 @@ UNAMPLIFIED_SLOPE = 9.1e-18  # m/Hz, the default prism calibration
 @functools.cache
 def ensemble(**fields):
     """(amplification, fitted slopes, reported slope errors) over SEEDS."""
-    results = [run_slope_sweep(ExperimentConfig(seed=seed, **fields)) for seed in SEEDS]
-    slopes = np.array([result.slope for result in results])
-    errors = np.array([result.slope_error for result in results])
-    return results[0].amplification, slopes, errors
+    headers = [run_slope_sweep(ExperimentConfig(seed=seed, **fields))[1] for seed in SEEDS]
+    slopes = np.array([header["fitted_slope_m_per_hz"] for header in headers])
+    errors = np.array([header["fitted_slope_error_m_per_hz"] for header in headers])
+    return headers[0]["derived_amplification"], slopes, errors
 
 
 NOISE = {
